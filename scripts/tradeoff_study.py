@@ -23,7 +23,6 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=4000, help="delay trials per gamma")
     ap.add_argument("--arl-trials", type=int, default=400)
     ap.add_argument("--seed", type=int, default=31415)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="out/tradeoff")
     args = ap.parse_args()
 
@@ -34,7 +33,6 @@ def main() -> None:
         trials=args.trials,
         seed=args.seed,
         arl_trials=args.arl_trials,
-        threads=args.threads,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -56,7 +56,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return d
 
 
-def cmd_demo(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
+def cmd_demo(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
     run = cfg.run
     threshold = cfg.detector.threshold_value
@@ -86,7 +86,7 @@ def cmd_demo(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
+def cmd_verify(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
     budgets = conditions.ConditionBudgets(seed=cfg.run.seed)
     report = conditions.full_condition_report(model, budgets)
@@ -106,7 +106,7 @@ def cmd_verify(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_arl(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
+def cmd_arl(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
     threshold = cfg.detector.threshold_value
     gamma = cfg.detector.gamma_value
@@ -119,7 +119,6 @@ def cmd_arl(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
         horizon,
         cfg.run.seed,
         window=cfg.detector.window,
-        threads=threads,
     )
     out = _outdir(cfg)
     row = (gamma, threshold, est.trials, est.mean_tau, est.stderr, est.censored_fraction, est.lcb95)
@@ -134,7 +133,7 @@ def cmd_arl(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
     return 0 if ok else 1
 
 
-def cmd_cadd(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
+def cmd_cadd(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
     threshold = cfg.detector.threshold_value
     if cfg.run.nu == math.inf:
@@ -149,7 +148,6 @@ def cmd_cadd(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
             cfg.run.trials,
             cfg.run.seed,
             window=cfg.detector.window,
-            threads=threads,
         )
     except EstimationError as exc:
         print(f"cadd: FAIL {exc}", file=sys.stderr)
@@ -174,7 +172,7 @@ def cmd_cadd(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
     return 0
 
 
-def cmd_tradeoff(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
+def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
     rows = metrics.tradeoff_curve(
         model,
@@ -183,7 +181,6 @@ def cmd_tradeoff(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
         cfg.run.seed,
         detector=cfg.detector.kind,
         arl_trials=cfg.tradeoff.arl_trials,
-        threads=threads,
     )
     out = _outdir(cfg)
     csv_rows = [(r.gamma, r.threshold, r.arl.lcb95, r.cadd.mean_delay, r.bound) for r in rows]
@@ -202,7 +199,7 @@ def cmd_tradeoff(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
     return 0 if ok else 1
 
 
-def cmd_simulate(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
+def cmd_simulate(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
     threshold = cfg.detector.threshold_value
     outcomes = metrics.simulate_trials(
@@ -214,7 +211,6 @@ def cmd_simulate(cfg: ExperimentConfig, threads: int, json_too: bool) -> int:
         cfg.run.trials,
         cfg.run.seed,
         window=cfg.detector.window,
-        threads=threads,
     )
     out = _outdir(cfg)
     rows = [
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON experiment config (built-in default if omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker-thread cap for trial loops")
         p.add_argument("--format", choices=["csv", "json"], default="csv", help="also mirror tables as JSON")
     return parser
 
@@ -275,9 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    threads = max(1, args.threads)
-    json_too = args.format == "json"
-    return _COMMANDS[args.command](cfg, threads, json_too)
+    return _COMMANDS[args.command](cfg, args.format == "json")
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ products; R_n - n is a martingale under the pre-change law, which is what
 makes threshold exp(A) give a mean time to false alarm of at least exp(A).
 All accumulation is in the log domain, with log-sum-exp for R_n.
 
-States are single-owner: mutate them only from their owning run.  Distinct
-runs can execute concurrently without coordination.
+States are single-owner: mutate them only from their owning run.  A state
+holds one stream (a 1-d row of running sums) or, for run_detector_batch, a
+stack of rows that advance in lockstep; both go through the same update and
+reductions, and the batch drops each row once its run stops.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .models import DensityModel, llr, llr_prefix, _validate_x
-from .numerics import NumericError, logsumexp
+from .numerics import NumericError, logsumexp_rows
 
 DETECTOR_KINDS = ("ex-cusum", "sr", "cusum")
 
@@ -38,49 +40,77 @@ _MIN_CAPACITY = 64
 
 
 class _CandidateBuffer:
-    """Right-aligned growable buffer of per-candidate running sums.
+    """Right-aligned running sums of the candidate change points.
 
-    After n observations the candidates occupy buf[cap - n:], newest first:
-    position cap - n + j holds candidate k = n - j, whose increment at the
-    next observation is the log-likelihood ratio at age index j.  That makes
-    every per-step update a contiguous-slice operation.
+    The sums of one stream form a 1-d row; run_detector_batch stacks one row
+    per run into a 2-d array, and every operation below acts on the last axis,
+    so both shapes go through the same arithmetic.  The candidates occupy
+    buf[..., pos:], newest first: column pos + j holds the candidate of age j,
+    whose increment at the next observation is the log-likelihood ratio at
+    age index j.  That makes every per-step update a contiguous-slice
+    operation on each row.  With window M only the newest M candidates are
+    read, so once the buffer fills, the newest M - 1 move back to its right
+    end instead of the buffer growing: it stays below 4 M + 64 columns, and
+    the moves cost O(1) per step on average.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, window: int | None = None, rows: int | None = None) -> None:
+        self.window = window
         self.n = 0
-        self._buf = np.zeros(_MIN_CAPACITY)
-        self._tmp = np.zeros(_MIN_CAPACITY)
+        self._pos = _MIN_CAPACITY
+        self._rows = () if rows is None else (rows,)
+        # columns left of the newest candidate stay zero, ready for the next one
+        self._buf = np.zeros(self._rows + (_MIN_CAPACITY,))
+        self._tmp = np.empty(self._buf.shape)
 
-    def _grow(self, need: int) -> None:
-        cap = self._buf.size
-        if need <= cap:
-            return
-        new_cap = max(2 * cap, need)
-        buf = np.zeros(new_cap)
-        used = self.n - 1  # candidates present before the current step
-        if used > 0:
-            buf[new_cap - used :] = self._buf[cap - used :]
+    @property
+    def active(self) -> int:
+        """Number of candidates read after the latest observation."""
+        return self.n if self.window is None else min(self.n, self.window)
+
+    def _make_room(self, keep: int) -> None:
+        # free the column left of the newest candidate, keeping the newest `keep`
+        cap = self._buf.shape[-1]
+        buf = self._buf
+        if 2 * keep > cap:
+            cap *= 2
+            buf = np.zeros(self._rows + (cap,))
+            self._tmp = np.empty(buf.shape)
+            buf[..., cap - keep :] = self._buf[..., :keep]
+        else:
+            buf[..., cap - keep :] = buf[..., :keep]
+            buf[..., : cap - keep] = 0.0
         self._buf = buf
-        self._tmp = np.zeros(new_cap)
+        self._pos = cap - keep
 
-    def push(self, x: float, model: DensityModel, active: int) -> np.ndarray:
-        """Register observation x, update the newest `active` candidates, and
-        return the view of their sums (newest first)."""
+    def push(self, x, model: DensityModel) -> np.ndarray:
+        """Register an observation (a float, or a (rows, 1) column with one per
+        row), update the newest `active` candidates, and return the view of
+        their sums (newest first)."""
         self.n += 1
-        self._grow(self.n)
-        pos = self._buf.size - self.n
-        inc = llr_prefix(model, active, x, self._tmp)
-        self._buf[pos] = 0.0
-        self._buf[pos : pos + active] += inc
-        return self._buf[pos : pos + active]
+        active = self.active
+        if self._pos == 0:
+            self._make_room(active - 1)
+        self._pos -= 1
+        view = self._buf[..., self._pos : self._pos + active]
+        view += llr_prefix(model, active, x, self._tmp)
+        return view
 
-    def active_view(self, active: int) -> np.ndarray:
-        pos = self._buf.size - self.n
-        return self._buf[pos : pos + active]
+    def view(self) -> np.ndarray:
+        return self._buf[..., self._pos : self._pos + self.active]
 
     def scratch(self, size: int) -> np.ndarray:
         # _tmp's contents are dead once push() has folded them into the sums
-        return self._tmp[:size]
+        return self._tmp[..., :size]
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop the rows whose entry in the boolean mask ``keep`` is False."""
+        idx = np.flatnonzero(keep)
+        cols = slice(self._pos, self._pos + self.active)
+        self._buf[: idx.size, cols] = self._buf[idx, cols]
+        self._buf = self._buf[: idx.size]
+        self._tmp = self._tmp[: idx.size]
+        self._rows = (idx.size,)
 
 
 class ExCusumState:
@@ -88,15 +118,16 @@ class ExCusumState:
 
     ``candidate_sums`` lists the retained candidates' running sums in
     candidate order (oldest hypothesis first); without a window there are n
-    of them, with window M only the newest min(n, M).
+    of them, with window M only the newest min(n, M).  ``rows`` is for
+    run_detector_batch, which advances that many runs in lockstep.
     """
 
-    def __init__(self, window: int | None = None) -> None:
+    def __init__(self, window: int | None = None, *, rows: int | None = None) -> None:
         if window is not None and (not isinstance(window, int) or window < 1):
             raise ValueError(f"window must be a positive integer or None, got {window!r}")
         self.window = window
         self.statistic = -math.inf
-        self._cands = _CandidateBuffer()
+        self._cands = _CandidateBuffer(window, rows)
 
     @property
     def n(self) -> int:
@@ -104,17 +135,22 @@ class ExCusumState:
 
     @property
     def active_count(self) -> int:
-        return self.n if self.window is None else min(self.n, self.window)
+        return self._cands.active
 
     @property
     def candidate_sums(self) -> np.ndarray:
-        return self._cands.active_view(self.active_count)[::-1].copy()
+        return self._cands.view()[::-1].copy()
 
     @property
     def argmax_candidate(self) -> int:
         """The change-point hypothesis k achieving the current statistic."""
-        view = self._cands.active_view(self.active_count)
-        return self.n - int(np.argmax(view))
+        return self.n - int(np.argmax(self._cands.view()))
+
+    def _advance(self, x, model: DensityModel):
+        return self._cands.push(x, model).max(axis=-1)
+
+    def _keep_rows(self, keep: np.ndarray) -> None:
+        self._cands.keep_rows(keep)
 
 
 def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusumState:
@@ -125,11 +161,7 @@ def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusum
     than the window are dropped, and the statistic is the max over what
     remains.
     """
-    _validate_x(model, x)
-    n_next = state._cands.n + 1
-    active = n_next if state.window is None else min(n_next, state.window)
-    view = state._cands.push(x, model, active)
-    state.statistic = float(view.max())
+    state.statistic = _step(state, x, model)
     return state
 
 
@@ -141,9 +173,9 @@ class SrState:
     log R_n via log-sum-exp over them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, rows: int | None = None) -> None:
         self.log_statistic = -math.inf
-        self._cands = _CandidateBuffer()
+        self._cands = _CandidateBuffer(rows=rows)
 
     @property
     def n(self) -> int:
@@ -151,14 +183,19 @@ class SrState:
 
     @property
     def log_candidate_products(self) -> np.ndarray:
-        return self._cands.active_view(self.n)[::-1].copy()
+        return self._cands.view()[::-1].copy()
+
+    def _advance(self, x, model: DensityModel):
+        view = self._cands.push(x, model)
+        return logsumexp_rows(view, self._cands.scratch(view.shape[-1]))
+
+    def _keep_rows(self, keep: np.ndarray) -> None:
+        self._cands.keep_rows(keep)
 
 
 def sr_step(state: SrState, x: float, model: DensityModel) -> SrState:
     """Advance R_n by one observation (mutates and returns state)."""
-    _validate_x(model, x)
-    view = state._cands.push(x, model, state._cands.n + 1)
-    state.log_statistic = logsumexp(view, scratch=state._cands.scratch(view.size))
+    state.log_statistic = _step(state, x, model)
     return state
 
 
@@ -170,16 +207,31 @@ class CusumState:
     a constant schedule it reproduces the growing-family statistic exactly.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, rows: int | None = None) -> None:
         self.n = 0
         self.statistic = 0.0
+        self._stats = np.zeros(() if rows is None else rows)
+        self._tmp = np.empty(self._stats.shape + (1,))
+
+    def _advance(self, x, model: DensityModel):
+        self.n += 1
+        z = llr_prefix(model, 1, x, self._tmp)[..., 0]
+        self._stats = np.maximum(self._stats, 0.0) + z
+        return self._stats
+
+    def _keep_rows(self, keep: np.ndarray) -> None:
+        self._stats = self._stats[keep]
+        self._tmp = self._tmp[: self._stats.size]
 
 
 def cusum_step(state: CusumState, x: float, model: DensityModel) -> CusumState:
-    state.n += 1
-    z = llr(model, 0, x)
-    state.statistic = max(state.statistic, 0.0) + z
+    state.statistic = _step(state, x, model)
     return state
+
+
+def _step(state, x: float, model: DensityModel) -> float:
+    # one stream: a validated scalar observation through the state's update
+    return float(state._advance(_validate_x(model, x), model))
 
 
 def ex_cusum_brute(samples, model: DensityModel, n: int) -> float:
@@ -235,15 +287,24 @@ def _iter_samples(path_or_stream) -> Iterator[float]:
     return iter(samples)
 
 
-def _make_state(kind: str, window: int | None):
+def _start(kind: str, window: int | None, horizon: int, threshold: float, rows: int | None):
+    """Validate a run and return its fresh state and crossing rule."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+    return _make_state(kind, window, rows), kind != "cusum"
+
+
+def _make_state(kind: str, window: int | None, rows: int | None = None):
     if kind == "ex-cusum":
-        return ExCusumState(window=window)
+        return ExCusumState(window=window, rows=rows)
     if window is not None:
         raise ValueError(f"window only applies to the ex-cusum detector, not {kind!r}")
     if kind == "sr":
-        return SrState()
+        return SrState(rows=rows)
     if kind == "cusum":
-        return CusumState()
+        return CusumState(rows=rows)
     raise ValueError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
 
 
@@ -263,31 +324,71 @@ def run_detector(
     "ex-cusum" and "sr"; the "cusum" baseline stops at >=.  A non-finite
     statistic aborts the run with a NumericError.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if math.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
-    state = _make_state(kind, window)
+    state, strict = _start(kind, window, horizon, threshold, None)
     it = _iter_samples(path_or_stream)
     for t in range(1, horizon + 1):
         try:
             x = float(next(it))
         except StopIteration:
             raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
-        if kind == "ex-cusum":
-            stat = ex_cusum_step(state, x, model).statistic
-            crossed = stat > threshold
-        elif kind == "sr":
-            stat = sr_step(state, x, model).log_statistic
-            crossed = stat > threshold
-        else:
-            stat = cusum_step(state, x, model).statistic
-            crossed = stat >= threshold
-        if math.isnan(stat) or stat == math.inf:
+        stat = _step(state, x, model)
+        if not stat < math.inf:
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat} (x={x})")
-        if crossed:
+        if stat > threshold or (not strict and stat == threshold):
             return StopResult(stopped=True, tau=t, censored_at=None)
     return StopResult(stopped=False, tau=None, censored_at=horizon)
+
+
+def run_detector_batch(
+    kind: str,
+    model: DensityModel,
+    paths: np.ndarray,
+    threshold: float,
+    *,
+    window: int | None = None,
+) -> list[StopResult]:
+    """Run one detector per row of ``paths`` (runs x horizon) in lockstep.
+
+    Row r's result equals run_detector(kind, model, paths[r], threshold,
+    horizon, window=window) exactly: all live rows take each step together,
+    through the same update and reduction, and a row is dropped once it
+    crosses.  The checks are run_detector's, applied to live rows only; when
+    several rows fail, the error names the earliest failing step.
+    """
+    runs, horizon = paths.shape
+    state, strict = _start(kind, window, horizon, threshold, runs)
+    # one pass over the whole block; a block holding a bad observation checks
+    # the live rows step by step, since a run that stops first never reads it
+    try:
+        _validate_x(model, paths)
+        screened = True
+    except ValueError:
+        screened = False
+    taus = np.zeros(runs, dtype=np.int64)
+    live = np.arange(runs)
+    for t in range(1, horizon + 1):
+        xs = paths[live, t - 1][:, None]
+        if not screened:
+            _validate_x(model, xs)
+        stat = state._advance(xs, model)
+        top = float(stat.max())  # NaN and +inf propagate into the max
+        if not top < math.inf:
+            r = int(np.argmax(~(stat < math.inf)))
+            raise NumericError(f"{kind} statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
+        if top > threshold or (not strict and top == threshold):
+            crossed = stat > threshold if strict else stat >= threshold
+            taus[live[crossed]] = t
+            keep = ~crossed
+            live = live[keep]
+            if live.size == 0:
+                break
+            state._keep_rows(keep)
+    return [
+        StopResult(stopped=True, tau=int(t), censored_at=None)
+        if t
+        else StopResult(stopped=False, tau=None, censored_at=horizon)
+        for t in taus.tolist()
+    ]
 
 
 def statistic_trace(
@@ -298,10 +399,5 @@ def statistic_trace(
     xs = getattr(samples, "samples", samples)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        if kind == "ex-cusum":
-            out[i] = ex_cusum_step(state, float(x), model).statistic
-        elif kind == "sr":
-            out[i] = sr_step(state, float(x), model).log_statistic
-        else:
-            out[i] = cusum_step(state, float(x), model).statistic
+        out[i] = _step(state, float(x), model)
     return out

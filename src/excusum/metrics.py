@@ -15,25 +15,32 @@ so the worst-case (over nu) delay is scanned on a finite nu grid with no
 essential-supremum machinery.
 
 Trials are seeded individually (seed, trial index), making every estimate
-bit-reproducible and order-independent, including under threaded execution.
+bit-reproducible and independent of trial order.  They run in chunks, all
+trials of a chunk advancing in lockstep through one detector step per time
+index (see run_detector_batch), so the per-step interpreter and numpy call
+overhead is paid once per chunk instead of once per trial; a trial's outcome
+does not depend on the chunk it runs in.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-from .detectors import StopResult, run_detector
+from .detectors import StopResult, run_detector_batch
 from .models import DensityModel, GaussianModel
-from .process import NO_CHANGE, ChangeSpec, derive_seed, path_stream
+from .process import NO_CHANGE, ChangeSpec, derive_seed, generate_path
 
-Z95 = float(stats.norm.ppf(0.95))
+#: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
+Z95 = 1.6448536269514722
+
+#: float64 elements in the path array of one lockstep chunk (2 MiB); a chunk
+#: runs max(1, _CHUNK_ELEMENTS // horizon) trials
+_CHUNK_ELEMENTS = 2**18
 
 #: caps for the default horizons: false-alarm runs 20 * exp(A) capped at 1e7
 #: steps, delay runs nu + 10 * ceil(A / I)
@@ -86,24 +93,28 @@ def simulate_trials(
     seed: int,
     *,
     window: int | None = None,
-    threads: int = 1,
 ) -> list[TrialOutcome]:
-    """Run independently seeded detector trials; results are order-independent."""
+    """Run independently seeded detector trials; results are order-independent.
+
+    Trial i runs on the path drawn from derive_seed(seed, i), and its outcome
+    equals that of run_detector on that path.  Trials run in lockstep chunks
+    whose paths are drawn in full up front.  A bad observation or a NaN or
+    +inf statistic raises as in run_detector; when several trials of a chunk
+    fail, the error names the earliest failing step among them.
+    """
     if trials < 1:
         raise EstimationError("at least one trial is required")
-
-    def one(i: int) -> TrialOutcome:
-        spec = ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i))
-        res = run_detector(detector, model, path_stream(model, spec), threshold, horizon, window=window)
-        return TrialOutcome.from_stop(res, nu)
-
-    if threads <= 1:
-        return [one(i) for i in range(trials)]
-    out: list[TrialOutcome | None] = [None] * trials
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in zip(range(trials), pool.map(one, range(trials))):
-            out[i] = res
-    return out  # type: ignore[return-value]
+    ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
+    chunk = max(1, _CHUNK_ELEMENTS // horizon)
+    outcomes = []
+    for start in range(0, trials, chunk):
+        ids = range(start, min(start + chunk, trials))
+        paths = np.empty((len(ids), horizon))
+        for row, i in zip(paths, ids):
+            row[:] = generate_path(model, ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i))).samples
+        results = run_detector_batch(detector, model, paths, threshold, window=window)
+        outcomes.extend(TrialOutcome.from_stop(res, nu) for res in results)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,6 @@ def estimate_arl2fa(
     seed: int,
     *,
     window: int | None = None,
-    threads: int = 1,
 ) -> ArlEstimate:
     """Estimate E_inf[tau] on no-change paths.
 
@@ -145,9 +155,7 @@ def estimate_arl2fa(
             UserWarning,
             stacklevel=2,
         )
-    outcomes = simulate_trials(
-        model, detector, threshold, NO_CHANGE, horizon, trials, seed, window=window, threads=threads
-    )
+    outcomes = simulate_trials(model, detector, threshold, NO_CHANGE, horizon, trials, seed, window=window)
     taus = np.array([o.tau if o.tau is not None else o.censored_at for o in outcomes], dtype=np.float64)
     censored = sum(o.censored_at is not None for o in outcomes)
     mean = float(taus.mean())
@@ -204,7 +212,6 @@ def estimate_cadd(
     horizon: int | None = None,
     info: float | None = None,
     window: int | None = None,
-    threads: int = 1,
 ) -> CaddEstimate:
     """Estimate E_nu[tau - nu | tau >= nu] on change-at-nu paths.
 
@@ -217,9 +224,7 @@ def estimate_cadd(
         raise ValueError("estimate_cadd needs a finite change point nu >= 1")
     if horizon is None:
         horizon = default_delay_horizon(nu, threshold, _information_or_default(model, info))
-    outcomes = simulate_trials(
-        model, detector, threshold, nu, horizon, trials, seed, window=window, threads=threads
-    )
+    outcomes = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
     delays = np.array([o.delay for o in outcomes if o.delay is not None], dtype=np.float64)
     censored = sum(o.censored_at is not None for o in outcomes)
     false_alarms = sum(o.false_alarm for o in outcomes)
@@ -275,7 +280,6 @@ def worst_case_delay_scan(
     *,
     info: float | None = None,
     window: int | None = None,
-    threads: int = 1,
 ) -> DelayScan:
     """Estimate the conditional delay at every nu in the grid and report the max.
 
@@ -296,7 +300,6 @@ def worst_case_delay_scan(
                 derive_seed(seed, j),
                 info=info,
                 window=window,
-                threads=threads,
             )
             cells.append(DelayScanCell(nu=int(nu), estimate=est, error=None))
         except EstimationError as exc:
@@ -328,7 +331,6 @@ def tradeoff_curve(
     detector: str = "ex-cusum",
     arl_trials: int | None = None,
     info: float | None = None,
-    threads: int = 1,
 ) -> list[TradeoffRow]:
     """Estimate both sides of the tradeoff at threshold log(gamma) per gamma.
 
@@ -351,7 +353,6 @@ def tradeoff_curve(
             arl_trials or trials,
             horizon,
             derive_seed(seed, 2 * j),
-            threads=threads,
         )
         cadd = estimate_cadd(
             model,
@@ -361,7 +362,6 @@ def tradeoff_curve(
             trials=trials,
             seed=derive_seed(seed, 2 * j + 1),
             info=eff_info,
-            threads=threads,
         )
         rows.append(
             TradeoffRow(

@@ -200,7 +200,8 @@ class GaussianModel(DensityModel):
     def _half_mu_sq(self, upto: int) -> np.ndarray:
         arr = self._cache.get("halfsq")
         if arr is None or arr.size < upto:
-            mu = self.schedule.means(max(upto, 64))
+            # grow geometrically: a detector asks for one more entry every step
+            mu = self.schedule.means(max(upto, 64, 2 * (arr.size if arr is not None else 0)))
             vals = mu * mu / 2.0
             vals.setflags(write=False)
             self._cache["halfsq"] = vals
@@ -215,11 +216,11 @@ class GaussianModel(DensityModel):
         m = mu[idx]
         return m * x - m * m / 2.0
 
-    def _llr_prefix(self, n: int, x: float, out: np.ndarray) -> np.ndarray:
-        mu = self.schedule.means(n)
-        np.multiply(mu, x, out=out[:n])
-        out[:n] -= self._half_mu_sq(n)
-        return out[:n]
+    def _llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
+        block = out[..., :n]
+        np.multiply(self.schedule.means(n), x, out=block)
+        block -= self._half_mu_sq(n)
+        return block
 
 
 def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
@@ -281,11 +282,14 @@ def _validate_x(model: DensityModel, x):
             raise ValueError("observation must be finite")
         return x
     xs = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("observation must be finite")
-    lo, hi = model.support
-    if np.any(xs < lo) or np.any(xs > hi):
-        raise ValueError(f"observation outside support [{lo}, {hi}]")
+    if xs.size:
+        # the extremes decide both checks; NaN propagates into both
+        first, last = float(xs.min()), float(xs.max())
+        if not (math.isfinite(first) and math.isfinite(last)):
+            raise ValueError("observation must be finite")
+        lo, hi = model.support
+        if first < lo or last > hi:
+            raise ValueError(f"observation outside support [{lo}, {hi}]")
     return xs
 
 
@@ -309,17 +313,22 @@ def llr(model: DensityModel, post_index, x):
     return val
 
 
-def llr_prefix(model: DensityModel, n: int, x: float, out: np.ndarray) -> np.ndarray:
-    """Write llr(model, j, x) for j = 0..n-1 into out[:n] and return that view.
+def llr_prefix(model: DensityModel, n: int, x, out: np.ndarray) -> np.ndarray:
+    """Write llr(model, j, x) for j = 0..n-1 into out[..., :n] and return that view.
 
-    Hot path for the detectors: x must already be validated.
+    ``x`` is a float with a 1-d ``out``, or a (rows, 1) column with a 2-d
+    ``out`` whose row r takes x[r].  Hot path for the detectors: x must
+    already be validated.
     """
     fast = getattr(model, "_llr_prefix", None)
     if fast is not None:
         return fast(n, x, out)
+    block = out[..., :n]
     idx = np.arange(n)
-    out[:n] = model.post_change_log_density(idx, x) - model.pre_change_log_density(x)
-    return out[:n]
+    # a model without the fast path sees one scalar observation per call
+    for row, xr in zip(block.reshape(-1, n), np.ravel(x).tolist()):
+        row[:] = model.post_change_log_density(idx, xr) - model.pre_change_log_density(xr)
+    return block
 
 
 def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:

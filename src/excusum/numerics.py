@@ -56,13 +56,33 @@ def logsumexp(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
     ``scratch`` may supply a reusable buffer of at least values.size to avoid
     temporaries on hot paths.
     """
-    m = float(values.max())
-    if not math.isfinite(m):
-        # all -inf collapses to -inf; a +inf/nan max propagates
-        return m
-    if scratch is None:
-        return m + math.log(float(np.exp(values - m).sum()))
-    out = scratch[: values.size]
+    return float(logsumexp_rows(values, scratch))
+
+
+def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None):
+    """log(sum(exp(values))) over the last axis, which must be nonempty.
+
+    A 1-d array gives a scalar, a 2-d array one value per row, by the same
+    operations.  Each row is shifted by its max, so a row whose max is not
+    finite returns that max (all -inf collapses to -inf; +inf and NaN
+    propagate).  ``scratch`` may supply a reusable buffer at least as large
+    as ``values`` along each axis.  The log is ``math.log`` per row rather
+    than numpy's vectorized log, which can differ from it in the last bit;
+    that keeps every row bit-identical to a scalar computation.
+    """
+    m = values.max(axis=-1, keepdims=True)
+    if not all(map(math.isfinite, m.ravel().tolist())):
+        if values.ndim == 1:
+            return m[0]
+        out = m[:, 0].copy()
+        finite = np.isfinite(out)
+        if finite.any():
+            out[finite] = logsumexp_rows(values[finite])
+        return out
+    out = np.empty(values.shape) if scratch is None else scratch[..., : values.shape[-1]]
     np.subtract(values, m, out=out)
     np.exp(out, out=out)
-    return m + math.log(float(out.sum()))
+    total = out.sum(axis=-1)
+    if values.ndim == 1:
+        return m[0] + math.log(total)
+    return m[:, 0] + np.array(list(map(math.log, total.tolist())))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it lazily; load it with the package
 
 from .models import DensityModel, sample_post, sample_pre
 

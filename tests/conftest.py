@@ -1,8 +1,11 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
-from excusum import MeanSchedule, gaussian_model
+from excusum import DensityModel, MeanSchedule, gaussian_model
+from excusum.models import LOG_2PI
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
@@ -22,3 +25,24 @@ def rng():
 
 def constant_model(mu: float):
     return gaussian_model(MeanSchedule.constant(mu))
+
+
+def generic_gaussian_model(schedule: MeanSchedule) -> DensityModel:
+    """The Gaussian family of ``schedule`` as a plain DensityModel, without the
+    GaussianModel fast paths, so the detectors call its densities per sample."""
+
+    def logpdf(x, mu):
+        d = np.asarray(x, dtype=np.float64) - mu
+        return -0.5 * d * d - 0.5 * LOG_2PI
+
+    def mu_at(n):
+        idx = np.asarray(n)
+        return schedule.means(int(idx.max()) + 1 if idx.size else 1)[idx]
+
+    return DensityModel(
+        pre_change_log_density=lambda x: logpdf(x, 0.0),
+        post_change_log_density=lambda n, x: logpdf(x, mu_at(n)),
+        sampler_pre=lambda rng, size=None: rng.normal(0.0, 1.0, size),
+        sampler_post=lambda n, rng, size=None: rng.normal(mu_at(n), 1.0, size),
+        support=(-math.inf, math.inf),
+    )

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from excusum import metrics
 from excusum.cli import main
 from excusum.config import ConfigError, ExperimentConfig, default_config
 
@@ -292,11 +293,13 @@ def test_simulate_command(tmp_path, capsys):
     assert detections >= 20
 
 
-def test_threads_do_not_change_simulate_output(tmp_path):
+def test_chunk_size_does_not_change_simulate_output(tmp_path, monkeypatch):
     obj = base_config(tmp_path / "o1", trials=40)
     cfg = write_config(tmp_path, obj)
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 1)  # one trial per chunk
     main(["simulate", "--config", cfg])
-    seq = (tmp_path / "o1" / "outcomes.csv").read_bytes()
-    main(["simulate", "--config", cfg, "--threads", "4", "--out", str(tmp_path / "o2")])
-    par = (tmp_path / "o2" / "outcomes.csv").read_bytes()
-    assert seq == par
+    one = (tmp_path / "o1" / "outcomes.csv").read_bytes()
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 40 * 200)  # every trial in one chunk
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "o2")])
+    every = (tmp_path / "o2" / "outcomes.csv").read_bytes()
+    assert one == every

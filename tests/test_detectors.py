@@ -27,7 +27,8 @@ from excusum import (
     sr_step,
     statistic_trace,
 )
-from excusum.process import derive_seed
+from excusum import detectors
+from excusum.process import NO_CHANGE, derive_seed
 
 from conftest import constant_model
 
@@ -232,6 +233,15 @@ def test_windowed_stop_is_never_earlier(arctan_model):
         tau_full = full.tau if full.stopped else math.inf
         tau_small = small.tau if small.stopped else math.inf
         assert tau_small >= tau_full
+
+
+def test_windowed_buffer_stays_bounded_and_exact(arctan_model, monkeypatch):
+    xs = generate_path(arctan_model, ChangeSpec(nu=NO_CHANGE, horizon=200_000, seed=53)).samples
+    trace, state = evolve(arctan_model, xs, window=50)
+    assert state._cands._buf.size < 4 * 50 + 64
+    # a buffer that never fills keeps every sum where it was written
+    monkeypatch.setattr(detectors, "_MIN_CAPACITY", xs.size)
+    assert np.array_equal(statistic_trace("ex-cusum", arctan_model, xs, window=50), trace)
 
 
 def test_window_validation():

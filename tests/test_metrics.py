@@ -1,24 +1,33 @@
 """Monte Carlo estimators: ARL, conditional delay, delay scan, tradeoff rows."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from excusum import (
     NO_CHANGE,
+    ChangeSpec,
+    DensityModel,
     EstimationError,
     MeanSchedule,
+    NumericError,
     estimate_arl2fa,
     estimate_cadd,
     gaussian_model,
+    path_stream,
+    run_detector,
     simulate_trials,
     tradeoff_curve,
     worst_case_delay_scan,
 )
-from excusum.metrics import TrialOutcome, default_delay_horizon
+from excusum import metrics
+from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
 from excusum.detectors import StopResult
+from excusum.process import derive_seed
 
-from conftest import constant_model
+from conftest import constant_model, generic_gaussian_model
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -44,6 +53,111 @@ def test_trial_outcome_classification():
     assert at_change.kind == "detection" and at_change.delay == 0
 
 
+def test_z95_is_the_one_sided_normal_quantile():
+    from scipy import stats
+
+    assert Z95 == float(stats.norm.ppf(0.95))
+
+
+# ---------------------------------------------------------------------------
+# lockstep trials against the per-trial loop
+
+
+def per_trial_outcomes(model, kind, threshold, nu, horizon, trials, seed, window=None):
+    """The reference: every trial alone through run_detector on its own stream."""
+    out = []
+    for i in range(trials):
+        spec = ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i))
+        res = run_detector(kind, model, path_stream(model, spec), threshold, horizon, window=window)
+        out.append(TrialOutcome.from_stop(res, nu))
+    return out
+
+
+GATE_HORIZON, GATE_TRIALS = 30, 23
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["gaussian", "no-fast-path"])
+@pytest.mark.parametrize("threshold", [-5.0, 3.0, 8.0])
+@pytest.mark.parametrize("nu", [1, 25, NO_CHANGE])
+@pytest.mark.parametrize("kind, window", [("ex-cusum", None), ("ex-cusum", 3), ("sr", None), ("cusum", None)])
+def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, generic, monkeypatch):
+    schedule = MeanSchedule.arctangent()
+    model = generic_gaussian_model(schedule) if generic else gaussian_model(schedule)
+    want = per_trial_outcomes(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window)
+    if threshold == -5.0:
+        assert all(o.tau == 1 for o in want)
+    for chunk in (1, 7, GATE_TRIALS):
+        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * GATE_HORIZON)
+        got = simulate_trials(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window=window)
+        assert got == want, f"chunk size {chunk}"
+
+
+@pytest.mark.filterwarnings("ignore:schedule is identically zero")
+def test_lockstep_crossing_rule_at_exact_threshold():
+    # zero schedule: ex-cusum sits exactly at 0 and SR at log(n), so only the
+    # crossing rule decides (strict for ex-cusum and SR, weak for cusum)
+    model = constant_model(0.0)
+    for kind, threshold, tau in (("ex-cusum", 0.0, None), ("cusum", 0.0, 1), ("sr", math.log(3.0), 4)):
+        want = per_trial_outcomes(model, kind, threshold, NO_CHANGE, 10, 5, 67)
+        assert all(o.tau == tau for o in want)
+        assert simulate_trials(model, kind, threshold, NO_CHANGE, 10, 5, 67) == want
+
+
+def test_lockstep_gate_covers_every_outcome_kind():
+    # the gate's thresholds give false alarms, censoring and detections
+    model = gaussian_model(MeanSchedule.arctangent())
+    kinds = {
+        o.kind
+        for nu, a in ((25, 3.0), (25, 8.0), (1, 8.0))
+        for o in per_trial_outcomes(model, "ex-cusum", a, nu, GATE_HORIZON, GATE_TRIALS, 61)
+    }
+    assert kinds == {"false-alarm", "censored", "detection"}
+
+
+def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
+    spiky = DensityModel(
+        pre_change_log_density=lambda x: np.zeros_like(np.asarray(x, float)),
+        post_change_log_density=lambda n, x: np.where(np.asarray(x, float) > 1.0, np.inf, 0.0),
+        sampler_pre=lambda rng, size=None: rng.normal(0.0, 1.0, size),
+        sampler_post=lambda n, rng, size=None: rng.normal(0.0, 1.0, size),
+        support=(-math.inf, math.inf),
+    )
+    steps = []
+    for i in range(12):
+        spec = ChangeSpec(nu=NO_CHANGE, horizon=60, seed=derive_seed(5, i))
+        with pytest.raises(NumericError) as err:
+            run_detector("ex-cusum", spiky, path_stream(spiky, spec), 100.0, 60)
+        steps.append(int(re.search(r"step (\d+)", str(err.value)).group(1)))
+    assert len(set(steps)) > 1
+    for chunk in (1, 5, 12):
+        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * 60)
+        with pytest.raises(NumericError, match=f"step {min(steps[:chunk])}:"):
+            simulate_trials(spiky, "ex-cusum", 100.0, NO_CHANGE, 60, 12, 5)
+
+    def nan_at_step_4(rng, size=None):
+        xs = rng.normal(0.0, 1.0, size)
+        xs[3] = np.nan
+        return xs
+
+    holey = DensityModel(
+        pre_change_log_density=spiky.pre_change_log_density,
+        post_change_log_density=lambda n, x: np.zeros_like(np.asarray(x, float)),
+        sampler_pre=nan_at_step_4,
+        sampler_post=spiky.sampler_post,
+        support=(-math.inf, math.inf),
+    )
+    with pytest.raises(ValueError):
+        per_trial_outcomes(holey, "sr", 100.0, NO_CHANGE, 10, 3, 5)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_trials(holey, "sr", 100.0, NO_CHANGE, 10, 3, 5)
+    # a run that stops before the bad observation never reads it
+    assert simulate_trials(holey, "sr", -5.0, NO_CHANGE, 10, 3, 5) == per_trial_outcomes(
+        holey, "sr", -5.0, NO_CHANGE, 10, 3, 5
+    )
+    with pytest.raises(ValueError, match="window"):
+        simulate_trials(gaussian_model(MeanSchedule.arctangent()), "sr", 1.0, 1, 10, 3, 5, window=3)
+
+
 # ---------------------------------------------------------------------------
 # ARL
 
@@ -63,10 +177,12 @@ def test_arl_reproducible_bit_exactly(arctan_model):
     assert c.mean_tau != a.mean_tau
 
 
-def test_arl_threading_matches_sequential(arctan_model):
-    seq = estimate_arl2fa(arctan_model, "ex-cusum", math.log(10), trials=40, horizon=200, seed=7)
-    par = estimate_arl2fa(arctan_model, "ex-cusum", math.log(10), trials=40, horizon=200, seed=7, threads=4)
-    assert seq == par
+def test_arl_chunk_size_does_not_change_estimate(arctan_model, monkeypatch):
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 1)  # one trial per chunk
+    one = estimate_arl2fa(arctan_model, "ex-cusum", math.log(10), trials=40, horizon=200, seed=7)
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 40 * 200)  # every trial in one chunk
+    every = estimate_arl2fa(arctan_model, "ex-cusum", math.log(10), trials=40, horizon=200, seed=7)
+    assert one == every
 
 
 def test_arl_warns_on_short_horizon(arctan_model):
