@@ -18,9 +18,9 @@ makes threshold exp(A) give a mean time to false alarm of at least exp(A).
 All accumulation is in the log domain, with log-sum-exp for R_n.
 
 States are single-owner: mutate them only from their owning run.  A state
-holds one stream (a 1-d row of running sums) or, for run_detector_batch, a
-stack of rows that advance in lockstep; both go through the same update and
-reductions, and the batch drops each row once its run stops.
+holds one stream (a 1-d row of running sums); run_detector_batch builds
+private states holding a stack of rows that advance in lockstep through the
+same update and reductions, and drops each row once its run stops.
 """
 
 from __future__ import annotations
@@ -113,25 +113,37 @@ class _CandidateBuffer:
         self._rows = (idx.size,)
 
 
-class ExCusumState:
-    """Incremental state of the growing-family CUSUM statistic.
+class _SumsState:
+    """What ExCusumState and SrState share: the candidate sums, and the
+    lockstep form that only run_detector_batch builds (see _make_state)."""
 
-    ``candidate_sums`` lists the retained candidates' running sums in
-    candidate order (oldest hypothesis first); without a window there are n
-    of them, with window M only the newest min(n, M).  ``rows`` is for
-    run_detector_batch, which advances that many runs in lockstep.
-    """
-
-    def __init__(self, window: int | None = None, *, rows: int | None = None) -> None:
-        if window is not None and (not isinstance(window, int) or window < 1):
-            raise ValueError(f"window must be a positive integer or None, got {window!r}")
-        self.window = window
-        self.statistic = -math.inf
-        self._cands = _CandidateBuffer(window, rows)
+    _cands: _CandidateBuffer
 
     @property
     def n(self) -> int:
         return self._cands.n
+
+    def _stack(self, rows: int) -> None:
+        self._cands = _CandidateBuffer(self._cands.window, rows)
+
+    def _keep_rows(self, keep: np.ndarray) -> None:
+        self._cands.keep_rows(keep)
+
+
+class ExCusumState(_SumsState):
+    """Incremental state of the growing-family CUSUM statistic.
+
+    ``candidate_sums`` lists the retained candidates' running sums in
+    candidate order (oldest hypothesis first); without a window there are n
+    of them, with window M only the newest min(n, M).
+    """
+
+    def __init__(self, window: int | None = None) -> None:
+        if window is not None and (not isinstance(window, int) or window < 1):
+            raise ValueError(f"window must be a positive integer or None, got {window!r}")
+        self.window = window
+        self.statistic = -math.inf
+        self._cands = _CandidateBuffer(window)
 
     @property
     def active_count(self) -> int:
@@ -149,9 +161,6 @@ class ExCusumState:
     def _advance(self, x, model: DensityModel):
         return self._cands.push(x, model).max(axis=-1)
 
-    def _keep_rows(self, keep: np.ndarray) -> None:
-        self._cands.keep_rows(keep)
-
 
 def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusumState:
     """Advance the statistic by one observation (mutates and returns state).
@@ -165,7 +174,7 @@ def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusum
     return state
 
 
-class SrState:
+class SrState(_SumsState):
     """Incremental state of the Shiryaev-Roberts statistic (log domain).
 
     ``log_candidate_products`` holds, for each candidate k = 1..n, the log of
@@ -173,13 +182,9 @@ class SrState:
     log R_n via log-sum-exp over them.
     """
 
-    def __init__(self, *, rows: int | None = None) -> None:
+    def __init__(self) -> None:
         self.log_statistic = -math.inf
-        self._cands = _CandidateBuffer(rows=rows)
-
-    @property
-    def n(self) -> int:
-        return self._cands.n
+        self._cands = _CandidateBuffer()
 
     @property
     def log_candidate_products(self) -> np.ndarray:
@@ -188,9 +193,6 @@ class SrState:
     def _advance(self, x, model: DensityModel):
         view = self._cands.push(x, model)
         return logsumexp_rows(view, self._cands.scratch(view.shape[-1]))
-
-    def _keep_rows(self, keep: np.ndarray) -> None:
-        self._cands.keep_rows(keep)
 
 
 def sr_step(state: SrState, x: float, model: DensityModel) -> SrState:
@@ -207,9 +209,12 @@ class CusumState:
     a constant schedule it reproduces the growing-family statistic exactly.
     """
 
-    def __init__(self, *, rows: int | None = None) -> None:
+    def __init__(self) -> None:
         self.n = 0
         self.statistic = 0.0
+        self._stack(None)
+
+    def _stack(self, rows: int | None) -> None:
         self._stats = np.zeros(() if rows is None else rows)
         self._tmp = np.empty(self._stats.shape + (1,))
 
@@ -297,15 +302,22 @@ def _start(kind: str, window: int | None, horizon: int, threshold: float, rows: 
 
 
 def _make_state(kind: str, window: int | None, rows: int | None = None):
+    """A fresh state of one stream or, with ``rows``, of that many streams in
+    lockstep; the lockstep form serves run_detector_batch only, and the
+    public views and step functions do not apply to it."""
     if kind == "ex-cusum":
-        return ExCusumState(window=window, rows=rows)
-    if window is not None:
+        state = ExCusumState(window=window)
+    elif window is not None:
         raise ValueError(f"window only applies to the ex-cusum detector, not {kind!r}")
-    if kind == "sr":
-        return SrState(rows=rows)
-    if kind == "cusum":
-        return CusumState(rows=rows)
-    raise ValueError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
+    elif kind == "sr":
+        state = SrState()
+    elif kind == "cusum":
+        state = CusumState()
+    else:
+        raise ValueError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
+    if rows is not None:
+        state._stack(rows)
+    return state
 
 
 def run_detector(
@@ -342,34 +354,41 @@ def run_detector(
 def run_detector_batch(
     kind: str,
     model: DensityModel,
-    paths: np.ndarray,
+    streams: list[Iterator[np.ndarray]],
     threshold: float,
+    horizon: int,
     *,
     window: int | None = None,
 ) -> list[StopResult]:
-    """Run one detector per row of ``paths`` (runs x horizon) in lockstep.
+    """Run one detector per stream in lockstep.
 
-    Row r's result equals run_detector(kind, model, paths[r], threshold,
-    horizon, window=window) exactly: all live rows take each step together,
-    through the same update and reduction, and a row is dropped once it
-    crosses.  The checks are run_detector's, applied to live rows only; when
-    several rows fail, the error names the earliest failing step.
+    Each stream yields a run's observations as 1-d blocks, and the k-th
+    blocks of all streams have one length (as process._sample_blocks gives
+    for paths with one change point and horizon).  Run r's result equals
+    run_detector(kind, model, <stream r's observations>, threshold, horizon,
+    window=window) exactly: all live runs take each step together, through
+    the same update and reduction, and a run is dropped once it crosses.  A
+    stream is read one block at a time and only while its run is live.  The
+    checks are run_detector's, applied to live runs only; when several runs
+    fail, the error names the earliest failing step.
     """
-    runs, horizon = paths.shape
-    state, strict = _start(kind, window, horizon, threshold, runs)
-    # one pass over the whole block; a block holding a bad observation checks
-    # the live rows step by step, since a run that stops first never reads it
-    try:
-        _validate_x(model, paths)
-        screened = True
-    except ValueError:
-        screened = False
-    taus = np.zeros(runs, dtype=np.int64)
-    live = np.arange(runs)
+    state, strict = _start(kind, window, horizon, threshold, len(streams))
+    taus = np.zeros(len(streams), dtype=np.int64)
+    live = np.arange(len(streams))
+    block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
+    at = live  # column of each live run in block
+    j = 0
     for t in range(1, horizon + 1):
-        xs = paths[live, t - 1][:, None]
-        if not screened:
-            _validate_x(model, xs)
+        if j == block.shape[0]:
+            # the next block of every live run, one row per step
+            parts = [next(streams[r], None) for r in live.tolist()]
+            if any(p is None for p in parts):
+                raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
+            block = np.stack(parts, axis=1)
+            at = np.arange(live.size)
+            j = 0
+        xs = _validate_x(model, block[j, at][:, None])
+        j += 1
         stat = state._advance(xs, model)
         top = float(stat.max())  # NaN and +inf propagate into the max
         if not top < math.inf:
@@ -382,6 +401,7 @@ def run_detector_batch(
             live = live[keep]
             if live.size == 0:
                 break
+            at = at[keep]
             state._keep_rows(keep)
     return [
         StopResult(stopped=True, tau=int(t), censored_at=None)

@@ -33,13 +33,14 @@ import numpy as np
 
 from .detectors import StopResult, run_detector_batch
 from .models import DensityModel, GaussianModel
-from .process import NO_CHANGE, ChangeSpec, derive_seed, generate_path
+from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
 Z95 = 1.6448536269514722
 
-#: float64 elements in the path array of one lockstep chunk (2 MiB); a chunk
-#: runs max(1, _CHUNK_ELEMENTS // horizon) trials
+#: float64 elements of one lockstep chunk's observations (2 MiB); a chunk runs
+#: max(1, _CHUNK_ELEMENTS // horizon) trials, so that its sample blocks and,
+#: without a window, its candidate sums stay near that size
 _CHUNK_ELEMENTS = 2**18
 
 #: caps for the default horizons: false-alarm runs 20 * exp(A) capped at 1e7
@@ -97,10 +98,11 @@ def simulate_trials(
     """Run independently seeded detector trials; results are order-independent.
 
     Trial i runs on the path drawn from derive_seed(seed, i), and its outcome
-    equals that of run_detector on that path.  Trials run in lockstep chunks
-    whose paths are drawn in full up front.  A bad observation or a NaN or
-    +inf statistic raises as in run_detector; when several trials of a chunk
-    fail, the error names the earliest failing step among them.
+    equals that of run_detector on that path.  Trials run in lockstep chunks;
+    each trial draws its path block by block, as path_stream does, and no
+    further once it stops.  A bad observation or a NaN or +inf statistic
+    raises as in run_detector; when several trials of a chunk fail, the error
+    names the earliest failing step among them.
     """
     if trials < 1:
         raise EstimationError("at least one trial is required")
@@ -108,11 +110,11 @@ def simulate_trials(
     chunk = max(1, _CHUNK_ELEMENTS // horizon)
     outcomes = []
     for start in range(0, trials, chunk):
-        ids = range(start, min(start + chunk, trials))
-        paths = np.empty((len(ids), horizon))
-        for row, i in zip(paths, ids):
-            row[:] = generate_path(model, ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i))).samples
-        results = run_detector_batch(detector, model, paths, threshold, window=window)
+        streams = [
+            _sample_blocks(model, ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i)))
+            for i in range(start, min(start + chunk, trials))
+        ]
+        results = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
         outcomes.extend(TrialOutcome.from_stop(res, nu) for res in results)
     return outcomes
 

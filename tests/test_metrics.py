@@ -1,5 +1,6 @@
 """Monte Carlo estimators: ARL, conditional delay, delay scan, tradeoff rows."""
 
+import dataclasses
 import math
 import re
 
@@ -22,7 +23,7 @@ from excusum import (
     tradeoff_curve,
     worst_case_delay_scan,
 )
-from excusum import metrics
+from excusum import metrics, process
 from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
 from excusum.detectors import StopResult
 from excusum.process import derive_seed
@@ -76,11 +77,15 @@ def per_trial_outcomes(model, kind, threshold, nu, horizon, trials, seed, window
 GATE_HORIZON, GATE_TRIALS = 30, 23
 
 
+@pytest.mark.parametrize("sample_block", [None, 7], ids=["one-block", "blocks-of-7"])
 @pytest.mark.parametrize("generic", [False, True], ids=["gaussian", "no-fast-path"])
 @pytest.mark.parametrize("threshold", [-5.0, 3.0, 8.0])
 @pytest.mark.parametrize("nu", [1, 25, NO_CHANGE])
 @pytest.mark.parametrize("kind, window", [("ex-cusum", None), ("ex-cusum", 3), ("sr", None), ("cusum", None)])
-def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, generic, monkeypatch):
+def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, generic, sample_block, monkeypatch):
+    if sample_block:
+        # paths drawn in blocks of 7 break at 7, 14, 21, 28, and at nu - 1 = 24
+        monkeypatch.setattr(process, "_CHUNK", sample_block)
     schedule = MeanSchedule.arctangent()
     model = generic_gaussian_model(schedule) if generic else gaussian_model(schedule)
     want = per_trial_outcomes(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window)
@@ -90,6 +95,48 @@ def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, gener
         monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * GATE_HORIZON)
         got = simulate_trials(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window=window)
         assert got == want, f"chunk size {chunk}"
+
+
+def test_lockstep_trials_run_past_one_sample_block():
+    horizon = process._CHUNK + 500
+    taus = []
+    for kind, window, model, threshold in (
+        ("cusum", None, constant_model(0.5), 7.0),
+        ("ex-cusum", 3, gaussian_model(MeanSchedule.arctangent()), 4.2),
+    ):
+        want = per_trial_outcomes(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window)
+        assert any(o.kind == "censored" for o in want)
+        assert simulate_trials(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window=window) == want
+        taus += [o.tau for o in want if o.tau is not None]
+    assert max(taus) > process._CHUNK
+
+
+def test_lockstep_trials_draw_only_what_they_read(monkeypatch):
+    # a trial draws its path block by block and stops drawing when it stops,
+    # exactly as run_detector on path_stream does
+    monkeypatch.setattr(process, "_CHUNK", 7)
+    base = generic_gaussian_model(MeanSchedule.arctangent())
+    drawn = []
+
+    def counted(xs):
+        drawn.append(np.size(xs))
+        return xs
+
+    model = dataclasses.replace(
+        base,
+        sampler_pre=lambda rng, size=None: counted(base.sampler_pre(rng, size)),
+        sampler_post=lambda n, rng, size=None: counted(base.sampler_post(n, rng, size)),
+    )
+    for nu in (25, NO_CHANGE):
+        for threshold in (-5.0, 3.0, 8.0):
+            drawn.clear()
+            per_trial_outcomes(model, "ex-cusum", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
+            want = sum(drawn)
+            drawn.clear()
+            simulate_trials(model, "ex-cusum", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
+            assert sum(drawn) == want
+            if threshold == -5.0:
+                assert want == 7 * GATE_TRIALS
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
