@@ -174,14 +174,18 @@ def cmd_cadd(cfg: ExperimentConfig, json_too: bool) -> int:
 
 def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
     model = cfg.model.build()
-    rows = metrics.tradeoff_curve(
-        model,
-        cfg.tradeoff.gammas,
-        cfg.run.trials,
-        cfg.run.seed,
-        detector=cfg.detector.kind,
-        arl_trials=cfg.tradeoff.arl_trials,
-    )
+    try:
+        rows = metrics.tradeoff_curve(
+            model,
+            cfg.tradeoff.gammas,
+            cfg.run.trials,
+            cfg.run.seed,
+            detector=cfg.detector.kind,
+            arl_trials=cfg.tradeoff.arl_trials,
+        )
+    except EstimationError as exc:
+        print(f"tradeoff: FAIL {exc}", file=sys.stderr)
+        return 1
     out = _outdir(cfg)
     csv_rows = [(r.gamma, r.threshold, r.arl.lcb95, r.cadd.mean_delay, r.bound) for r in rows]
     write_csv(out / "tradeoff.csv", ["gamma", "A", "arl_lcb", "cadd", "bound"], csv_rows)

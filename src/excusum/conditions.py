@@ -33,6 +33,7 @@ from .models import (
     DensityModel,
     GaussianModel,
     default_grid,
+    information_number,
     kl_divergence,
     llr,
     sample_post,
@@ -42,27 +43,22 @@ from .process import derive_seed
 
 DOMINANCE_CONFIDENCE = 0.99
 
+#: deviation quantiles reported by slln_empirical; its verdict reads 0.95
+SLLN_QUANTILE_LEVELS = (0.5, 0.9, 0.95)
 
-def dkw_slack(trials: int, confidence: float = DOMINANCE_CONFIDENCE) -> float:
-    """One-sided empirical-CDF comparison slack at the given confidence."""
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+
+def dkw_slack(trials: int) -> float:
+    """One-sided empirical-CDF comparison slack at DOMINANCE_CONFIDENCE."""
+    return math.sqrt(math.log(2.0 / (1.0 - DOMINANCE_CONFIDENCE)) / (2.0 * trials))
 
 
 def _kl_values(model: DensityModel, upto: int) -> np.ndarray:
     """D(f_{k-1} || g) for k = 1..upto, preferring closed forms."""
     if isinstance(model, GaussianModel):
-        mu = model.schedule.means(upto)
-        return mu * mu / 2.0
+        return model.schedule.half_squares(upto)
     if model.kl_closed_form is not None:
         return np.array([float(model.kl_closed_form(j)) for j in range(upto)])
     return np.array([kl_divergence(model, j, method="quadrature") for j in range(upto)])
-
-
-def information_number(model: DensityModel) -> float:
-    """Limit of the KL divergences; exact for the built-in schedule kinds."""
-    if isinstance(model, GaussianModel):
-        return model.schedule.limit_mu ** 2 / 2.0
-    raise ValueError("no closed-form information number for this model; use cesaro_kl_average")
 
 
 def _trace_indices(n_max: int) -> np.ndarray:
@@ -194,7 +190,6 @@ def slln_empirical(
     *,
     grid: tuple[int, ...] | None = None,
     info: float | None = None,
-    quantile_levels: tuple[float, ...] = (0.5, 0.9, 0.95),
 ) -> SllnCheck:
     """Simulate change-at-1 paths and track |(1/m) sum llr(k-1, X_k) - I|.
 
@@ -220,8 +215,8 @@ def slln_empirical(
         cs = np.cumsum(z)
         avgs[t] = cs[marks - 1] / marks
     dev = np.abs(avgs - info)
-    quantiles = {q: np.quantile(dev, q, axis=0) for q in quantile_levels}
-    q95 = quantiles[0.95] if 0.95 in quantiles else np.quantile(dev, 0.95, axis=0)
+    quantiles = {q: np.quantile(dev, q, axis=0) for q in SLLN_QUANTILE_LEVELS}
+    q95 = quantiles[0.95]
     passed = bool(np.all(np.diff(q95) < 0.0)) if len(grid) > 1 else True
     return SllnCheck(
         ns=tuple(int(m) for m in grid),

@@ -1,7 +1,8 @@
 """JSON experiment configuration: strict schema validation into dataclasses.
 
 Violations are rejected before any computation, with the offending field
-path in the error message.  Seeds must be explicit; nothing falls back to
+path in the error message; the mean schedule is built while loading, so its
+own checks count among them.  Seeds must be explicit; nothing falls back to
 the wall clock, so a config fully determines every output byte.
 """
 
@@ -9,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .detectors import DETECTORS
 from .models import SCHEDULE_KINDS, GaussianModel, MeanSchedule, gaussian_model
 from .process import NO_CHANGE
 
@@ -51,81 +53,64 @@ def _integer(obj: dict, path: str, key: str, *, minimum: int | None = None) -> i
     return v
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
-    kind: str
-    mu: float | None = None
-    params: dict = field(default_factory=dict)
-    table: tuple[float, ...] | None = None
+#: the fields each schedule kind takes: its params, and whether it takes mu
+#: (its limit) and a table
+_SCHEDULE_FIELDS = {
+    "constant": ((), True, False),
+    "arctangent": ((), False, False),
+    "linear-saturating": (("slope",), True, False),
+    "geometric-approach": (("ratio",), True, False),
+    "explicit-table": ((), False, True),
+}
 
-    @classmethod
-    def from_dict(cls, obj: dict, path: str) -> "ScheduleConfig":
-        _require_keys(obj, path, {"kind"}, {"mu", "params", "table"})
-        kind = obj["kind"]
-        if kind not in SCHEDULE_KINDS:
-            raise ConfigError(f"{path}.kind", f"expected one of {list(SCHEDULE_KINDS)}, got {kind!r}")
-        mu = _number(obj, path, "mu") if "mu" in obj else None
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{path}.params", "expected an object")
-        table = None
-        if "table" in obj:
-            raw = obj["table"]
-            if not isinstance(raw, list) or not raw or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-            ):
-                raise ConfigError(f"{path}.table", "expected a non-empty list of numbers")
-            table = tuple(float(v) for v in raw)
 
-        def need(keys: set[str], have_mu: bool, have_table: bool) -> None:
-            if have_mu != ("mu" in obj):
-                raise ConfigError(f"{path}.mu", "required for this kind" if have_mu else "not allowed for this kind")
-            if have_table != ("table" in obj):
-                raise ConfigError(f"{path}.table", "required for this kind" if have_table else "not allowed for this kind")
-            if set(params) != keys:
-                raise ConfigError(f"{path}.params", f"expected exactly {sorted(keys) or 'no'} parameter(s), got {sorted(params)}")
-
-        if kind == "constant":
-            need(set(), True, False)
-        elif kind == "arctangent":
-            need(set(), False, False)
-        elif kind == "linear-saturating":
-            need({"slope"}, True, False)
-        elif kind == "geometric-approach":
-            need({"ratio"}, True, False)
-        else:  # explicit-table
-            need(set(), False, True)
-        return cls(kind=kind, mu=mu, params=dict(params), table=table)
-
-    def build(self) -> MeanSchedule:
-        try:
-            if self.kind == "constant":
-                return MeanSchedule.constant(self.mu)
-            if self.kind == "arctangent":
-                return MeanSchedule.arctangent()
-            if self.kind == "linear-saturating":
-                return MeanSchedule.linear_saturating(self.params["slope"], self.mu)
-            if self.kind == "geometric-approach":
-                return MeanSchedule.geometric_approach(self.mu, self.params["ratio"])
-            return MeanSchedule.from_table(self.table)
-        except ValueError as exc:
-            raise ConfigError("model.schedule", str(exc)) from exc
+def _schedule(obj: dict, path: str) -> MeanSchedule:
+    _require_keys(obj, path, {"kind"}, {"mu", "params", "table"})
+    kind = obj["kind"]
+    if kind not in SCHEDULE_KINDS:
+        raise ConfigError(f"{path}.kind", f"expected one of {list(SCHEDULE_KINDS)}, got {kind!r}")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}.params", "expected an object")
+    if "table" in obj:
+        table = obj["table"]
+        if not isinstance(table, list) or not table or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in table
+        ):
+            raise ConfigError(f"{path}.table", "expected a non-empty list of numbers")
+    names, has_mu, has_table = _SCHEDULE_FIELDS[kind]
+    if has_mu != ("mu" in obj):
+        raise ConfigError(f"{path}.mu", "required for this kind" if has_mu else "not allowed for this kind")
+    if has_table != ("table" in obj):
+        raise ConfigError(f"{path}.table", "required for this kind" if has_table else "not allowed for this kind")
+    if set(params) != set(names):
+        raise ConfigError(f"{path}.params", f"expected exactly {sorted(names) or 'no'} parameter(s), got {sorted(params)}")
+    mu = _number(obj, path, "mu") if has_mu else None
+    values = tuple(_number(params, f"{path}.params", name) for name in names)
+    try:
+        if has_table:
+            return MeanSchedule.from_table(table)
+        if kind == "arctangent":
+            return MeanSchedule.arctangent()
+        return MeanSchedule(kind=kind, limit_mu=mu, params=values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     family: str
-    schedule: ScheduleConfig
+    schedule: MeanSchedule
 
     @classmethod
     def from_dict(cls, obj: dict, path: str = "model") -> "ModelConfig":
         _require_keys(obj, path, {"family", "schedule"})
         if obj["family"] != "gaussian":
             raise ConfigError(f"{path}.family", f"only 'gaussian' is built in, got {obj['family']!r}")
-        return cls(family="gaussian", schedule=ScheduleConfig.from_dict(obj["schedule"], f"{path}.schedule"))
+        return cls(family="gaussian", schedule=_schedule(obj["schedule"], f"{path}.schedule"))
 
     def build(self) -> GaussianModel:
-        return gaussian_model(self.schedule.build())
+        return gaussian_model(self.schedule)
 
 
 @dataclass(frozen=True)
@@ -139,8 +124,8 @@ class DetectorConfig:
     def from_dict(cls, obj: dict, path: str = "detector") -> "DetectorConfig":
         _require_keys(obj, path, {"detector"}, {"threshold", "gamma", "window"})
         kind = obj["detector"]
-        if kind not in ("ex-cusum", "sr", "cusum"):
-            raise ConfigError(f"{path}.detector", f"expected one of ['ex-cusum', 'sr', 'cusum'], got {kind!r}")
+        if not isinstance(kind, str) or kind not in DETECTORS:
+            raise ConfigError(f"{path}.detector", f"expected one of {list(DETECTORS)}, got {kind!r}")
         threshold = _number(obj, path, "threshold") if "threshold" in obj else None
         gamma = None
         if "gamma" in obj:
@@ -149,7 +134,11 @@ class DetectorConfig:
                 raise ConfigError(f"{path}.gamma", f"expected gamma > 1, got {gamma}")
         if (threshold is None) == (gamma is None):
             raise ConfigError(path, "give exactly one of 'threshold' or 'gamma'")
-        window = _integer(obj, path, "window", minimum=1) if "window" in obj else None
+        window = None
+        if "window" in obj:
+            if not DETECTORS[kind].windowed:
+                raise ConfigError(f"{path}.window", f"the {kind!r} detector takes no window")
+            window = _integer(obj, path, "window", minimum=1)
         return cls(kind=kind, threshold=threshold, gamma=gamma, window=window)
 
     @property
@@ -191,18 +180,14 @@ class RunConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv",)
 
     @classmethod
     def from_dict(cls, obj: dict, path: str = "output") -> "OutputConfig":
-        _require_keys(obj, path, set(), {"directory", "formats"})
+        _require_keys(obj, path, set(), {"directory"})
         directory = obj.get("directory", "out")
         if not isinstance(directory, str) or not directory:
             raise ConfigError(f"{path}.directory", "expected a non-empty string")
-        formats = obj.get("formats", ["csv"])
-        if not isinstance(formats, list) or not formats or any(f not in ("csv", "json") for f in formats):
-            raise ConfigError(f"{path}.formats", "expected a non-empty list drawn from ['csv', 'json']")
-        return cls(directory=directory, formats=tuple(formats))
+        return cls(directory=directory)
 
 
 @dataclass(frozen=True)
@@ -260,7 +245,7 @@ DEFAULT_CONFIG: dict = {
     "model": {"family": "gaussian", "schedule": {"kind": "arctangent"}},
     "detector": {"detector": "ex-cusum", "gamma": 1000.0},
     "run": {"nu": 80, "horizon": 200, "seed": 20220914, "trials": 1000},
-    "output": {"directory": "out", "formats": ["csv"]},
+    "output": {"directory": "out"},
 }
 
 

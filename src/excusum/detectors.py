@@ -17,6 +17,11 @@ products; R_n - n is a martingale under the pre-change law, which is what
 makes threshold exp(A) give a mean time to false alarm of at least exp(A).
 All accumulation is in the log domain, with log-sum-exp for R_n.
 
+The DETECTORS table is the one list of detector kinds: each kind names its
+state class, its crossing rule (strict > for ex-cusum and SR, >= for the
+classic CUSUM) and whether it takes a window.  Every per-sample ratio comes
+from the model's llr_prefix hook.
+
 States are single-owner: mutate them only from their owning run.  A state
 holds one stream (a 1-d row of running sums); run_detector_batch builds
 private states holding a stack of rows that advance in lockstep through the
@@ -27,14 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .models import DensityModel, llr, llr_prefix, _validate_x
+from .models import DensityModel, llr, _validate_x
 from .numerics import NumericError, logsumexp_rows
-
-DETECTOR_KINDS = ("ex-cusum", "sr", "cusum")
 
 _MIN_CAPACITY = 64
 
@@ -93,7 +96,7 @@ class _CandidateBuffer:
             self._make_room(active - 1)
         self._pos -= 1
         view = self._buf[..., self._pos : self._pos + active]
-        view += llr_prefix(model, active, x, self._tmp)
+        view += model.llr_prefix(active, x, self._tmp)
         return view
 
     def view(self) -> np.ndarray:
@@ -220,7 +223,7 @@ class CusumState:
 
     def _advance(self, x, model: DensityModel):
         self.n += 1
-        z = llr_prefix(model, 1, x, self._tmp)[..., 0]
+        z = model.llr_prefix(1, x, self._tmp)[..., 0]
         self._stats = np.maximum(self._stats, 0.0) + z
         return self._stats
 
@@ -232,6 +235,24 @@ class CusumState:
 def cusum_step(state: CusumState, x: float, model: DensityModel) -> CusumState:
     state.statistic = _step(state, x, model)
     return state
+
+
+class DetectorKind(NamedTuple):
+    """What a detector kind is made of: its state class, whether a crossing
+    is strict (statistic > threshold) or weak (>=), and whether it takes a
+    window."""
+
+    state: type
+    strict: bool
+    windowed: bool
+
+
+#: every detector kind, by the name configs and run_detector use
+DETECTORS = {
+    "ex-cusum": DetectorKind(ExCusumState, strict=True, windowed=True),
+    "sr": DetectorKind(SrState, strict=True, windowed=False),
+    "cusum": DetectorKind(CusumState, strict=False, windowed=False),
+}
 
 
 def _step(state, x: float, model: DensityModel) -> float:
@@ -293,28 +314,27 @@ def _iter_samples(path_or_stream) -> Iterator[float]:
 
 
 def _start(kind: str, window: int | None, horizon: int, threshold: float, rows: int | None):
-    """Validate a run and return its fresh state and crossing rule."""
+    """Validate a run and return its fresh state and whether crossings are strict."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, rows), kind != "cusum"
+    return _make_state(kind, window, rows), DETECTORS[kind].strict
 
 
 def _make_state(kind: str, window: int | None, rows: int | None = None):
     """A fresh state of one stream or, with ``rows``, of that many streams in
     lockstep; the lockstep form serves run_detector_batch only, and the
     public views and step functions do not apply to it."""
-    if kind == "ex-cusum":
-        state = ExCusumState(window=window)
+    spec = DETECTORS.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")
+    if spec.windowed:
+        state = spec.state(window=window)
     elif window is not None:
-        raise ValueError(f"window only applies to the ex-cusum detector, not {kind!r}")
-    elif kind == "sr":
-        state = SrState()
-    elif kind == "cusum":
-        state = CusumState()
+        raise ValueError(f"the {kind!r} detector takes no window")
     else:
-        raise ValueError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
+        state = spec.state()
     if rows is not None:
         state._stack(rows)
     return state
@@ -332,9 +352,9 @@ def run_detector(
     """Run a detector until its first alarm, censoring at the horizon.
 
     The threshold is on the log scale for every kind (the Shiryaev-Roberts
-    rule stops when R_n > exp(threshold)).  Crossings are strict for
-    "ex-cusum" and "sr"; the "cusum" baseline stops at >=.  A non-finite
-    statistic aborts the run with a NumericError.
+    rule stops when R_n > exp(threshold)).  A crossing is strict or weak as
+    DETECTORS says for the kind.  A non-finite statistic aborts the run with
+    a NumericError.
     """
     state, strict = _start(kind, window, horizon, threshold, None)
     it = _iter_samples(path_or_stream)

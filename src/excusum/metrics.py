@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .detectors import StopResult, run_detector_batch
-from .models import DensityModel, GaussianModel
+from .models import DensityModel, information_number
 from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
@@ -175,15 +175,10 @@ def estimate_arl2fa(
     )
 
 
-def _information_or_default(model: DensityModel, info: float | None) -> float:
-    if info is not None:
-        return info
-    if isinstance(model, GaussianModel):
-        return model.schedule.limit_mu ** 2 / 2.0
-    raise ValueError("pass info= (information number) for non-Gaussian models")
-
-
 def default_delay_horizon(nu: int, threshold: float, info: float) -> int:
+    """nu + 10 * ceil(A / I) steps; EstimationError when I is not positive."""
+    if not info > 0.0:
+        raise EstimationError(f"information number {info} is not positive, so no delay horizon exists")
     return int(nu + DELAY_HORIZON_FACTOR * max(1, math.ceil(max(threshold, 0.0) / info)))
 
 
@@ -220,12 +215,13 @@ def estimate_cadd(
     Runs stopping before nu are false alarms and fall outside the
     conditioning event; censored runs are reported but excluded from the
     average (the default horizon makes them vanishingly rare).  Raises
-    EstimationError when no run is accepted.
+    EstimationError when no run is accepted, or when the default horizon is
+    asked of an information number that is not positive.
     """
     if nu < 1 or (isinstance(nu, float) and math.isinf(nu)):
         raise ValueError("estimate_cadd needs a finite change point nu >= 1")
     if horizon is None:
-        horizon = default_delay_horizon(nu, threshold, _information_or_default(model, info))
+        horizon = default_delay_horizon(nu, threshold, information_number(model) if info is None else info)
     outcomes = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
     delays = np.array([o.delay for o in outcomes if o.delay is not None], dtype=np.float64)
     censored = sum(o.censored_at is not None for o in outcomes)
@@ -343,7 +339,9 @@ def tradeoff_curve(
     gs = [float(g) for g in gammas]
     if not gs or any(g <= 1.0 for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
         raise ValueError("gammas must be an increasing sequence of values > 1")
-    eff_info = _information_or_default(model, info)
+    eff_info = information_number(model) if info is None else info
+    # every delay horizon first, so a model without one fails before any run
+    cadd_horizons = [default_delay_horizon(1, math.log(g), eff_info) for g in gs]
     rows = []
     for j, gamma in enumerate(gs):
         threshold = math.log(gamma)
@@ -363,7 +361,7 @@ def tradeoff_curve(
             nu=1,
             trials=trials,
             seed=derive_seed(seed, 2 * j + 1),
-            info=eff_info,
+            horizon=cadd_horizons[j],
         )
         rows.append(
             TradeoffRow(

@@ -11,11 +11,17 @@ The one fully built-in family is the unit-variance Gaussian location family
 
 driven by a MeanSchedule.  It has closed forms for everything (per-sample
 log-likelihood ratio mu_n * (x - mu_n / 2), KL divergence mu_n**2 / 2,
-centered fourth moment 3 * mu_n**4), which makes it the reference model for
-the condition checkers and the Monte Carlo studies.  All detector and
-simulation code is written against the generic DensityModel interface, so
-custom families (including deliberately broken ones used as counterexamples
-in tests) plug in the same way.
+centered fourth moment 3 * mu_n**4, information number limit_mu**2 / 2),
+which makes it the reference model for the condition checkers and the Monte
+Carlo studies.  The schedule caches mu_n and mu_n**2 / 2 together.
+
+All detector and simulation code is written against the generic
+DensityModel interface, so custom families (including deliberately broken
+ones used as counterexamples in tests) plug in the same way.  The one hook
+for the per-sample log-likelihood ratio is DensityModel.log_ratio (any
+indices) with DensityModel.llr_prefix (ages 0..n-1, the detectors' hot
+path): their defaults take the difference of the two log densities, and
+GaussianModel overrides both with the closed form.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class MeanSchedule:
     limit_mu: float
     params: tuple[float, ...] = ()
     table: tuple[float, ...] | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
@@ -121,10 +127,12 @@ class MeanSchedule:
 
     # -- evaluation --------------------------------------------------------
 
-    def _grown(self, upto: int) -> np.ndarray:
-        arr = self._cache.get("mu")
-        if arr is None or arr.size < upto:
-            size = max(int(upto), 64, 2 * (arr.size if arr is not None else 0))
+    def _grown(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (mu, mu**2 / 2) holding at least ``upto`` entries each."""
+        cached = self._cache.get("mu")
+        if cached is None or cached[0].size < upto:
+            # grow geometrically: a detector asks for one more entry every step
+            size = max(int(upto), 64, 2 * (cached[0].size if cached is not None else 0))
             n = np.arange(size, dtype=np.float64)
             if self.kind == "constant":
                 vals = np.full(size, self.limit_mu)
@@ -138,22 +146,33 @@ class MeanSchedule:
                 vals = np.full(size, self.table[-1])
                 head = min(len(self.table), size)
                 vals[:head] = self.table[:head]
+            half = vals * vals / 2.0
             vals.setflags(write=False)
-            # benign under concurrent growth: replacement arrays hold identical
-            # values and old views stay valid
-            self._cache["mu"] = vals
-        return self._cache["mu"]
+            half.setflags(write=False)
+            cached = self._cache["mu"] = (vals, half)
+        return cached
 
     def means(self, upto: int) -> np.ndarray:
         """Read-only view of (mu_0, ..., mu_{upto-1})."""
         if upto < 0:
             raise ValueError("upto must be >= 0")
-        return self._grown(upto)[:upto]
+        return self._grown(upto)[0][:upto]
+
+    def half_squares(self, upto: int) -> np.ndarray:
+        """Read-only view of mu_j**2 / 2 for j = 0..upto-1, the KL numbers."""
+        if upto < 0:
+            raise ValueError("upto must be >= 0")
+        return self._grown(upto)[1][:upto]
 
     def mu(self, n: int) -> float:
         if n < 0:
             raise ValueError("schedule index must be >= 0")
-        return float(self._grown(n + 1)[n])
+        return float(self._grown(n + 1)[0][n])
+
+    def at(self, index) -> np.ndarray:
+        """mu at every entry of a nonnegative integer index (array)."""
+        idx = np.asarray(index)
+        return self._grown(int(idx.max()) + 1 if idx.size else 1)[0][idx]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -189,37 +208,40 @@ class DensityModel:
             )
         return lo, hi
 
+    def log_ratio(self, index, x):
+        """log f_index(x) - log g(x), broadcast over index and x (no checks)."""
+        return self.post_change_log_density(index, x) - self.pre_change_log_density(x)
+
+    def llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
+        """Write log_ratio(j, x) for j = 0..n-1 into out[..., :n] and return that view.
+
+        ``x`` is a float with a 1-d ``out``, or a (rows, 1) column with a 2-d
+        ``out`` whose row r takes x[r].  Hot path for the detectors: x must
+        already be validated.  This default sees one scalar observation per
+        call of the densities.
+        """
+        block = out[..., :n]
+        idx = np.arange(n)
+        for row, xr in zip(block.reshape(-1, n), np.ravel(x).tolist()):
+            row[:] = self.log_ratio(idx, xr)
+        return block
+
 
 @dataclass(frozen=True, kw_only=True)
 class GaussianModel(DensityModel):
     """Unit-variance Gaussian location family g = N(0,1), f_n = N(mu_n, 1)."""
 
     schedule: MeanSchedule
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _half_mu_sq(self, upto: int) -> np.ndarray:
-        arr = self._cache.get("halfsq")
-        if arr is None or arr.size < upto:
-            # grow geometrically: a detector asks for one more entry every step
-            mu = self.schedule.means(max(upto, 64, 2 * (arr.size if arr is not None else 0)))
-            vals = mu * mu / 2.0
-            vals.setflags(write=False)
-            self._cache["halfsq"] = vals
-            arr = vals
-        return arr[:upto]
-
-    # fast per-sample log-likelihood-ratio paths; algebraically identical to
-    # post_change_log_density - pre_change_log_density
-    def _llr_indexed(self, index, x):
-        idx = np.asarray(index)
-        mu = self.schedule.means(int(idx.max()) + 1 if idx.size else 1)
-        m = mu[idx]
+    # closed forms, algebraically identical to the DensityModel defaults
+    def log_ratio(self, index, x):
+        m = self.schedule.at(index)
         return m * x - m * m / 2.0
 
-    def _llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
+    def llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
         block = out[..., :n]
         np.multiply(self.schedule.means(n), x, out=block)
-        block -= self._half_mu_sq(n)
+        block -= self.schedule.half_squares(n)
         return block
 
 
@@ -231,18 +253,14 @@ def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
         return -0.5 * xs * xs - 0.5 * LOG_2PI
 
     def post_logpdf(n, x):
-        idx = np.asarray(n)
-        mu = schedule.means(int(idx.max()) + 1 if idx.size else 1)[idx]
-        d = np.asarray(x, dtype=np.float64) - mu
+        d = np.asarray(x, dtype=np.float64) - schedule.at(n)
         return -0.5 * d * d - 0.5 * LOG_2PI
 
     def draw_pre(rng, size=None):
         return rng.normal(0.0, 1.0, size)
 
     def draw_post(n, rng, size=None):
-        idx = np.asarray(n)
-        mu = schedule.means(int(idx.max()) + 1 if idx.size else 1)[idx]
-        return rng.normal(mu, 1.0, size)
+        return rng.normal(schedule.at(n), 1.0, size)
 
     def window(n=None):
         hi_mean = 0.0 if n is None or n < 0 else schedule.mu(n)
@@ -296,39 +314,18 @@ def _validate_x(model: DensityModel, x):
 def llr(model: DensityModel, post_index, x):
     """Per-sample log-likelihood ratio log f_{post_index}(x) - log g(x).
 
-    Broadcasts over ``post_index`` and ``x``; returns a float for scalar
-    inputs.  Raises ValueError for non-finite x or x outside the support.
+    The checked form of model.log_ratio: broadcasts over ``post_index`` and
+    ``x``; returns a float for scalar inputs.  Raises ValueError for
+    non-finite x, x outside the support, or a negative or non-integer index.
     """
     xs = _validate_x(model, x)
     idx = np.asarray(post_index)
     if idx.dtype.kind not in "iu" or np.any(idx < 0):
         raise ValueError("post_index must be a nonnegative integer (or array thereof)")
-    fast = getattr(model, "_llr_indexed", None)
-    if fast is not None:
-        val = fast(idx, xs)
-    else:
-        val = model.post_change_log_density(idx, xs) - model.pre_change_log_density(xs)
+    val = model.log_ratio(idx, xs)
     if np.ndim(val) == 0:
         return float(val)
     return val
-
-
-def llr_prefix(model: DensityModel, n: int, x, out: np.ndarray) -> np.ndarray:
-    """Write llr(model, j, x) for j = 0..n-1 into out[..., :n] and return that view.
-
-    ``x`` is a float with a 1-d ``out``, or a (rows, 1) column with a 2-d
-    ``out`` whose row r takes x[r].  Hot path for the detectors: x must
-    already be validated.
-    """
-    fast = getattr(model, "_llr_prefix", None)
-    if fast is not None:
-        return fast(n, x, out)
-    block = out[..., :n]
-    idx = np.arange(n)
-    # a model without the fast path sees one scalar observation per call
-    for row, xr in zip(block.reshape(-1, n), np.ravel(x).tolist()):
-        row[:] = model.post_change_log_density(idx, xr) - model.pre_change_log_density(xr)
-    return block
 
 
 def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:
@@ -351,6 +348,17 @@ def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:
 
     val = adaptive_trapezoid(integrand, lo, hi, tol=1e-10)
     return max(val, 0.0)
+
+
+def information_number(model: DensityModel) -> float:
+    """The information number I = lim D(f_n || g), exact for the Gaussian
+    family (limit_mu**2 / 2); other models pass I explicitly where a caller
+    takes ``info=``, or estimate it with conditions.cesaro_kl_average."""
+    if isinstance(model, GaussianModel):
+        return model.schedule.limit_mu ** 2 / 2.0
+    raise ValueError(
+        "no closed-form information number for this model; pass info= or use cesaro_kl_average"
+    )
 
 
 class MlrCheck(NamedTuple):
@@ -449,16 +457,3 @@ def default_grid(model: DensityModel, n: int | None = None, points: int = 2001) 
     lo, hi = model.quadrature_window(n)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return np.linspace(center - 0.8 * half, center + 0.8 * half, points)
-
-
-def check_normalization(model: DensityModel, n: int | None = None, *, tol: float = 1e-8) -> float:
-    """Integral of the density over its (truncated) support; should be ~1.
-
-    n = None integrates the pre-change density, otherwise f_n.
-    """
-    lo, hi = model.quadrature_window(n)
-    if n is None:
-        fn = lambda xs: np.exp(model.pre_change_log_density(xs))
-    else:
-        fn = lambda xs: np.exp(model.post_change_log_density(n, xs))
-    return adaptive_trapezoid(fn, lo, hi, tol=tol)

@@ -29,20 +29,16 @@ def constant_model(mu: float):
 
 def generic_gaussian_model(schedule: MeanSchedule) -> DensityModel:
     """The Gaussian family of ``schedule`` as a plain DensityModel, without the
-    GaussianModel fast paths, so the detectors call its densities per sample."""
+    GaussianModel closed forms, so the detectors call its densities per sample."""
 
     def logpdf(x, mu):
         d = np.asarray(x, dtype=np.float64) - mu
         return -0.5 * d * d - 0.5 * LOG_2PI
 
-    def mu_at(n):
-        idx = np.asarray(n)
-        return schedule.means(int(idx.max()) + 1 if idx.size else 1)[idx]
-
     return DensityModel(
         pre_change_log_density=lambda x: logpdf(x, 0.0),
-        post_change_log_density=lambda n, x: logpdf(x, mu_at(n)),
+        post_change_log_density=lambda n, x: logpdf(x, schedule.at(n)),
         sampler_pre=lambda rng, size=None: rng.normal(0.0, 1.0, size),
-        sampler_post=lambda n, rng, size=None: rng.normal(mu_at(n), 1.0, size),
+        sampler_post=lambda n, rng, size=None: rng.normal(schedule.at(n), 1.0, size),
         support=(-math.inf, math.inf),
     )

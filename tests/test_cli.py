@@ -9,6 +9,7 @@ import pytest
 from excusum import metrics
 from excusum.cli import main
 from excusum.config import ConfigError, ExperimentConfig, default_config
+from excusum.detectors import DETECTORS
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -64,7 +65,16 @@ def test_unknown_field_is_rejected_with_path():
         ({"run": {"nu": "never", "horizon": 5, "seed": 0, "trials": 1}}, "run.nu"),
         ({"run": {"nu": 1, "horizon": 0, "seed": 0, "trials": 1}}, "run.horizon"),
         ({"run": {"nu": 1, "horizon": 5, "trials": 1}}, "run"),  # seed is mandatory
-        ({"output": {"formats": ["yaml"]}}, "output.formats"),
+        ({"output": {"formats": ["csv"]}}, "output"),  # no such field
+        ({"detector": {"detector": "sr", "gamma": 10.0, "window": 5}}, "detector.window"),
+        (
+            {"model": {"family": "gaussian", "schedule": {"kind": "linear-saturating", "mu": 1.0, "params": {"slope": -1}}}},
+            "model.schedule",
+        ),
+        (
+            {"model": {"family": "gaussian", "schedule": {"kind": "linear-saturating", "mu": 1.0, "params": {"slope": "abc"}}}},
+            "model.schedule.params.slope",
+        ),
     ],
 )
 def test_schema_violations_carry_field_paths(patch, path_fragment):
@@ -77,6 +87,41 @@ def test_schema_violations_carry_field_paths(patch, path_fragment):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(obj)
     assert path_fragment in str(err.value)
+
+
+def test_every_detector_kind_is_accepted_and_windows_only_where_allowed():
+    for kind, spec in DETECTORS.items():
+        obj = {
+            "model": {"family": "gaussian", "schedule": {"kind": "arctangent"}},
+            "detector": {"detector": kind, "gamma": 10.0},
+            "run": {"nu": 1, "horizon": 5, "seed": 0, "trials": 1},
+        }
+        assert ExperimentConfig.from_dict(obj).detector.kind == kind
+        obj["detector"]["window"] = 3
+        if spec.windowed:
+            assert ExperimentConfig.from_dict(obj).detector.window == 3
+        else:
+            with pytest.raises(ConfigError, match=r"^detector\.window"):
+                ExperimentConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "section, value, path",
+    [
+        ("detector", {"detector": "sr", "gamma": 10.0, "window": 5}, "detector.window"),
+        (
+            "model",
+            {"family": "gaussian", "schedule": {"kind": "linear-saturating", "mu": 1.0, "params": {"slope": -1}}},
+            "model.schedule",
+        ),
+    ],
+)
+def test_config_rejected_at_load_exits_2_before_running(tmp_path, capsys, section, value, path):
+    obj = base_config(tmp_path / "out")
+    obj[section] = value
+    assert main(["arl", "--config", write_config(tmp_path, obj)]) == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_nu_inf_string_accepted():
@@ -271,6 +316,21 @@ def test_tradeoff_command(tmp_path, capsys):
         gamma, a, arl_lcb, cadd, bound = map(float, line.split(","))
         assert arl_lcb >= gamma
         assert bound == pytest.approx(a / (math.pi**2 / 8), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:schedule is identically zero")
+@pytest.mark.parametrize(
+    "schedule",
+    [{"kind": "constant", "mu": 0.0}, {"kind": "explicit-table", "table": [1.0, 0.5, 0.0]}],
+)
+@pytest.mark.parametrize("command", ["cadd", "tradeoff"])
+def test_zero_information_number_fails_delay_commands(tmp_path, capsys, command, schedule):
+    obj = base_config(tmp_path / "out", nu=1, trials=5)
+    obj["model"]["schedule"] = schedule
+    obj["tradeoff"] = {"gammas": [10.0], "arl_trials": 5}
+    assert main([command, "--config", write_config(tmp_path, obj)]) == 1
+    err = capsys.readouterr().err
+    assert f"{command}: FAIL" in err and "information number" in err
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -296,6 +296,16 @@ def test_default_delay_horizon_is_overshoot_safe():
     assert default_delay_horizon(80, 4.0, I_ARCTAN) == 80 + 10 * 4
 
 
+@pytest.mark.parametrize("info", [0.0, -1.0, math.nan])
+def test_explicit_information_number_must_be_positive(arctan_model, info):
+    with pytest.raises(EstimationError, match="information number"):
+        default_delay_horizon(1, 3.0, info)
+    with pytest.raises(EstimationError, match="information number"):
+        estimate_cadd(arctan_model, "ex-cusum", 3.0, nu=1, trials=5, seed=1, info=info)
+    with pytest.raises(EstimationError, match="information number"):
+        tradeoff_curve(arctan_model, [10.0], trials=5, seed=1, info=info)
+
+
 # ---------------------------------------------------------------------------
 # delay scan
 

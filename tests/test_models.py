@@ -21,10 +21,10 @@ from excusum import (
     verify_mlr,
     verify_stochastic_dominance,
 )
-from excusum.models import LOG_2PI, check_normalization, llr_prefix
+from excusum.models import LOG_2PI
 from excusum.numerics import adaptive_trapezoid
 
-from conftest import constant_model
+from conftest import constant_model, generic_gaussian_model
 
 
 def normal_logpdf(x, mean):
@@ -93,9 +93,29 @@ def test_llr_broadcasts_and_matches_scalar():
 def test_llr_prefix_agrees_with_elementwise_llr():
     model = gaussian_model(MeanSchedule.arctangent())
     out = np.empty(16)
-    got = llr_prefix(model, 10, 0.7, out)
+    got = model.llr_prefix(10, 0.7, out)
     want = [llr(model, j, 0.7) for j in range(10)]
     assert np.allclose(got, want, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [MeanSchedule.arctangent(), MeanSchedule.linear_saturating(0.1, 1.0), MeanSchedule.from_table([0.2, 1.5, 0.7])],
+    ids=lambda s: s.kind,
+)
+def test_gaussian_closed_forms_agree_with_the_density_model_defaults(schedule):
+    fast, generic = gaussian_model(schedule), generic_gaussian_model(schedule)
+    idx = np.arange(300)
+    xs = np.linspace(-4.0, 6.0, 300)
+    np.testing.assert_allclose(fast.log_ratio(idx, xs), generic.log_ratio(idx, xs), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        fast.llr_prefix(200, 0.7, np.empty(256)), generic.llr_prefix(200, 0.7, np.empty(256)), rtol=0, atol=1e-12
+    )
+    col = np.array([[-2.5], [0.0], [3.25]])
+    got = fast.llr_prefix(150, col, np.empty((3, 160)))
+    want = generic.llr_prefix(150, col, np.empty((3, 160)))
+    assert got.shape == (3, 150)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_llr_integrates_to_one_under_pre_change():
@@ -265,6 +285,16 @@ def test_built_in_schedules_pass_mlr_and_dominance_with_defaults():
 # normalization
 
 
+def check_normalization(model: DensityModel, n: int | None = None, *, tol: float = 1e-8) -> float:
+    """Integral of g (n = None) or of f_n over the model's quadrature window."""
+    lo, hi = model.quadrature_window(n)
+    if n is None:
+        fn = lambda xs: np.exp(model.pre_change_log_density(xs))
+    else:
+        fn = lambda xs: np.exp(model.post_change_log_density(n, xs))
+    return adaptive_trapezoid(fn, lo, hi, tol=tol)
+
+
 @pytest.mark.parametrize("n", [None, 0, 10, 100])
 def test_densities_normalize_to_one(n, arctan_model):
     assert check_normalization(arctan_model, n) == pytest.approx(1.0, abs=1e-6)
@@ -315,6 +345,24 @@ def test_arctangent_schedule_values():
     assert s.mu(80) == pytest.approx(1.558297, abs=5e-7)
     assert s.limit_mu == math.pi / 2
     assert abs(s.mu(10_000_000) - s.limit_mu) < 1e-6
+
+
+def test_half_squares_match_means_bit_for_bit_across_regrowth():
+    s = MeanSchedule.arctangent()
+    first = s.half_squares(10).copy()
+    mu = s.means(10)
+    assert first.tobytes() == (mu * mu / 2.0).tobytes()
+    big = s.half_squares(5000)  # past the first cache of 64 entries: regrown
+    mu = s.means(5000)
+    assert big.tobytes() == (mu * mu / 2.0).tobytes()
+    assert big[:10].tobytes() == first.tobytes()
+    assert not big.flags.writeable and not mu.flags.writeable
+    assert s.at(np.array([3, 4999, 0])).tolist() == [mu[3], mu[4999], mu[0]]
+
+
+def test_schedule_cache_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        MeanSchedule(kind="constant", limit_mu=1.0, _cache={})
 
 
 def test_table_schedule_extends_by_last_value():
