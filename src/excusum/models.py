@@ -17,11 +17,10 @@ Carlo studies.  The schedule caches mu_n and mu_n**2 / 2 together.
 
 All detector and simulation code is written against the generic
 DensityModel interface, so custom families (including deliberately broken
-ones used as counterexamples in tests) plug in the same way.  The one hook
-for the per-sample log-likelihood ratio is DensityModel.log_ratio (any
-indices) with DensityModel.llr_prefix (ages 0..n-1, the detectors' hot
-path): their defaults take the difference of the two log densities, and
-GaussianModel overrides both with the closed form.
+ones used as counterexamples in tests) plug in the same way.  The per-sample
+log-likelihood ratio has one hook, DensityModel.log_ratio and its prefix
+form llr_prefix (the detectors' hot path); the defaults subtract the log
+densities, and GaussianModel overrides both with the closed form.
 """
 
 from __future__ import annotations
