@@ -7,10 +7,17 @@ The main statistic at time n is
 
 the best accumulated log-likelihood ratio over all change-point hypotheses k,
 where the post-change density index is the age i - k of the hypothesized
-change.  Because the per-sample ratio depends on that age, no constant-memory
-recursion exists; states keep one running sum per retained candidate and cost
-O(candidates) per observation.  An optional window caps the candidate count
-at the price of an uncharacterized approximation.
+change.  Because the per-sample ratio depends on that age, states keep one
+running sum per candidate and cost O(candidates) per observation.
+
+Where the family saturates, f_j = f_L for every age j >= L (the model's
+saturation_index), all candidates of age >= L gain the same increment, so
+the states built for runs fold them into one tail and keep L + 1 sums: the
+tail is their max for the CUSUM statistic, exactly, and a shift with a
+scaled sum for SR, to rounding.  The classic CUSUM is this engine folded at
+L = 0 on the age-0 ratio.  Only for families that never saturate does no
+constant-memory recursion exist; there an optional window caps the
+candidate count at the price of an uncharacterized approximation.
 
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
@@ -25,7 +32,8 @@ from the model's llr_prefix hook.
 States are single-owner: mutate them only from their owning run.  A state
 holds one stream (a 1-d row of running sums); run_detector_batch builds
 private states holding a stack of rows that advance in lockstep through the
-same update and reductions, and drops each row once its run stops.
+same update, fold and reductions, and drops each row once its run stops.
+The public ExCusumState and SrState never fold, and serve as the reference.
 """
 
 from __future__ import annotations
@@ -55,11 +63,20 @@ class _CandidateBuffer:
     read, so once the buffer fills, the newest M - 1 move back to its right
     end instead of the buffer growing: it stays below 4 M + 64 columns, and
     the moves cost O(1) per step on average.
+
+    With a fold at saturation index L, every candidate of age index >= L
+    gains the same increment, so they share one tail column at age index L:
+    each step the candidate that reaches age index L takes the old tail in
+    through the state's merge.  Then at most L + 1 columns are read, and the
+    buffer stays below 4 L + 68 columns, as with a window of L + 1.
     """
 
-    def __init__(self, window: int | None = None, rows: int | None = None) -> None:
+    def __init__(self, window: int | None = None, rows: int | None = None, fold: int | None = None) -> None:
         self.window = window
+        self.fold = fold
         self.n = 0
+        #: most columns read: the window, or the head and tail of a fold
+        self.limit = window if fold is None else fold + 1
         self._pos = _MIN_CAPACITY
         self._rows = () if rows is None else (rows,)
         # columns left of the newest candidate stay zero, ready for the next one
@@ -69,7 +86,7 @@ class _CandidateBuffer:
     @property
     def active(self) -> int:
         """Number of candidates read after the latest observation."""
-        return self.n if self.window is None else min(self.n, self.window)
+        return self.n if self.limit is None else min(self.n, self.limit)
 
     def _make_room(self, keep: int) -> None:
         # free the column left of the newest candidate, keeping the newest `keep`
@@ -86,15 +103,21 @@ class _CandidateBuffer:
         self._buf = buf
         self._pos = cap - keep
 
-    def push(self, x, model: DensityModel) -> np.ndarray:
+    def push(self, x, model: DensityModel, merge) -> np.ndarray:
         """Register an observation (a float, or a (rows, 1) column with one per
-        row), update the newest `active` candidates, and return the view of
-        their sums (newest first)."""
+        row), fold the old tail into the candidate reaching age index L with
+        ``merge(candidate, tail)`` (column views), update the newest `active`
+        candidates, and return the view of their sums (newest first)."""
         self.n += 1
         active = self.active
+        folding = self.fold is not None and self.n > self.limit
         if self._pos == 0:
-            self._make_room(active - 1)
+            # a window drops its oldest candidate; a fold still merges it
+            self._make_room(active if folding else active - 1)
         self._pos -= 1
+        if folding:
+            at = self._pos + self.fold
+            merge(self._buf[..., at], self._buf[..., at + 1])
         view = self._buf[..., self._pos : self._pos + active]
         view += model.llr_prefix(active, x, self._tmp)
         return view
@@ -117,8 +140,9 @@ class _CandidateBuffer:
 
 
 class _SumsState:
-    """What ExCusumState and SrState share: the candidate sums, and the
-    lockstep form that only run_detector_batch builds (see _make_state)."""
+    """What the three states share: the candidate sums, the max reduction
+    and its merge (ex-cusum and CUSUM), and the folded and lockstep forms
+    that only _make_state builds."""
 
     _cands: _CandidateBuffer
 
@@ -126,11 +150,22 @@ class _SumsState:
     def n(self) -> int:
         return self._cands.n
 
-    def _stack(self, rows: int) -> None:
-        self._cands = _CandidateBuffer(self._cands.window, rows)
+    def _reshape(self, rows: int | None, fold: int | None) -> None:
+        """Start afresh on ``rows`` streams in lockstep (None: one stream),
+        folding at saturation index ``fold`` (None: no fold)."""
+        self._cands = _CandidateBuffer(self._cands.window, rows, fold)
 
     def _keep_rows(self, keep: np.ndarray) -> None:
         self._cands.keep_rows(keep)
+
+    def _advance(self, x, model: DensityModel):
+        return self._cands.push(x, model, self._merge).max(axis=-1)
+
+    @staticmethod
+    def _merge(candidate: np.ndarray, tail: np.ndarray) -> None:
+        # IEEE addition is monotone, so max(a, b) + z == max(a + z, b + z):
+        # the tail is the max of its candidates' sums exactly
+        np.maximum(tail, candidate, out=candidate)
 
 
 class ExCusumState(_SumsState):
@@ -161,9 +196,6 @@ class ExCusumState(_SumsState):
         """The change-point hypothesis k achieving the current statistic."""
         return self.n - int(np.argmax(self._cands.view()))
 
-    def _advance(self, x, model: DensityModel):
-        return self._cands.push(x, model).max(axis=-1)
-
 
 def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusumState:
     """Advance the statistic by one observation (mutates and returns state).
@@ -188,14 +220,33 @@ class SrState(_SumsState):
     def __init__(self) -> None:
         self.log_statistic = -math.inf
         self._cands = _CandidateBuffer()
+        # a folded tail's column holds a shift m and this its scaled sum s, so
+        # that its log mass is m + log s (per row); None without a fold
+        self._scale = None
 
     @property
     def log_candidate_products(self) -> np.ndarray:
         return self._cands.view()[::-1].copy()
 
+    def _reshape(self, rows: int | None, fold: int | None) -> None:
+        super()._reshape(rows, fold)
+        self._scale = None if fold is None else 1.0 if rows is None else np.ones(rows)
+
+    def _keep_rows(self, keep: np.ndarray) -> None:
+        super()._keep_rows(keep)
+        if self._scale is not None:
+            self._scale = self._scale[keep]
+
     def _advance(self, x, model: DensityModel):
-        view = self._cands.push(x, model)
-        return logsumexp_rows(view, self._cands.scratch(view.shape[-1]))
+        view = self._cands.push(x, model, self._merge)
+        return logsumexp_rows(view, self._cands.scratch(view.shape[-1]), self._scale)
+
+    def _merge(self, candidate: np.ndarray, tail: np.ndarray) -> None:
+        # shift by the larger of the two; fmin maps the NaN of -inf - (-inf)
+        # to 0, where the tail's mass stays exp(-inf) = 0 whatever s is
+        top = np.maximum(tail, candidate)
+        self._scale = self._scale * np.exp(np.fmin(tail - top, 0.0)) + np.exp(np.fmin(candidate - top, 0.0))
+        candidate[...] = top
 
 
 def sr_step(state: SrState, x: float, model: DensityModel) -> SrState:
@@ -204,32 +255,18 @@ def sr_step(state: SrState, x: float, model: DensityModel) -> SrState:
     return state
 
 
-class CusumState:
+class CusumState(_SumsState):
     """Classic CUSUM against the fixed first post-change density f_0.
 
-    The reflected recursion max(statistic, 0) + llr(0, x) equals the
-    max-over-candidates form with age-independent per-sample ratios, so with
-    a constant schedule it reproduces the growing-family statistic exactly.
+    It is the candidate engine folded at L = 0: every candidate gains the
+    age-0 ratio, so all of them live in the one tail, and each step is the
+    reflected recursion max(statistic, 0) + llr(0, x).  With a constant
+    schedule it reproduces the growing-family statistic exactly.
     """
 
     def __init__(self) -> None:
-        self.n = 0
         self.statistic = 0.0
-        self._stack(None)
-
-    def _stack(self, rows: int | None) -> None:
-        self._stats = np.zeros(() if rows is None else rows)
-        self._tmp = np.empty(self._stats.shape + (1,))
-
-    def _advance(self, x, model: DensityModel):
-        self.n += 1
-        z = model.llr_prefix(1, x, self._tmp)[..., 0]
-        self._stats = np.maximum(self._stats, 0.0) + z
-        return self._stats
-
-    def _keep_rows(self, keep: np.ndarray) -> None:
-        self._stats = self._stats[keep]
-        self._tmp = self._tmp[: self._stats.size]
+        self._cands = _CandidateBuffer(fold=0)
 
 
 def cusum_step(state: CusumState, x: float, model: DensityModel) -> CusumState:
@@ -313,19 +350,20 @@ def _iter_samples(path_or_stream) -> Iterator[float]:
     return iter(samples)
 
 
-def _start(kind: str, window: int | None, horizon: int, threshold: float, rows: int | None):
+def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
     """Validate a run and return its fresh state and whether crossings are strict."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, rows), DETECTORS[kind].strict
+    return _make_state(kind, window, model, rows), DETECTORS[kind].strict
 
 
-def _make_state(kind: str, window: int | None, rows: int | None = None):
-    """A fresh state of one stream or, with ``rows``, of that many streams in
-    lockstep; the lockstep form serves run_detector_batch only, and the
-    public views and step functions do not apply to it."""
+def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None):
+    """A fresh state for runs on ``model``: of one stream or, with ``rows``, of
+    that many streams in lockstep.  Without a window it folds at the model's
+    saturation index (CUSUM always folds at 0).  The folded and lockstep
+    forms serve the runs only; the public views do not apply to them."""
     spec = DETECTORS.get(kind)
     if spec is None:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")
@@ -335,9 +373,17 @@ def _make_state(kind: str, window: int | None, rows: int | None = None):
         raise ValueError(f"the {kind!r} detector takes no window")
     else:
         state = spec.state()
-    if rows is not None:
-        state._stack(rows)
+    fold = state._cands.fold
+    if fold is None and window is None:
+        fold = model.saturation_index()
+    if rows is not None or fold != state._cands.fold:
+        state._reshape(rows, fold)
     return state
+
+
+def _retained_columns(kind: str, window: int | None, model: DensityModel) -> int | None:
+    """Most candidate sums a run keeps per stream, or None when they grow with n."""
+    return _make_state(kind, window, model)._cands.limit
 
 
 def run_detector(
@@ -356,7 +402,7 @@ def run_detector(
     DETECTORS says for the kind.  A non-finite statistic aborts the run with
     a NumericError.
     """
-    state, strict = _start(kind, window, horizon, threshold, None)
+    state, strict = _start(kind, window, model, horizon, threshold, None)
     it = _iter_samples(path_or_stream)
     for t in range(1, horizon + 1):
         try:
@@ -392,7 +438,7 @@ def run_detector_batch(
     checks are run_detector's, applied to live runs only; when several runs
     fail, the error names the earliest failing step.
     """
-    state, strict = _start(kind, window, horizon, threshold, len(streams))
+    state, strict = _start(kind, window, model, horizon, threshold, len(streams))
     taus = np.zeros(len(streams), dtype=np.int64)
     live = np.arange(len(streams))
     block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
@@ -400,11 +446,16 @@ def run_detector_batch(
     j = 0
     for t in range(1, horizon + 1):
         if j == block.shape[0]:
-            # the next block of every live run, one row per step
-            parts = [next(streams[r], None) for r in live.tolist()]
-            if any(p is None for p in parts):
-                raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
-            block = np.stack(parts, axis=1)
+            # the next block of every live run, one row per step, copied in
+            # as it is drawn so that no run's block is held twice
+            block = None
+            for c, r in enumerate(live.tolist()):
+                part = next(streams[r], None)
+                if part is None:
+                    raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
+                if block is None:
+                    block = np.empty((part.size, live.size))
+                block[:, c] = part
             at = np.arange(live.size)
             j = 0
         xs = _validate_x(model, block[j, at][:, None])
@@ -435,7 +486,7 @@ def statistic_trace(
     kind: str, model: DensityModel, samples, *, window: int | None = None
 ) -> np.ndarray:
     """Statistic value after each observation of a full sample sequence."""
-    state = _make_state(kind, window)
+    state = _make_state(kind, window, model)
     xs = getattr(samples, "samples", samples)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):

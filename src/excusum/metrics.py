@@ -31,16 +31,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .detectors import StopResult, run_detector_batch
+from . import process
+from .detectors import StopResult, _retained_columns, run_detector_batch
 from .models import DensityModel, information_number
 from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
 Z95 = 1.6448536269514722
 
-#: float64 elements of one lockstep chunk's observations (2 MiB); a chunk runs
-#: max(1, _CHUNK_ELEMENTS // horizon) trials, so that its sample blocks and,
-#: without a window, its candidate sums stay near that size
+#: float64 elements a lockstep chunk holds (2 MiB); a chunk runs
+#: max(1, _CHUNK_ELEMENTS // per_trial) trials, where per_trial is what one
+#: live trial holds: its sample block (at most min(horizon, process._CHUNK)
+#: values) and its candidate sums, horizon when those are unbounded and at
+#: most min(horizon, process._CHUNK + retained columns) with a fold or window
 _CHUNK_ELEMENTS = 2**18
 
 #: caps for the default horizons: false-alarm runs 20 * exp(A) capped at 1e7
@@ -107,7 +110,9 @@ def simulate_trials(
     if trials < 1:
         raise EstimationError("at least one trial is required")
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
-    chunk = max(1, _CHUNK_ELEMENTS // horizon)
+    retained = _retained_columns(detector, window, model)
+    per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
+    chunk = max(1, _CHUNK_ELEMENTS // per_trial)
     outcomes = []
     for start in range(0, trials, chunk):
         streams = [
@@ -282,10 +287,15 @@ def worst_case_delay_scan(
     """Estimate the conditional delay at every nu in the grid and report the max.
 
     A nu with no accepted runs is flagged in its cell rather than silently
-    dropped; the scan fails only if every cell fails.
+    dropped; the scan fails only if every cell fails.  An information number
+    that is not positive gives no delay horizon, which fails the scan before
+    any run.
     """
     if not nu_grid:
         raise ValueError("nu_grid must be nonempty")
+    # fail on a model without a delay horizon before any run, naming I
+    info = information_number(model) if info is None else info
+    default_delay_horizon(1, threshold, info)
     cells = []
     for j, nu in enumerate(nu_grid):
         try:

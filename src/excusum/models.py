@@ -21,6 +21,8 @@ ones used as counterexamples in tests) plug in the same way.  The per-sample
 log-likelihood ratio has one hook, DensityModel.log_ratio and its prefix
 form llr_prefix (the detectors' hot path); the defaults subtract the log
 densities, and GaussianModel overrides both with the closed form.
+saturation_index tells the detectors from which age on that ratio stops
+changing (the schedule's, for the Gaussian family).
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class MeanSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
         if not (math.isfinite(self.limit_mu) and self.limit_mu >= 0.0):
             raise ValueError(f"limit_mu must be finite and >= 0, got {self.limit_mu}")
+        if self.kind == "arctangent" and self.limit_mu != math.pi / 2.0:
+            raise ValueError(f"limit_mu of an arctangent schedule is pi/2, got {self.limit_mu}")
         if self.kind == "explicit-table":
             if not self.table:
                 raise ValueError("explicit-table schedule needs a non-empty table")
@@ -91,8 +95,8 @@ class MeanSchedule:
         elif self.table is not None:
             raise ValueError(f"{self.kind} schedule does not take a table")
         if self.kind == "linear-saturating":
-            if len(self.params) != 1 or self.params[0] <= 0.0:
-                raise ValueError("linear-saturating needs params=(slope,) with slope > 0")
+            if len(self.params) != 1 or not 0.0 < self.params[0] < math.inf:
+                raise ValueError("linear-saturating needs params=(slope,) with finite slope > 0")
         elif self.kind == "geometric-approach":
             if len(self.params) != 1 or not (0.0 < self.params[0] < 1.0):
                 raise ValueError("geometric-approach needs params=(ratio,) with 0 < ratio < 1")
@@ -173,6 +177,30 @@ class MeanSchedule:
         idx = np.asarray(index)
         return self._grown(int(idx.max()) + 1 if idx.size else 1)[0][idx]
 
+    def saturation_index(self) -> int | None:
+        """The first index L from which every mu_j equals the schedule's last
+        value bit for bit, or None for the kinds that only approach their limit
+        (arctangent, geometric-approach)."""
+        if self.kind == "constant":
+            return 0
+        if self.kind == "linear-saturating":
+            slope, top = self.params[0], self.limit_mu
+            if not math.isfinite(top / slope):
+                return None
+            # slope * n rounds, so the first n with slope * n >= mu may sit
+            # one away from ceil(mu / slope); slope * n is monotone in n
+            n = math.ceil(top / slope)
+            while n > 0 and slope * (n - 1) >= top:
+                n -= 1
+            while slope * n < top:
+                n += 1
+            return n
+        if self.kind == "explicit-table":
+            bits = np.asarray(self.table, dtype=np.float64).view(np.uint64)
+            differ = np.flatnonzero(bits != bits[-1])
+            return int(differ[-1]) + 1 if differ.size else 0
+        return None
+
 
 @dataclass(frozen=True, kw_only=True)
 class DensityModel:
@@ -225,6 +253,12 @@ class DensityModel:
             row[:] = self.log_ratio(idx, xr)
         return block
 
+    def saturation_index(self) -> int | None:
+        """The first age index L from which log_ratio(j, x) is one function of
+        x for every j >= L, bit for bit, or None.  The detectors then fold
+        every candidate of age index >= L into one tail.  None by default."""
+        return None
+
 
 @dataclass(frozen=True, kw_only=True)
 class GaussianModel(DensityModel):
@@ -242,6 +276,9 @@ class GaussianModel(DensityModel):
         np.multiply(self.schedule.means(n), x, out=block)
         block -= self.schedule.half_squares(n)
         return block
+
+    def saturation_index(self) -> int | None:
+        return self.schedule.saturation_index()
 
 
 def gaussian_model(schedule: MeanSchedule) -> GaussianModel:

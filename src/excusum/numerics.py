@@ -59,16 +59,18 @@ def logsumexp(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
     return float(logsumexp_rows(values, scratch))
 
 
-def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None):
+def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None, tail_scale=None):
     """log(sum(exp(values))) over the last axis, which must be nonempty.
 
     A 1-d array gives a scalar, a 2-d array one value per row, by the same
     operations.  Each row is shifted by its max, so a row whose max is not
     finite returns that max (all -inf collapses to -inf; +inf and NaN
     propagate).  ``scratch`` may supply a reusable buffer at least as large
-    as ``values`` along each axis.  The log is ``math.log`` per row rather
-    than numpy's vectorized log, which can differ from it in the last bit;
-    that keeps every row bit-identical to a scalar computation.
+    as ``values`` along each axis.  ``tail_scale`` (a float, or one per row)
+    multiplies the last column's term: that column is then the shift m of a
+    folded tail whose mass is tail_scale * exp(m).  The log is ``math.log``
+    per row rather than numpy's vectorized log, which can differ from it in
+    the last bit; that keeps every row bit-identical to a scalar computation.
     """
     m = values.max(axis=-1, keepdims=True)
     if not all(map(math.isfinite, m.ravel().tolist())):
@@ -77,11 +79,14 @@ def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None):
         out = m[:, 0].copy()
         finite = np.isfinite(out)
         if finite.any():
-            out[finite] = logsumexp_rows(values[finite])
+            scale = None if tail_scale is None else tail_scale[finite]
+            out[finite] = logsumexp_rows(values[finite], None, scale)
         return out
     out = np.empty(values.shape) if scratch is None else scratch[..., : values.shape[-1]]
     np.subtract(values, m, out=out)
     np.exp(out, out=out)
+    if tail_scale is not None:
+        out[..., -1] *= tail_scale
     total = out.sum(axis=-1)
     if values.ndim == 1:
         return m[0] + math.log(total)

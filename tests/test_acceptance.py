@@ -79,6 +79,7 @@ def test_criterion_02_reduction_to_classic_cusum():
     report(2, "constant-schedule reduction", ok, f"max pathwise gap = {worst:.3e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_sr_martingale_mean():
     # The martingale property holds for every model, but a plain Monte Carlo
     # mean of R_n is only statistically meaningful when the likelihood-ratio
@@ -111,6 +112,7 @@ def test_criterion_03_sr_martingale_mean():
     report(3, "pre-change SR martingale", ok, ", ".join(details) + f", {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_04_false_alarm_bound(arctan):
     t0 = time.time()
     details = []
@@ -201,6 +203,7 @@ def first_order_delay_slope(thresholds) -> float:
     return float(np.polyfit(thresholds, delays, 1)[0])
 
 
+@pytest.mark.slow
 def test_criterion_08_delay_asymptotics(arctan):
     # The paper's rate is first-order asymptotic: delay ~ A / I as A -> inf,
     # with I = pi^2/8 the limit of the per-age divergence arctan(j)^2 / 2.
@@ -236,6 +239,7 @@ def test_criterion_08_delay_asymptotics(arctan):
     )
 
 
+@pytest.mark.slow
 def test_delay_slope_approaches_theory_at_larger_thresholds(arctan):
     """Supplementary to criterion 8 (not itself a criterion).  Criterion 8
     holds the Monte Carlo slope at A in {4, 6, 8} to the finite-threshold rate

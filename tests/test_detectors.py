@@ -252,6 +252,64 @@ def test_window_validation():
 
 
 # ---------------------------------------------------------------------------
+# folding saturated candidates
+
+SATURATING = {
+    "linear": MeanSchedule.linear_saturating(0.1, 1.0),
+    "constant": MeanSchedule.constant(0.6),
+    "table": MeanSchedule.from_table([0.2, 0.5, 1.0, 1.0]),
+}
+
+
+def sr_oracle(samples, model):
+    """log R_n for every n by the double loop over (k, i), log-sum-exp over k."""
+    xs = np.asarray(samples, dtype=np.float64)
+    out = np.full(xs.size, -math.inf)
+    for k in range(1, xs.size + 1):
+        sums = np.cumsum(llr(model, np.arange(xs.size - k + 1), xs[k - 1 :]))
+        np.logaddexp(out[k - 1 :], sums, out=out[k - 1 :])
+    return out
+
+
+@pytest.mark.parametrize("name", list(SATURATING))
+def test_folded_traces_match_the_public_states(name):
+    # statistic_trace folds at the saturation index; the public states never do
+    model = gaussian_model(SATURATING[name])
+    assert detectors._make_state("sr", None, model)._cands.fold == SATURATING[name].saturation_index()
+    xs = generate_path(model, ChangeSpec(nu=2500, horizon=5000, seed=79)).samples
+    for kind, state, step, value in (
+        ("ex-cusum", ExCusumState(), ex_cusum_step, "statistic"),
+        ("cusum", CusumState(), cusum_step, "statistic"),
+        ("sr", SrState(), sr_step, "log_statistic"),
+    ):
+        want = np.array([getattr(step(state, float(x), model), value) for x in xs])
+        got = statistic_trace(kind, model, xs)
+        if kind == "sr":
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [1, 60, NO_CHANGE])
+def test_folded_sr_matches_the_oracle(nu):
+    model = gaussian_model(SATURATING["linear"])
+    xs = generate_path(model, ChangeSpec(nu=nu, horizon=300, seed=83)).samples
+    assert np.allclose(statistic_trace("sr", model, xs), sr_oracle(xs, model), rtol=1e-12, atol=1e-12)
+
+
+def test_folded_buffer_keeps_the_head_and_one_tail(monkeypatch):
+    model = gaussian_model(SATURATING["linear"])  # L = 10
+    xs = generate_path(model, ChangeSpec(nu=NO_CHANGE, horizon=200_000, seed=89)).samples
+    state = detectors._make_state("ex-cusum", None, model)
+    trace = np.array([detectors._step(state, float(x), model) for x in xs])
+    assert state._cands.active == 11
+    assert state._cands._buf.size < 4 * 11 + 64
+    # a buffer that never fills keeps every sum where it was written
+    monkeypatch.setattr(detectors, "_MIN_CAPACITY", xs.size)
+    assert np.array_equal(statistic_trace("ex-cusum", model, xs), trace)
+
+
+# ---------------------------------------------------------------------------
 # threshold monotonicity
 
 

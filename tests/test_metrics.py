@@ -77,17 +77,24 @@ def per_trial_outcomes(model, kind, threshold, nu, horizon, trials, seed, window
 GATE_HORIZON, GATE_TRIALS = 30, 23
 
 
+GATE_MODELS = {
+    "gaussian": lambda: gaussian_model(MeanSchedule.arctangent()),
+    "no-fast-path": lambda: generic_gaussian_model(MeanSchedule.arctangent()),
+    # saturates at age 10, so the runs fold every candidate past it into one tail
+    "saturating": lambda: gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)),
+}
+
+
 @pytest.mark.parametrize("sample_block", [None, 7], ids=["one-block", "blocks-of-7"])
-@pytest.mark.parametrize("generic", [False, True], ids=["gaussian", "no-fast-path"])
+@pytest.mark.parametrize("model_name", list(GATE_MODELS))
 @pytest.mark.parametrize("threshold", [-5.0, 3.0, 8.0])
 @pytest.mark.parametrize("nu", [1, 25, NO_CHANGE])
 @pytest.mark.parametrize("kind, window", [("ex-cusum", None), ("ex-cusum", 3), ("sr", None), ("cusum", None)])
-def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, generic, sample_block, monkeypatch):
+def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, model_name, sample_block, monkeypatch):
     if sample_block:
         # paths drawn in blocks of 7 break at 7, 14, 21, 28, and at nu - 1 = 24
         monkeypatch.setattr(process, "_CHUNK", sample_block)
-    schedule = MeanSchedule.arctangent()
-    model = generic_gaussian_model(schedule) if generic else gaussian_model(schedule)
+    model = GATE_MODELS[model_name]()
     want = per_trial_outcomes(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window)
     if threshold == -5.0:
         assert all(o.tau == 1 for o in want)
@@ -95,6 +102,43 @@ def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, gener
         monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * GATE_HORIZON)
         got = simulate_trials(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window=window)
         assert got == want, f"chunk size {chunk}"
+
+
+def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
+    sizes = []
+
+    def record(kind, model, streams, threshold, horizon, *, window=None):
+        sizes.append(len(streams))
+        return [StopResult(stopped=False, tau=None, censored_at=horizon)] * len(streams)
+
+    monkeypatch.setattr(metrics, "run_detector_batch", record)
+    arctan = gaussian_model(MeanSchedule.arctangent())
+    saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
+    for kind, model, window, horizon, chunk in (
+        ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload
+        ("ex-cusum", arctan, None, 2000, 131),  # false-alarm
+        ("sr", saturating, None, 6000, 43),  # sr-saturating
+        ("ex-cusum", arctan, None, 200_000, 1),  # sums grow with the horizon
+        ("ex-cusum", saturating, None, 200_000, 2**18 // (process._CHUNK + 11)),
+        ("cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + 1)),
+        ("ex-cusum", arctan, 50, 200_000, 2**18 // (process._CHUNK + 50)),
+    ):
+        sizes.clear()
+        simulate_trials(model, kind, 100.0, NO_CHANGE, horizon, chunk + 1, 3, window=window)
+        assert sizes == [chunk, 1], (kind, horizon, window)
+
+
+def test_lockstep_chunks_of_bounded_trials_equal_chunks_of_one(monkeypatch):
+    # with sample blocks of 7 a folded trial holds 7 + 11 values, so 400
+    # elements make chunks of 22 trials where the horizon alone gave 1
+    monkeypatch.setattr(process, "_CHUNK", 7)
+    model = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
+    for kind in ("ex-cusum", "sr"):
+        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 1)
+        want = simulate_trials(model, kind, 6.0, NO_CHANGE, 400, 30, 73)
+        assert any(o.kind == "censored" for o in want) and any(o.tau for o in want)
+        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 400)
+        assert simulate_trials(model, kind, 6.0, NO_CHANGE, 400, 30, 73) == want
 
 
 def test_lockstep_trials_run_past_one_sample_block():
@@ -344,6 +388,12 @@ def test_scan_flags_empty_cells_instead_of_dropping(arctan_model):
     assert len(scan.cells) == 2
     if flagged:
         assert all(c.error for c in flagged)
+
+
+@pytest.mark.filterwarnings("ignore:schedule is identically zero")
+def test_scan_names_a_nonpositive_information_number():
+    with pytest.raises(EstimationError, match="information number 0.0"):
+        worst_case_delay_scan(constant_model(0.0), "ex-cusum", 3.0, [1, 5], trials=5, seed=1)
 
 
 def test_scan_empty_grid_rejected(arctan_model):

@@ -397,10 +397,37 @@ def test_schedule_validation_errors():
         MeanSchedule.from_table([])
     with pytest.raises(ValueError):
         MeanSchedule.geometric_approach(1.0, 1.5)
-    with pytest.raises(ValueError):
-        MeanSchedule.linear_saturating(-0.1, 1.0)
+    for slope in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MeanSchedule.linear_saturating(slope, 1.0)
     with pytest.raises(ValueError):
         MeanSchedule(kind="bogus", limit_mu=1.0)
+    with pytest.raises(ValueError, match="pi/2"):
+        MeanSchedule(kind="arctangent", limit_mu=5.0)  # mu_n still tends to pi/2
+
+
+@pytest.mark.parametrize(
+    "schedule, index",
+    [
+        (MeanSchedule.constant(0.6), 0),
+        (MeanSchedule.linear_saturating(0.1, 1.0), 10),
+        (MeanSchedule.linear_saturating(0.3, 0.9), 4),  # 0.3 * 3 rounds below 0.9
+        (MeanSchedule.linear_saturating(0.3, 2.1), 7),  # 2.1 / 0.3 rounds above 7
+        (MeanSchedule.from_table([0.2, 0.5, 1.0, 1.0]), 2),
+        (MeanSchedule.arctangent(), None),
+        (MeanSchedule.geometric_approach(1.0, 0.5), None),
+    ],
+    ids=["constant", "linear-0.1", "linear-0.3-low", "linear-0.3-high", "table", "arctangent", "geometric"],
+)
+def test_saturation_index_is_where_the_means_stop_changing(schedule, index):
+    assert schedule.saturation_index() == index
+    assert gaussian_model(schedule).saturation_index() == index
+    if index is not None:
+        mus = schedule.means(index + 5000)
+        limit = np.full(mus.size - index, schedule.limit_mu)
+        assert mus[index:].tobytes() == limit.tobytes()  # bit for bit
+        assert index == 0 or mus[index - 1] != schedule.limit_mu
+    assert generic_gaussian_model(schedule).saturation_index() is None
 
 
 def test_identically_zero_schedule_warns():
