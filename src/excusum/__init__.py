@@ -25,8 +25,6 @@ from .detectors import (
     SrState,
     StopResult,
     cusum_step,
-    ex_cusum_brute,
-    ex_cusum_brute_all,
     ex_cusum_step,
     run_detector,
     sr_step,
@@ -89,8 +87,6 @@ __all__ = [
     "derive_seed",
     "estimate_arl2fa",
     "estimate_cadd",
-    "ex_cusum_brute",
-    "ex_cusum_brute_all",
     "ex_cusum_step",
     "fourth_moment_check",
     "full_condition_report",

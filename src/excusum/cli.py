@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import conditions, metrics
 from .config import ConfigError, ExperimentConfig, default_config
-from .detectors import statistic_trace
+from .detectors import DETECTORS, statistic_trace
 from .metrics import EstimationError
 from .process import ChangeSpec, generate_path
 from .svgplot import line_chart
@@ -39,6 +39,18 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_table(out: Path, stem: str, header: list[str], rows: list[tuple] | tuple, json_too: bool) -> None:
+    """Write the table ``stem``.csv and, with ``json_too``, its mirror
+    ``stem``.json.  ``rows`` is a list of row tuples, mirrored as a list of
+    objects, or a single row tuple, mirrored as one object."""
+    one = not isinstance(rows, list)
+    table = [rows] if one else rows
+    write_csv(out / f"{stem}.csv", header, table)
+    if json_too:
+        objs = [dict(zip(header, row)) for row in table]
+        write_json(out / f"{stem}.json", objs[0] if one else objs)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -77,8 +89,8 @@ def cmd_demo(cfg: ExperimentConfig, json_too: bool) -> int:
         vlines=vlines,
     )
     (out / "demo.svg").write_text(svg, encoding="utf-8")
-    crossings = [n for n, w in zip(ns, trace) if w > threshold]
-    tau = crossings[0] if crossings else None
+    crossed = DETECTORS[cfg.detector.kind].crossed(trace, threshold)
+    tau = int(crossed.argmax()) + 1 if crossed.any() else None
     print(
         f"demo: PASS nu={run.nu} horizon={run.horizon} threshold={threshold:.6g} "
         f"tau={tau if tau is not None else 'censored'} -> {out}/demo_path.csv, demo_stat.csv, demo.svg"
@@ -122,9 +134,8 @@ def cmd_arl(cfg: ExperimentConfig, json_too: bool) -> int:
     )
     out = _outdir(cfg)
     row = (gamma, threshold, est.trials, est.mean_tau, est.stderr, est.censored_fraction, est.lcb95)
-    write_csv(out / "arl.csv", ["gamma", "A", "trials", "mean_tau", "stderr", "censored_frac", "lcb95"], [row])
-    if json_too:
-        write_json(out / "arl.json", dict(zip(["gamma", "A", "trials", "mean_tau", "stderr", "censored_frac", "lcb95"], row)))
+    header = ["gamma", "A", "trials", "mean_tau", "stderr", "censored_frac", "lcb95"]
+    _write_table(out, "arl", header, row, json_too)
     ok = est.lcb95 >= gamma
     print(
         f"arl: {'PASS' if ok else 'FAIL'} mean_tau={est.mean_tau:.6g} lcb95={est.lcb95:.6g} "
@@ -162,9 +173,8 @@ def cmd_cadd(cfg: ExperimentConfig, json_too: bool) -> int:
         est.mean_delay,
         est.stderr,
     )
-    write_csv(out / "cadd.csv", ["gamma", "A", "nu", "trials", "accepted", "mean_delay", "stderr"], [row])
-    if json_too:
-        write_json(out / "cadd.json", dict(zip(["gamma", "A", "nu", "trials", "accepted", "mean_delay", "stderr"], row)))
+    header = ["gamma", "A", "nu", "trials", "accepted", "mean_delay", "stderr"]
+    _write_table(out, "cadd", header, row, json_too)
     print(
         f"cadd: PASS nu={est.nu} mean_delay={est.mean_delay:.6g} stderr={est.stderr:.3g} "
         f"accepted={est.accepted}/{est.trials} -> {out}/cadd.csv"
@@ -188,12 +198,7 @@ def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
         return 1
     out = _outdir(cfg)
     csv_rows = [(r.gamma, r.threshold, r.arl.lcb95, r.cadd.mean_delay, r.bound) for r in rows]
-    write_csv(out / "tradeoff.csv", ["gamma", "A", "arl_lcb", "cadd", "bound"], csv_rows)
-    if json_too:
-        write_json(
-            out / "tradeoff.json",
-            [dict(zip(["gamma", "A", "arl_lcb", "cadd", "bound"], row)) for row in csv_rows],
-        )
+    _write_table(out, "tradeoff", ["gamma", "A", "arl_lcb", "cadd", "bound"], csv_rows, json_too)
     ok = all(r.arl.lcb95 >= r.gamma for r in rows)
     worst = min(r.arl.lcb95 / r.gamma for r in rows)
     print(
@@ -221,12 +226,8 @@ def cmd_simulate(cfg: ExperimentConfig, json_too: bool) -> int:
         (i, o.tau, o.censored_at, int(o.false_alarm), o.delay)
         for i, o in enumerate(outcomes)
     ]
-    write_csv(out / "outcomes.csv", ["trial", "tau", "censored_at", "false_alarm", "delay"], rows)
-    if json_too:
-        write_json(
-            out / "outcomes.json",
-            [dict(zip(["trial", "tau", "censored_at", "false_alarm", "delay"], r)) for r in rows],
-        )
+    header = ["trial", "tau", "censored_at", "false_alarm", "delay"]
+    _write_table(out, "outcomes", header, rows, json_too)
     stopped = sum(o.tau is not None for o in outcomes)
     print(
         f"simulate: PASS trials={len(outcomes)} stopped={stopped} "

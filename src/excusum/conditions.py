@@ -151,7 +151,7 @@ def fourth_moment_check(
     for j, k in enumerate(ks):
         rng = np.random.default_rng(derive_seed(seed, k))
         x = np.asarray(sample_post(model, k - 1, rng, size=trials))
-        z = llr(model, np.full(trials, k - 1), x)
+        z = llr(model, k - 1, x)
         center = kl_divergence(model, k - 1, "closed" if model.kl_closed_form else "quadrature")
         fourth = (z - center) ** 4
         estimates[j] = fourth.mean()
@@ -255,8 +255,8 @@ def _block_averages(model: DensityModel, k: int, n: int, trials: int, seed: int)
     done = 0
     while done < trials:
         take = min(chunk, trials - done)
-        x = np.asarray(sample_post(model, np.tile(data_ages, (take, 1)), rng))
-        z = llr(model, np.tile(llr_ages, (take, 1)), x)
+        x = np.asarray(sample_post(model, np.broadcast_to(data_ages, (take, n + 1)), rng))
+        z = llr(model, llr_ages, x)
         out[done : done + take] = z.sum(axis=1) / n
         done += take
     return out

@@ -17,7 +17,9 @@ tail is their max for the CUSUM statistic, exactly, and a shift with a
 scaled sum for SR, to rounding.  The classic CUSUM is this engine folded at
 L = 0 on the age-0 ratio.  Only for families that never saturate does no
 constant-memory recursion exist; there an optional window caps the
-candidate count at the price of an uncharacterized approximation.
+candidate count at the price of an uncharacterized approximation.  The
+candidate buffer owns all of this: how many columns are read, whether older
+candidates are dropped or folded, and SR's tail weight.
 
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
@@ -26,8 +28,9 @@ All accumulation is in the log domain, with log-sum-exp for R_n.
 
 The DETECTORS table is the one list of detector kinds: each kind names its
 state class, its crossing rule (strict > for ex-cusum and SR, >= for the
-classic CUSUM) and whether it takes a window.  Every per-sample ratio comes
-from the model's llr_prefix hook.
+classic CUSUM) and whether it takes a window.  DetectorKind.crossed is the
+one test of a statistic against a threshold, for every stop decision.
+Every per-sample ratio comes from the model's llr_prefix hook.
 
 States are single-owner: mutate them only from their owning run.  A state
 holds one stream (a 1-d row of running sums); run_detector_batch builds
@@ -59,24 +62,29 @@ class _CandidateBuffer:
     buf[..., pos:], newest first: column pos + j holds the candidate of age j,
     whose increment at the next observation is the log-likelihood ratio at
     age index j.  That makes every per-step update a contiguous-slice
-    operation on each row.  With window M only the newest M candidates are
-    read, so once the buffer fills, the newest M - 1 move back to its right
-    end instead of the buffer growing: it stays below 4 M + 64 columns, and
-    the moves cost O(1) per step on average.
+    operation on each row.  When at most ``limit`` columns are read, once the
+    buffer fills the newest ones move back to its right end instead of the
+    buffer growing: it stays below 4 limit + 64 columns, and the moves cost
+    O(1) per step on average.
 
-    With a fold at saturation index L, every candidate of age index >= L
-    gains the same increment, so they share one tail column at age index L:
-    each step the candidate that reaches age index L takes the old tail in
-    through the state's merge.  Then at most L + 1 columns are read, and the
-    buffer stays below 4 L + 68 columns, as with a window of L + 1.
+    Past the limit, older candidates are dropped (a window) or, with
+    ``fold``, merged into the last column: with a fold at saturation index
+    L = limit - 1, every candidate of age index >= L gains the same
+    increment, so they share one tail column at age index L, and each step
+    the candidate that reaches it takes the old tail in through the state's
+    merge.  The buffer also keeps SR's tail weight, ``scale``.
     """
 
-    def __init__(self, window: int | None = None, rows: int | None = None, fold: int | None = None) -> None:
-        self.window = window
+    def __init__(self, rows: int | None = None, limit: int | None = None, fold: bool = False) -> None:
+        #: most columns read (None: all of them)
+        self.limit = limit
+        #: whether candidates past the limit merge into the last column
         self.fold = fold
+        #: SR's tail weight per row: the last column holds a shift m, and the
+        #: tail's log mass is m + log scale; None until the first merge stands
+        #: for 1.0, which is exact since 1.0 * w == w
+        self.scale = None
         self.n = 0
-        #: most columns read: the window, or the head and tail of a fold
-        self.limit = window if fold is None else fold + 1
         self._pos = _MIN_CAPACITY
         self._rows = () if rows is None else (rows,)
         # columns left of the newest candidate stay zero, ready for the next one
@@ -110,13 +118,13 @@ class _CandidateBuffer:
         candidates, and return the view of their sums (newest first)."""
         self.n += 1
         active = self.active
-        folding = self.fold is not None and self.n > self.limit
+        folding = self.fold and self.n > self.limit
         if self._pos == 0:
             # a window drops its oldest candidate; a fold still merges it
             self._make_room(active if folding else active - 1)
         self._pos -= 1
         if folding:
-            at = self._pos + self.fold
+            at = self._pos + self.limit - 1
             merge(self._buf[..., at], self._buf[..., at + 1])
         view = self._buf[..., self._pos : self._pos + active]
         view += model.llr_prefix(active, x, self._tmp)
@@ -137,26 +145,19 @@ class _CandidateBuffer:
         self._buf = self._buf[: idx.size]
         self._tmp = self._tmp[: idx.size]
         self._rows = (idx.size,)
+        if self.scale is not None:
+            self.scale = self.scale[keep]
 
 
 class _SumsState:
-    """What the three states share: the candidate sums, the max reduction
-    and its merge (ex-cusum and CUSUM), and the folded and lockstep forms
-    that only _make_state builds."""
+    """What the three states share: the candidate sums, and the max
+    reduction and its merge (ex-cusum and CUSUM)."""
 
     _cands: _CandidateBuffer
 
     @property
     def n(self) -> int:
         return self._cands.n
-
-    def _reshape(self, rows: int | None, fold: int | None) -> None:
-        """Start afresh on ``rows`` streams in lockstep (None: one stream),
-        folding at saturation index ``fold`` (None: no fold)."""
-        self._cands = _CandidateBuffer(self._cands.window, rows, fold)
-
-    def _keep_rows(self, keep: np.ndarray) -> None:
-        self._cands.keep_rows(keep)
 
     def _advance(self, x, model: DensityModel):
         return self._cands.push(x, model, self._merge).max(axis=-1)
@@ -181,7 +182,7 @@ class ExCusumState(_SumsState):
             raise ValueError(f"window must be a positive integer or None, got {window!r}")
         self.window = window
         self.statistic = -math.inf
-        self._cands = _CandidateBuffer(window)
+        self._cands = _CandidateBuffer(limit=window)
 
     @property
     def active_count(self) -> int:
@@ -220,32 +221,23 @@ class SrState(_SumsState):
     def __init__(self) -> None:
         self.log_statistic = -math.inf
         self._cands = _CandidateBuffer()
-        # a folded tail's column holds a shift m and this its scaled sum s, so
-        # that its log mass is m + log s (per row); None without a fold
-        self._scale = None
 
     @property
     def log_candidate_products(self) -> np.ndarray:
         return self._cands.view()[::-1].copy()
 
-    def _reshape(self, rows: int | None, fold: int | None) -> None:
-        super()._reshape(rows, fold)
-        self._scale = None if fold is None else 1.0 if rows is None else np.ones(rows)
-
-    def _keep_rows(self, keep: np.ndarray) -> None:
-        super()._keep_rows(keep)
-        if self._scale is not None:
-            self._scale = self._scale[keep]
-
     def _advance(self, x, model: DensityModel):
-        view = self._cands.push(x, model, self._merge)
-        return logsumexp_rows(view, self._cands.scratch(view.shape[-1]), self._scale)
+        cands = self._cands
+        view = cands.push(x, model, self._merge)
+        return logsumexp_rows(view, cands.scratch(view.shape[-1]), cands.scale)
 
     def _merge(self, candidate: np.ndarray, tail: np.ndarray) -> None:
         # shift by the larger of the two; fmin maps the NaN of -inf - (-inf)
-        # to 0, where the tail's mass stays exp(-inf) = 0 whatever s is
+        # to 0, where the tail's mass stays exp(-inf) = 0 whatever its scale
+        cands = self._cands
         top = np.maximum(tail, candidate)
-        self._scale = self._scale * np.exp(np.fmin(tail - top, 0.0)) + np.exp(np.fmin(candidate - top, 0.0))
+        scale = 1.0 if cands.scale is None else cands.scale
+        cands.scale = scale * np.exp(np.fmin(tail - top, 0.0)) + np.exp(np.fmin(candidate - top, 0.0))
         candidate[...] = top
 
 
@@ -266,7 +258,7 @@ class CusumState(_SumsState):
 
     def __init__(self) -> None:
         self.statistic = 0.0
-        self._cands = _CandidateBuffer(fold=0)
+        self._cands = _CandidateBuffer(limit=1, fold=True)
 
 
 def cusum_step(state: CusumState, x: float, model: DensityModel) -> CusumState:
@@ -282,6 +274,11 @@ class DetectorKind(NamedTuple):
     state: type
     strict: bool
     windowed: bool
+
+    def crossed(self, stat, threshold: float):
+        """Whether ``stat`` (a float, or an array elementwise) crosses the
+        threshold by this kind's rule; NaN never crosses."""
+        return stat > threshold if self.strict else stat >= threshold
 
 
 #: every detector kind, by the name configs and run_detector use
@@ -345,18 +342,13 @@ class StopResult:
             raise ValueError("censored result must carry censored_at and no tau")
 
 
-def _iter_samples(path_or_stream) -> Iterator[float]:
-    samples = getattr(path_or_stream, "samples", path_or_stream)
-    return iter(samples)
-
-
 def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
-    """Validate a run and return its fresh state and whether crossings are strict."""
+    """Validate a run and return its fresh state and its kind's DETECTORS row."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, model, rows), DETECTORS[kind].strict
+    return _make_state(kind, window, model, rows), DETECTORS[kind]
 
 
 def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None):
@@ -373,11 +365,12 @@ def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | 
         raise ValueError(f"the {kind!r} detector takes no window")
     else:
         state = spec.state()
-    fold = state._cands.fold
-    if fold is None and window is None:
-        fold = model.saturation_index()
-    if rows is not None or fold != state._cands.fold:
-        state._reshape(rows, fold)
+    limit, fold = state._cands.limit, state._cands.fold
+    if limit is None:
+        saturation = model.saturation_index()
+        if saturation is not None:
+            limit, fold = saturation + 1, True
+    state._cands = _CandidateBuffer(rows, limit, fold)
     return state
 
 
@@ -402,8 +395,8 @@ def run_detector(
     DETECTORS says for the kind.  A non-finite statistic aborts the run with
     a NumericError.
     """
-    state, strict = _start(kind, window, model, horizon, threshold, None)
-    it = _iter_samples(path_or_stream)
+    state, spec = _start(kind, window, model, horizon, threshold, None)
+    it = iter(getattr(path_or_stream, "samples", path_or_stream))
     for t in range(1, horizon + 1):
         try:
             x = float(next(it))
@@ -412,7 +405,7 @@ def run_detector(
         stat = _step(state, x, model)
         if not stat < math.inf:
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat} (x={x})")
-        if stat > threshold or (not strict and stat == threshold):
+        if spec.crossed(stat, threshold):
             return StopResult(stopped=True, tau=t, censored_at=None)
     return StopResult(stopped=False, tau=None, censored_at=horizon)
 
@@ -438,7 +431,7 @@ def run_detector_batch(
     checks are run_detector's, applied to live runs only; when several runs
     fail, the error names the earliest failing step.
     """
-    state, strict = _start(kind, window, model, horizon, threshold, len(streams))
+    state, spec = _start(kind, window, model, horizon, threshold, len(streams))
     taus = np.zeros(len(streams), dtype=np.int64)
     live = np.arange(len(streams))
     block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
@@ -465,15 +458,15 @@ def run_detector_batch(
         if not top < math.inf:
             r = int(np.argmax(~(stat < math.inf)))
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
-        if top > threshold or (not strict and top == threshold):
-            crossed = stat > threshold if strict else stat >= threshold
+        if spec.crossed(top, threshold):
+            crossed = spec.crossed(stat, threshold)
             taus[live[crossed]] = t
             keep = ~crossed
             live = live[keep]
             if live.size == 0:
                 break
             at = at[keep]
-            state._keep_rows(keep)
+            state._cands.keep_rows(keep)
     return [
         StopResult(stopped=True, tau=int(t), censored_at=None)
         if t

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for SVG text (ampersands first).  xml.sax.saxutils
+    does the same, but importing it loads urllib, http and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:

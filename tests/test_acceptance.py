@@ -21,7 +21,6 @@ from excusum import (
     cusum_step,
     estimate_arl2fa,
     estimate_cadd,
-    ex_cusum_brute_all,
     ex_cusum_step,
     fourth_moment_check,
     gaussian_model,
@@ -31,6 +30,7 @@ from excusum import (
     statistic_trace,
     sum_dominance_check,
 )
+from excusum.detectors import ex_cusum_brute_all
 from excusum.process import derive_seed
 
 I_ARCTAN = math.pi**2 / 8

@@ -248,6 +248,58 @@ def test_demo_no_change_variant_stays_quiet():
     assert quiet_at_end >= 0.95 * runs
 
 
+@pytest.mark.filterwarnings("ignore:schedule is identically zero")
+@pytest.mark.parametrize("kind, tau", [("cusum", "1"), ("ex-cusum", ""), ("sr", "2")])
+def test_demo_and_simulate_stop_by_the_kinds_crossing_rule(tmp_path, capsys, kind, tau):
+    # on the zero schedule every path gives W_n = 0 (CUSUM and ex-cusum) and
+    # log R_n = log n (SR), so at threshold 0 the classic CUSUM's weak rule
+    # stops at once, ex-cusum's strict rule never stops, and SR stops at 2
+    obj = base_config(tmp_path / "out", nu=1, horizon=20, trials=3)
+    obj["model"]["schedule"] = {"kind": "constant", "mu": 0.0}
+    obj["detector"] = {"detector": kind, "threshold": 0.0}
+    cfg = write_config(tmp_path, obj)
+    assert main(["demo", "--config", cfg]) == 0
+    assert f" tau={tau or 'censored'} " in capsys.readouterr().out
+    assert main(["simulate", "--config", cfg]) == 0
+    trial0 = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()[1].split(",")
+    assert trial0[:3] == ["0", tau, "" if tau else "20"]
+
+
+def test_line_chart_escapes_markup_in_every_label():
+    from excusum.svgplot import line_chart
+
+    svg = line_chart(
+        [("a<b", [1, 2], [0.0, 1.0])],
+        title="x & y",
+        xlabel="n<m",
+        ylabel="w>0",
+        hlines=[("A & <B>", 0.5)],
+        vlines=[("nu > 1", 1.5)],
+    )
+    texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    for label in ("a<b", "x & y", "n<m", "w>0", "A & <B>", "nu > 1"):
+        assert label in texts
+    assert "&amp; &lt;B&gt;" in svg and "a&lt;b" in svg
+
+
+def test_importing_the_cli_loads_no_network_or_email_modules():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, excusum.cli; "
+        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

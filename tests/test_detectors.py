@@ -16,8 +16,6 @@ from excusum import (
     NumericError,
     SrState,
     cusum_step,
-    ex_cusum_brute,
-    ex_cusum_brute_all,
     ex_cusum_step,
     gaussian_model,
     generate_path,
@@ -28,6 +26,7 @@ from excusum import (
     statistic_trace,
 )
 from excusum import detectors
+from excusum.detectors import ex_cusum_brute, ex_cusum_brute_all
 from excusum.process import NO_CHANGE, derive_seed
 
 from conftest import constant_model
@@ -275,7 +274,8 @@ def sr_oracle(samples, model):
 def test_folded_traces_match_the_public_states(name):
     # statistic_trace folds at the saturation index; the public states never do
     model = gaussian_model(SATURATING[name])
-    assert detectors._make_state("sr", None, model)._cands.fold == SATURATING[name].saturation_index()
+    cands = detectors._make_state("sr", None, model)._cands
+    assert cands.fold and cands.limit == SATURATING[name].saturation_index() + 1
     xs = generate_path(model, ChangeSpec(nu=2500, horizon=5000, seed=79)).samples
     for kind, state, step, value in (
         ("ex-cusum", ExCusumState(), ex_cusum_step, "statistic"),
