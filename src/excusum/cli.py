@@ -192,6 +192,7 @@ def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
             cfg.run.seed,
             detector=cfg.detector.kind,
             arl_trials=cfg.tradeoff.arl_trials,
+            window=cfg.detector.window,
         )
     except EstimationError as exc:
         print(f"tradeoff: FAIL {exc}", file=sys.stderr)
@@ -199,6 +200,17 @@ def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
     out = _outdir(cfg)
     csv_rows = [(r.gamma, r.threshold, r.arl.lcb95, r.cadd.mean_delay, r.bound) for r in rows]
     _write_table(out, "tradeoff", ["gamma", "A", "arl_lcb", "cadd", "bound"], csv_rows, json_too)
+    thresholds = [r.threshold for r in rows]
+    svg = line_chart(
+        [
+            ("mean delay", thresholds, [r.cadd.mean_delay for r in rows]),
+            ("log(gamma)/I floor", thresholds, [r.bound for r in rows]),
+        ],
+        title="detection delay vs threshold",
+        xlabel="threshold A = log(gamma)",
+        ylabel="steps after the change",
+    )
+    (out / "tradeoff.svg").write_text(svg, encoding="utf-8")
     ok = all(r.arl.lcb95 >= r.gamma for r in rows)
     worst = min(r.arl.lcb95 / r.gamma for r in rows)
     print(
@@ -229,9 +241,10 @@ def cmd_simulate(cfg: ExperimentConfig, json_too: bool) -> int:
     header = ["trial", "tau", "censored_at", "false_alarm", "delay"]
     _write_table(out, "outcomes", header, rows, json_too)
     stopped = sum(o.tau is not None for o in outcomes)
+    false_alarms = sum(o.false_alarm for o in outcomes)
     print(
         f"simulate: PASS trials={len(outcomes)} stopped={stopped} "
-        f"censored={len(outcomes) - stopped} -> {out}/outcomes.csv"
+        f"censored={len(outcomes) - stopped} false_alarms={false_alarms} -> {out}/outcomes.csv"
     )
     return 0
 

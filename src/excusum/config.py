@@ -53,17 +53,6 @@ def _integer(obj: dict, path: str, key: str, *, minimum: int | None = None) -> i
     return v
 
 
-#: the fields each schedule kind takes: its params, and whether it takes mu
-#: (its limit) and a table
-_SCHEDULE_FIELDS = {
-    "constant": ((), True, False),
-    "arctangent": ((), False, False),
-    "linear-saturating": (("slope",), True, False),
-    "geometric-approach": (("ratio",), True, False),
-    "explicit-table": ((), False, True),
-}
-
-
 def _schedule(obj: dict, path: str) -> MeanSchedule:
     _require_keys(obj, path, {"kind"}, {"mu", "params", "table"})
     kind = obj["kind"]
@@ -78,7 +67,7 @@ def _schedule(obj: dict, path: str) -> MeanSchedule:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in table
         ):
             raise ConfigError(f"{path}.table", "expected a non-empty list of numbers")
-    names, has_mu, has_table = _SCHEDULE_FIELDS[kind]
+    names, has_mu, has_table = SCHEDULE_KINDS[kind]
     if has_mu != ("mu" in obj):
         raise ConfigError(f"{path}.mu", "required for this kind" if has_mu else "not allowed for this kind")
     if has_table != ("table" in obj):
@@ -99,7 +88,6 @@ def _schedule(obj: dict, path: str) -> MeanSchedule:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    family: str
     schedule: MeanSchedule
 
     @classmethod
@@ -107,7 +95,7 @@ class ModelConfig:
         _require_keys(obj, path, {"family", "schedule"})
         if obj["family"] != "gaussian":
             raise ConfigError(f"{path}.family", f"only 'gaussian' is built in, got {obj['family']!r}")
-        return cls(family="gaussian", schedule=_schedule(obj["schedule"], f"{path}.schedule"))
+        return cls(schedule=_schedule(obj["schedule"], f"{path}.schedule"))
 
     def build(self) -> GaussianModel:
         return gaussian_model(self.schedule)

@@ -286,10 +286,16 @@ def worst_case_delay_scan(
 ) -> DelayScan:
     """Estimate the conditional delay at every nu in the grid and report the max.
 
-    A nu with no accepted runs is flagged in its cell rather than silently
-    dropped; the scan fails only if every cell fails.  An information number
-    that is not positive gives no delay horizon, which fails the scan before
-    any run.
+    The max estimates Lorden's worst-case delay (Lorden 1971, Ann. Math.
+    Statist. 42(6)) on a finite nu grid, averaging over pre-change histories
+    where Lorden takes their essential supremum.  A nu with no accepted runs
+    is flagged in its cell rather than silently dropped; the scan fails only
+    if every cell fails.  An information number that is not positive gives
+    no delay horizon, which fails the scan before any run.
+
+    It is library-only: each cell is what ``excusum cadd`` estimates on a
+    config whose run.nu is that nu, so a command would only add a nu-grid
+    field to the config schema.
     """
     if not nu_grid:
         raise ValueError("nu_grid must be nonempty")
@@ -339,6 +345,7 @@ def tradeoff_curve(
     detector: str = "ex-cusum",
     arl_trials: int | None = None,
     info: float | None = None,
+    window: int | None = None,
 ) -> list[TradeoffRow]:
     """Estimate both sides of the tradeoff at threshold log(gamma) per gamma.
 
@@ -363,6 +370,7 @@ def tradeoff_curve(
             arl_trials or trials,
             horizon,
             derive_seed(seed, 2 * j),
+            window=window,
         )
         cadd = estimate_cadd(
             model,
@@ -372,6 +380,7 @@ def tradeoff_curve(
             trials=trials,
             seed=derive_seed(seed, 2 * j + 1),
             horizon=cadd_horizons[j],
+            window=window,
         )
         rows.append(
             TradeoffRow(

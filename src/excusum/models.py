@@ -38,19 +38,24 @@ from .numerics import NumericError, adaptive_trapezoid
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-SCHEDULE_KINDS = (
-    "constant",
-    "arctangent",
-    "linear-saturating",
-    "geometric-approach",
-    "explicit-table",
-)
+#: the fields each schedule kind takes: the names of its params, whether its
+#: config gives mu (the limit), and whether it takes a table
+SCHEDULE_KINDS = {
+    "constant": ((), True, False),
+    "arctangent": ((), False, False),
+    "linear-saturating": (("slope",), True, False),
+    "geometric-approach": (("ratio",), True, False),
+    "explicit-table": ((), False, True),
+}
 
 #: half-width of the finite integration window, in pre-change standard
 #: deviations, used to truncate Gaussian-like tails for quadrature
 TAIL_HALFWIDTH = 10.0
 
 MLR_TOLERANCE = 1e-12
+
+#: quadrature error allowed in verify_stochastic_dominance's tail comparison
+DOMINANCE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,29 +84,27 @@ class MeanSchedule:
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
+            raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {list(SCHEDULE_KINDS)}")
+        names, _, has_table = SCHEDULE_KINDS[self.kind]
         if not (math.isfinite(self.limit_mu) and self.limit_mu >= 0.0):
             raise ValueError(f"limit_mu must be finite and >= 0, got {self.limit_mu}")
+        if len(self.params) != len(names):
+            raise ValueError(f"{self.kind} schedule needs params={names}, got {self.params}")
+        if not has_table and self.table is not None:
+            raise ValueError(f"{self.kind} schedule does not take a table")
+        if has_table and not self.table:
+            raise ValueError(f"{self.kind} schedule needs a non-empty table")
         if self.kind == "arctangent" and self.limit_mu != math.pi / 2.0:
             raise ValueError(f"limit_mu of an arctangent schedule is pi/2, got {self.limit_mu}")
-        if self.kind == "explicit-table":
-            if not self.table:
-                raise ValueError("explicit-table schedule needs a non-empty table")
-            vals = self.table
-            if any(not math.isfinite(v) or v < 0.0 for v in vals):
+        if has_table:
+            if any(not math.isfinite(v) or v < 0.0 for v in self.table):
                 raise ValueError("table values must be finite and >= 0")
-            if vals[-1] != self.limit_mu:
+            if self.table[-1] != self.limit_mu:
                 raise ValueError("limit_mu of a table schedule is its last entry")
-        elif self.table is not None:
-            raise ValueError(f"{self.kind} schedule does not take a table")
-        if self.kind == "linear-saturating":
-            if len(self.params) != 1 or not 0.0 < self.params[0] < math.inf:
-                raise ValueError("linear-saturating needs params=(slope,) with finite slope > 0")
-        elif self.kind == "geometric-approach":
-            if len(self.params) != 1 or not (0.0 < self.params[0] < 1.0):
-                raise ValueError("geometric-approach needs params=(ratio,) with 0 < ratio < 1")
-        elif self.params:
-            raise ValueError(f"{self.kind} schedule takes no params")
+        if self.kind == "linear-saturating" and not 0.0 < self.params[0] < math.inf:
+            raise ValueError("linear-saturating needs params=(slope,) with finite slope > 0")
+        if self.kind == "geometric-approach" and not 0.0 < self.params[0] < 1.0:
+            raise ValueError("geometric-approach needs params=(ratio,) with 0 < ratio < 1")
 
     # -- constructors ------------------------------------------------------
 
@@ -454,13 +457,11 @@ def _right_tails(log_density, grid: np.ndarray, hi: float, points: int) -> np.nd
     return tails[np.searchsorted(fine, grid)]
 
 
-def verify_stochastic_dominance(
-    model: DensityModel, n: int, grid, *, points: int = 4001, slack: float = 1e-9
-) -> bool:
+def verify_stochastic_dominance(model: DensityModel, n: int, grid, *, points: int = 4001) -> bool:
     """Check P(f_n > x) <= P(f_{n+1} > x) at every grid point (n = -1: g vs f_0).
 
     Tail masses are computed by quadrature on a shared fine grid, so when the
-    MLR check passes this check passes as well up to the stated slack.
+    MLR check passes this check passes as well up to DOMINANCE_SLACK.
     """
     g = _validate_grid(model, grid)
     lower, upper = _pair_log_densities(model, n)
@@ -468,7 +469,7 @@ def verify_stochastic_dominance(
     hi = max(hi, float(g[-1]))
     tails_lower = _right_tails(lower, g, hi, points)
     tails_upper = _right_tails(upper, g, hi, points)
-    return bool(np.all(tails_lower <= tails_upper + slack))
+    return bool(np.all(tails_lower <= tails_upper + DOMINANCE_SLACK))
 
 
 def sample_pre(model: DensityModel, rng: np.random.Generator, size=None):

@@ -10,6 +10,9 @@ import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+#: points of adaptive_trapezoid's first grid
+TRAPEZOID_START_POINTS = 1025
+
 
 class NumericError(RuntimeError):
     """A numerical routine failed (non-convergence, non-finite statistic)."""
@@ -21,19 +24,18 @@ def adaptive_trapezoid(
     hi: float,
     *,
     tol: float = 1e-10,
-    start_points: int = 1025,
     max_refinements: int = 16,
 ) -> float:
     """Integrate ``fn`` over [lo, hi] by composite trapezoid with grid doubling.
 
-    The grid is refined (points roughly doubled) until two successive
-    estimates differ by less than ``tol``.  Raises NumericError with the last
-    residual if the budget of refinements is exhausted.  ``fn`` must accept a
-    full grid as an ndarray.
+    The grid starts at TRAPEZOID_START_POINTS points and is refined (points
+    roughly doubled) until two successive estimates differ by less than
+    ``tol``.  Raises NumericError with the last residual if the budget of
+    refinements is exhausted.  ``fn`` must accept a full grid as an ndarray.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"integration window must be finite with lo < hi, got ({lo}, {hi})")
-    pts = int(start_points)
+    pts = TRAPEZOID_START_POINTS
     prev: float | None = None
     residual = np.inf
     for _ in range(max_refinements):

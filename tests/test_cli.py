@@ -370,6 +370,58 @@ def test_tradeoff_command(tmp_path, capsys):
         assert bound == pytest.approx(a / (math.pi**2 / 8), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_tradeoff_honours_the_detector_window(tmp_path):
+    from excusum.process import derive_seed
+
+    obj = base_config(tmp_path / "plain", trials=60)
+    obj["tradeoff"] = {"gammas": [7.4, 20.0], "arl_trials": 40}
+    assert main(["tradeoff", "--config", write_config(tmp_path, obj)]) == 0
+    plain = (tmp_path / "plain" / "tradeoff.csv").read_bytes()
+    # a window of 5 still detects at these thresholds but moves both columns
+    obj["detector"]["window"] = 5
+    obj["output"]["directory"] = str(tmp_path / "windowed")
+    assert main(["tradeoff", "--config", write_config(tmp_path, obj)]) == 0
+    windowed = (tmp_path / "windowed" / "tradeoff.csv").read_bytes()
+    assert windowed != plain
+
+    model = ExperimentConfig.from_dict(obj).model.build()
+    info = math.pi**2 / 8
+    for j, line in enumerate(windowed.decode().strip().splitlines()[1:]):
+        gamma, a, arl_lcb, cadd, _ = map(float, line.split(","))
+        arl = metrics.estimate_arl2fa(model, "ex-cusum", a, 40, int(20 * gamma), derive_seed(7, 2 * j), window=5)
+        delay = metrics.estimate_cadd(
+            model,
+            "ex-cusum",
+            a,
+            1,
+            60,
+            derive_seed(7, 2 * j + 1),
+            horizon=metrics.default_delay_horizon(1, a, info),
+            window=5,
+        )
+        assert (arl_lcb, cadd) == (arl.lcb95, delay.mean_delay)
+
+
+def test_every_shipped_config_loads_and_runs(tmp_path):
+    from pathlib import Path
+
+    shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert {p.name for p in shipped} >= {"demo.json", "false_alarm.json", "tradeoff.json"}
+    for path in shipped:
+        ExperimentConfig.from_file(path)
+    obj = json.loads(next(p for p in shipped if p.name == "tradeoff.json").read_text())
+    obj["run"]["trials"] = 40
+    obj["tradeoff"]["arl_trials"] = 20
+    obj["output"]["directory"] = str(tmp_path / "out")
+    assert main(["tradeoff", "--config", write_config(tmp_path, obj)]) == 0
+    lines = (tmp_path / "out" / "tradeoff.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + len(obj["tradeoff"]["gammas"])
+    root = ET.fromstring((tmp_path / "out" / "tradeoff.svg").read_text())
+    texts = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"mean delay", "log(gamma)/I floor"} <= texts
+
+
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
 @pytest.mark.parametrize(
     "schedule",
@@ -403,6 +455,7 @@ def test_simulate_command(tmp_path, capsys):
             assert int(tau) >= 80 and int(delay) == int(tau) - 80
     # the occasional pre-change false alarm is expected; detections dominate
     assert detections >= 20
+    assert f" false_alarms={25 - detections} -> " in capsys.readouterr().out
 
 
 def test_chunk_size_does_not_change_simulate_output(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from excusum import (
     verify_mlr,
     verify_stochastic_dominance,
 )
-from excusum.models import LOG_2PI
+from excusum.models import LOG_2PI, SCHEDULE_KINDS
 from excusum.numerics import adaptive_trapezoid
 
 from conftest import constant_model, generic_gaussian_model
@@ -404,6 +404,16 @@ def test_schedule_validation_errors():
         MeanSchedule(kind="bogus", limit_mu=1.0)
     with pytest.raises(ValueError, match="pi/2"):
         MeanSchedule(kind="arctangent", limit_mu=5.0)  # mu_n still tends to pi/2
+
+
+def test_schedules_take_the_params_and_table_their_kind_lists():
+    for kind, (names, _, has_table) in SCHEDULE_KINDS.items():
+        limit = math.pi / 2.0 if kind == "arctangent" else 1.0
+        table = (1.0,) if has_table else None
+        with pytest.raises(ValueError, match="params"):
+            MeanSchedule(kind=kind, limit_mu=limit, params=(0.5,) * (len(names) + 1), table=table)
+        with pytest.raises(ValueError, match="table"):
+            MeanSchedule(kind=kind, limit_mu=limit, params=(0.5,) * len(names), table=None if has_table else (1.0,))
 
 
 @pytest.mark.parametrize(
