@@ -77,8 +77,8 @@ def cmd_demo(cfg: ExperimentConfig, json_too: bool) -> int:
     trace = statistic_trace(cfg.detector.kind, model, path, window=cfg.detector.window)
     out = _outdir(cfg)
     ns = list(range(1, run.horizon + 1))
-    write_csv(out / "demo_path.csv", ["n", "x_n"], list(zip(ns, path.samples.tolist())))
-    write_csv(out / "demo_stat.csv", ["n", "W_n"], list(zip(ns, trace.tolist())))
+    _write_table(out, "demo_path", ["n", "x_n"], list(zip(ns, path.samples.tolist())), json_too)
+    _write_table(out, "demo_stat", ["n", "W_n"], list(zip(ns, trace.tolist())), json_too)
     vlines = [] if spec.no_change else [("change point", float(run.nu))]
     svg = line_chart(
         [("detector statistic", ns, trace)],
@@ -104,11 +104,8 @@ def cmd_verify(cfg: ExperimentConfig, json_too: bool) -> int:
     report = conditions.full_condition_report(model, budgets)
     out = _outdir(cfg)
     write_json(out / "report.json", report.to_dict())
-    write_csv(
-        out / "conditions_trace.csv",
-        ["n", "cesaro_avg", "moment_est", "slln_q95"],
-        report.trace_rows(),
-    )
+    header = ["n", "cesaro_avg", "moment_est", "slln_q95"]
+    _write_table(out, "conditions_trace", header, report.trace_rows(), json_too)
     failing = [name for name, ok in report.verdicts.items() if not ok]
     status = "PASS" if report.passed else "FAIL"
     detail = f"I={report.information_number_I:.6g}"
@@ -215,7 +212,7 @@ def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
     worst = min(r.arl.lcb95 / r.gamma for r in rows)
     print(
         f"tradeoff: {'PASS' if ok else 'FAIL'} {len(rows)} gamma(s), min arl_lcb/gamma={worst:.3f} "
-        f"-> {out}/tradeoff.csv"
+        f"-> {out}/tradeoff.csv, tradeoff.svg"
     )
     return 0 if ok else 1
 

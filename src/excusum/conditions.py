@@ -112,7 +112,7 @@ class MomentCheck:
     ks: tuple[int, ...]
     estimates: np.ndarray
     stderrs: np.ndarray
-    closed_forms: np.ndarray | None
+    closed_forms: np.ndarray
     bound: float
     trials: int
     passed: bool
@@ -125,29 +125,26 @@ def fourth_moment_check(
     seed: int = 0,
     *,
     ks: tuple[int, ...] | None = None,
-    bound: float | None = None,
 ) -> MomentCheck:
     """Monte Carlo centered fourth moment of llr(k-1, X_k) with X_k ~ f_{k-1}.
 
     Centering uses the exact KL mean.  Passes when every estimate is at most
-    the bound plus three standard errors.  For the Gaussian family the bound
-    defaults to 3 * limit_mu**4 and the exact values 3 * mu_{k-1}**4 are
-    reported alongside.
+    the bound 3 * limit_mu**4 plus three standard errors; the exact values
+    3 * mu_{k-1}**4 are reported alongside.  Gaussian family only: the bound
+    is its closed form.
     """
+    if not isinstance(model, GaussianModel):
+        raise ValueError("the fourth-moment check needs the Gaussian family, whose bound is 3 * limit_mu**4")
     if ks is None:
         if n_max is None:
             raise ValueError("give either n_max or an explicit ks grid")
         ks = tuple(int(v) for v in np.unique(np.geomspace(1, n_max, 8).astype(np.int64)))
     if any(k < 1 for k in ks):
         raise ValueError("moment check indices k must be >= 1")
-    if bound is None:
-        if isinstance(model, GaussianModel):
-            bound = 3.0 * model.schedule.limit_mu ** 4
-        else:
-            raise ValueError("no default fourth-moment bound for this model; pass bound=")
+    bound = 3.0 * model.schedule.limit_mu ** 4
     estimates = np.empty(len(ks))
     stderrs = np.empty(len(ks))
-    closed = np.empty(len(ks)) if isinstance(model, GaussianModel) else None
+    closed = np.empty(len(ks))
     for j, k in enumerate(ks):
         rng = np.random.default_rng(derive_seed(seed, k))
         x = np.asarray(sample_post(model, k - 1, rng, size=trials))
@@ -156,15 +153,14 @@ def fourth_moment_check(
         fourth = (z - center) ** 4
         estimates[j] = fourth.mean()
         stderrs[j] = fourth.std(ddof=1) / math.sqrt(trials)
-        if closed is not None:
-            closed[j] = 3.0 * model.schedule.mu(k - 1) ** 4
+        closed[j] = 3.0 * model.schedule.mu(k - 1) ** 4
     passed = bool(np.all(estimates <= bound + 3.0 * stderrs))
     return MomentCheck(
         ks=tuple(ks),
         estimates=estimates,
         stderrs=stderrs,
         closed_forms=closed,
-        bound=float(bound),
+        bound=bound,
         trials=trials,
         passed=passed,
     )
@@ -189,7 +185,6 @@ def slln_empirical(
     seed: int = 0,
     *,
     grid: tuple[int, ...] | None = None,
-    info: float | None = None,
 ) -> SllnCheck:
     """Simulate change-at-1 paths and track |(1/m) sum llr(k-1, X_k) - I|.
 
@@ -203,8 +198,7 @@ def slln_empirical(
         grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
     if any(m < 1 or m > n for m in grid):
         raise ValueError("grid entries must lie in 1..n")
-    if info is None:
-        info = information_number(model) if isinstance(model, GaussianModel) else cesaro_kl_average(model, n).information_number
+    info = information_number(model) if isinstance(model, GaussianModel) else cesaro_kl_average(model, n).information_number
     ages = np.arange(n)
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))
@@ -355,11 +349,7 @@ class ConditionReport:
                         "k": int(k),
                         "estimate": float(e),
                         "stderr": float(s),
-                        **(
-                            {"closed_form": float(self.moment_check.closed_forms[j])}
-                            if self.moment_check.closed_forms is not None
-                            else {}
-                        ),
+                        "closed_form": float(self.moment_check.closed_forms[j]),
                     }
                     for j, (k, e, s) in enumerate(
                         zip(self.moment_check.ks, self.moment_check.estimates, self.moment_check.stderrs)

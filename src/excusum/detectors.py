@@ -14,7 +14,10 @@ Where the family saturates, f_j = f_L for every age j >= L (the model's
 saturation_index), all candidates of age >= L gain the same increment, so
 the states built for runs fold them into one tail and keep L + 1 sums: the
 tail is their max for the CUSUM statistic, exactly, and a shift with a
-scaled sum for SR, to rounding.  The classic CUSUM is this engine folded at
+scaled sum for SR, to rounding.  For the Gaussian family L is read off the
+schedule's cached means, the very values llr_prefix adds, and every
+built-in schedule but arctangent has one (geometric-approach from where
+1 - ratio**n rounds to 1).  The classic CUSUM is this engine folded at
 L = 0 on the age-0 ratio.  Only for families that never saturate does no
 constant-memory recursion exist; there an optional window caps the
 candidate count at the price of an uncharacterized approximation.  The

@@ -22,7 +22,9 @@ log-likelihood ratio has one hook, DensityModel.log_ratio and its prefix
 form llr_prefix (the detectors' hot path); the defaults subtract the log
 densities, and GaussianModel overrides both with the closed form.
 saturation_index tells the detectors from which age on that ratio stops
-changing (the schedule's, for the Gaussian family).
+changing: for the Gaussian family, the index from which the schedule's
+cached means equal its limit bit for bit, scanned in the same array
+llr_prefix reads, so folding there is exact.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ SCHEDULE_KINDS = {
 TAIL_HALFWIDTH = 10.0
 
 MLR_TOLERANCE = 1e-12
+
+#: most means MeanSchedule.saturation_index scans; a schedule that reaches its
+#: limit only past this many entries is treated as never reaching it
+SATURATION_SCAN_CAP = 2**20
 
 #: quadrature error allowed in verify_stochastic_dominance's tail comparison
 DOMINANCE_SLACK = 1e-9
@@ -181,28 +187,32 @@ class MeanSchedule:
         return self._grown(int(idx.max()) + 1 if idx.size else 1)[0][idx]
 
     def saturation_index(self) -> int | None:
-        """The first index L from which every mu_j equals the schedule's last
-        value bit for bit, or None for the kinds that only approach their limit
-        (arctangent, geometric-approach)."""
+        """The first index L from which every mu_j equals limit_mu bit for bit,
+        or None.  L is read off the cached means the detectors add: it starts
+        the trailing run of equal values in means(bound), where each kind's
+        bound over-estimates the index by which its values reach the limit.
+        None when the bound passes SATURATION_SCAN_CAP or the last scanned
+        value is not limit_mu, and for arctangent, which never reaches it."""
         if self.kind == "constant":
-            return 0
-        if self.kind == "linear-saturating":
-            slope, top = self.params[0], self.limit_mu
-            if not math.isfinite(top / slope):
-                return None
-            # slope * n rounds, so the first n with slope * n >= mu may sit
-            # one away from ceil(mu / slope); slope * n is monotone in n
-            n = math.ceil(top / slope)
-            while n > 0 and slope * (n - 1) >= top:
-                n -= 1
-            while slope * n < top:
-                n += 1
-            return n
-        if self.kind == "explicit-table":
-            bits = np.asarray(self.table, dtype=np.float64).view(np.uint64)
-            differ = np.flatnonzero(bits != bits[-1])
-            return int(differ[-1]) + 1 if differ.size else 0
-        return None
+            bound = 1.0
+        elif self.kind == "linear-saturating":
+            # slope * n rounds, so it may reach mu one step past ceil(mu / slope)
+            bound = np.ceil(self.limit_mu / self.params[0]) + 2.0
+        elif self.kind == "geometric-approach":
+            # ratio**n <= 2**-56 makes 1 - ratio**n round to 1.0
+            bound = np.ceil(56.0 / -math.log2(self.params[0])) + 2.0
+        elif self.kind == "explicit-table":
+            bound = float(len(self.table))
+        else:
+            return None
+        if not bound <= SATURATION_SCAN_CAP:
+            return None
+        vals = self.means(int(bound))
+        if vals[-1] != self.limit_mu:
+            return None
+        bits = vals.view(np.uint64)
+        differ = np.flatnonzero(bits != bits[-1])
+        return int(differ[-1]) + 1 if differ.size else 0
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -52,13 +52,9 @@ def adaptive_trapezoid(
     )
 
 
-def logsumexp(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
-    """log(sum(exp(values))) with the running-max shift; values must be nonempty.
-
-    ``scratch`` may supply a reusable buffer of at least values.size to avoid
-    temporaries on hot paths.
-    """
-    return float(logsumexp_rows(values, scratch))
+def logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))) with the running-max shift; values must be nonempty."""
+    return float(logsumexp_rows(values))
 
 
 def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None, tail_scale=None):

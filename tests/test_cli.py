@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from excusum import metrics
-from excusum.cli import main
+from excusum.cli import _fmt, main
 from excusum.config import ConfigError, ExperimentConfig, default_config
 from excusum.detectors import DETECTORS
 
@@ -318,6 +318,25 @@ def test_verify_passes_for_arctan_and_writes_report(tmp_path, capsys):
     assert trace[0] == "n,cesaro_avg,moment_est,slln_q95"
 
 
+@pytest.mark.parametrize(
+    "command, stems",
+    [("demo", ["demo_path", "demo_stat"]), ("verify", ["conditions_trace"])],
+)
+def test_json_format_mirrors_every_table(tmp_path, command, stems):
+    cfg = write_config(tmp_path, base_config(tmp_path / "csv"))
+    assert main([command, "--config", cfg]) == 0
+    assert main([command, "--config", cfg, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+    plain = {f.name: f.read_bytes() for f in (tmp_path / "csv").iterdir()}
+    both = {f.name: f.read_bytes() for f in (tmp_path / "json").iterdir()}
+    # the CSV, SVG and report bytes stay; the only new files are the mirrors
+    assert set(both) == set(plain) | {f"{stem}.json" for stem in stems}
+    assert all(both[name] == data for name, data in plain.items())
+    for stem in stems:
+        header, *lines = plain[f"{stem}.csv"].decode().strip().splitlines()
+        objs = json.loads(both[f"{stem}.json"])
+        assert [",".join(_fmt(obj[h]) for h in header.split(",")) for obj in objs] == lines
+
+
 def test_verify_fails_for_decreasing_table(tmp_path, capsys):
     obj = base_config(tmp_path / "out")
     obj["model"]["schedule"] = {"kind": "explicit-table", "table": [1.5, 1.0, 0.4]}
@@ -361,6 +380,7 @@ def test_tradeoff_command(tmp_path, capsys):
     obj["tradeoff"] = {"gammas": [math.e**2, math.e**3], "arl_trials": 150}
     cfg = write_config(tmp_path, obj)
     assert main(["tradeoff", "--config", cfg]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("/tradeoff.csv, tradeoff.svg")
     lines = (tmp_path / "out" / "tradeoff.csv").read_text().strip().splitlines()
     assert lines[0] == "gamma,A,arl_lcb,cadd,bound"
     assert len(lines) == 3

@@ -20,7 +20,7 @@ from excusum import (
 )
 from excusum.conditions import dkw_slack
 
-from conftest import constant_model
+from conftest import constant_model, generic_gaussian_model
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -103,6 +103,12 @@ def test_fourth_moment_check_requires_grid_or_nmax(arctan_model):
         fourth_moment_check(arctan_model)
     got = fourth_moment_check(arctan_model, n_max=64, trials=2_000, seed=1)
     assert got.ks[0] == 1 and got.ks[-1] == 64
+
+
+def test_fourth_moment_check_names_the_gaussian_bound_for_other_models():
+    with pytest.raises(ValueError, match="Gaussian family") as err:
+        fourth_moment_check(generic_gaussian_model(MeanSchedule.arctangent()), ks=(1,))
+    assert "bound=" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,7 @@ SATURATING = {
     "linear": MeanSchedule.linear_saturating(0.1, 1.0),
     "constant": MeanSchedule.constant(0.6),
     "table": MeanSchedule.from_table([0.2, 0.5, 1.0, 1.0]),
+    "geometric": MeanSchedule.geometric_approach(1.3, 0.9),
 }
 
 

@@ -21,7 +21,7 @@ from excusum import (
     verify_mlr,
     verify_stochastic_dominance,
 )
-from excusum.models import LOG_2PI, SCHEDULE_KINDS
+from excusum.models import LOG_2PI, SATURATION_SCAN_CAP, SCHEDULE_KINDS
 from excusum.numerics import adaptive_trapezoid
 
 from conftest import constant_model, generic_gaussian_model
@@ -425,12 +425,18 @@ def test_schedules_take_the_params_and_table_their_kind_lists():
         (MeanSchedule.linear_saturating(0.3, 2.1), 7),  # 2.1 / 0.3 rounds above 7
         (MeanSchedule.from_table([0.2, 0.5, 1.0, 1.0]), 2),
         (MeanSchedule.arctangent(), None),
-        (MeanSchedule.geometric_approach(1.0, 0.5), None),
+        (MeanSchedule.geometric_approach(1.0, 0.5), 54),  # 1 - 0.5**54 rounds to 1.0
+        (MeanSchedule.geometric_approach(1.3, 0.9), 356),
+        (MeanSchedule.linear_saturating(1e-9, 1.0), None),  # limit reached past the scan cap
     ],
-    ids=["constant", "linear-0.1", "linear-0.3-low", "linear-0.3-high", "table", "arctangent", "geometric"],
+    ids=[
+        "constant", "linear-0.1", "linear-0.3-low", "linear-0.3-high", "table", "arctangent", "geometric",
+        "geometric-0.9", "linear-over-cap",
+    ],
 )
 def test_saturation_index_is_where_the_means_stop_changing(schedule, index):
     assert schedule.saturation_index() == index
+    assert schedule._grown(0)[0].size <= SATURATION_SCAN_CAP
     assert gaussian_model(schedule).saturation_index() == index
     if index is not None:
         mus = schedule.means(index + 5000)
