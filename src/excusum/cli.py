@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,7 +286,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](cfg, args.format == "json")
+    # one line per warning, so stderr names no path or source line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _COMMANDS[args.command](cfg, args.format == "json")
+        finally:
+            for w in caught:
+                print(f"{args.command}: warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

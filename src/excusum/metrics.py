@@ -41,9 +41,9 @@ Z95 = 1.6448536269514722
 
 #: float64 elements a lockstep chunk holds (2 MiB); a chunk runs
 #: max(1, _CHUNK_ELEMENTS // per_trial) trials, where per_trial is what one
-#: live trial holds: its sample block (at most min(horizon, process._CHUNK)
-#: values) and its candidate sums, horizon when those are unbounded and at
-#: most min(horizon, process._CHUNK + retained columns) with a fold or window
+#: live trial holds.  With a fold or window that is one sample block plus its
+#: retained columns, min(horizon, process._CHUNK + retained); an unbounded
+#: trial is counted at horizon alone, the length its candidate sums reach
 _CHUNK_ELEMENTS = 2**18
 
 #: caps for the default horizons: false-alarm runs 20 * exp(A) capped at 1e7

@@ -309,7 +309,11 @@ def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
         return rng.normal(0.0, 1.0, size)
 
     def draw_post(n, rng, size=None):
-        return rng.normal(schedule.at(n), 1.0, size)
+        # rng.normal(mu, 1.0, size) bit for bit, without its broadcast path
+        mu = schedule.at(n)
+        z = rng.standard_normal(np.shape(mu) if size is None else size)
+        z += mu
+        return z
 
     def window(n=None):
         hi_mean = 0.0 if n is None or n < 0 else schedule.mu(n)

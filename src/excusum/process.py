@@ -21,7 +21,10 @@ from .models import DensityModel, sample_post, sample_pre
 #: that false-alarm runs cannot be confused with large-nu runs
 NO_CHANGE = math.inf
 
-_CHUNK = 8192
+#: the block length of every path generator.  Draws do not depend on it, so
+#: it only trades per-block overhead against memory; a folded lockstep trial
+#: holds one block plus its retained columns, so it also sizes those chunks
+_CHUNK = 256
 
 
 def derive_seed(base_seed: int, index: int) -> int:

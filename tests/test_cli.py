@@ -365,6 +365,16 @@ def test_arl_command_writes_row_and_verdict(tmp_path, capsys):
     assert vals["trials"] == "300"
 
 
+def test_arl_prints_a_short_horizon_warning_as_one_line(tmp_path, capsys):
+    # no path or source line, so stderr does not depend on the checkout
+    obj = base_config(tmp_path / "out", nu="inf", horizon=50, trials=5)
+    assert main(["arl", "--config", write_config(tmp_path, obj)]) == 1
+    assert capsys.readouterr().err == (
+        "arl: warning: horizon 50 is below 10*exp(threshold) ~ 1e+04; "
+        "heavy censoring will depress the ARL estimate\n"
+    )
+
+
 def test_cadd_command(tmp_path, capsys):
     obj = base_config(tmp_path / "out", nu=1, trials=200)
     cfg = write_config(tmp_path, obj)

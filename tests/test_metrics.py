@@ -117,7 +117,7 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
     for kind, model, window, horizon, chunk in (
         ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload
         ("ex-cusum", arctan, None, 2000, 131),  # false-alarm
-        ("sr", saturating, None, 6000, 43),  # sr-saturating
+        ("sr", saturating, None, 6000, 2**18 // (process._CHUNK + 11)),  # sr-saturating
         ("ex-cusum", arctan, None, 200_000, 1),  # sums grow with the horizon
         ("ex-cusum", saturating, None, 200_000, 2**18 // (process._CHUNK + 11)),
         ("cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + 1)),
@@ -145,8 +145,8 @@ def test_lockstep_trials_run_past_one_sample_block():
     horizon = process._CHUNK + 500
     taus = []
     for kind, window, model, threshold in (
-        ("cusum", None, constant_model(0.5), 7.0),
-        ("ex-cusum", 3, gaussian_model(MeanSchedule.arctangent()), 4.2),
+        ("cusum", None, constant_model(0.5), 5.0),
+        ("ex-cusum", 3, gaussian_model(MeanSchedule.arctangent()), 3.0),
     ):
         want = per_trial_outcomes(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window)
         assert any(o.kind == "censored" for o in want)

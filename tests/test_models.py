@@ -328,6 +328,37 @@ def test_zero_mean_post_change_matches_pre_change_in_distribution():
     assert abs(pre.mean() - post.mean()) < 0.02
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        MeanSchedule.arctangent(),
+        MeanSchedule.linear_saturating(0.1, 1.0),
+        MeanSchedule.geometric_approach(1.3, 0.9),
+        MeanSchedule.from_table([0.2, 0.9, 0.4, 1.5]),
+    ],
+    ids=lambda s: s.kind,
+)
+@pytest.mark.parametrize(
+    "n, size",
+    [
+        (5, 1000),  # the fourth-moment check: one age, many draws
+        (5, None),
+        (np.arange(40, 340), None),  # a path block or one SLLN trial
+        (np.broadcast_to(np.arange(21), (50, 21)), None),  # the dominance check's age grid
+    ],
+    ids=["scalar-sized", "scalar", "index-array", "broadcast-grid"],
+)
+def test_gaussian_post_draws_equal_rng_normal(schedule, n, size):
+    # the Gaussian sampler skips rng.normal's broadcast path; every seeded
+    # output rests on it giving the same values and leaving the same state
+    got_rng, want_rng = np.random.default_rng(31), np.random.default_rng(31)
+    got = gaussian_model(schedule).sampler_post(n, got_rng, size)
+    want = want_rng.normal(schedule.at(n), 1.0, size)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_sample_post_rejects_negative_index(arctan_model):
     with pytest.raises(ValueError):
         sample_post(arctan_model, -2, np.random.default_rng(0))
