@@ -20,6 +20,7 @@ from . import conditions, metrics
 from .config import ConfigError, ExperimentConfig, default_config
 from .detectors import DETECTORS, statistic_trace
 from .metrics import EstimationError
+from .models import GaussianModel
 from .process import ChangeSpec, generate_path
 from .svgplot import line_chart
 
@@ -42,16 +43,16 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_table(out: Path, stem: str, header: list[str], rows: list[tuple] | tuple, json_too: bool) -> None:
-    """Write the table ``stem``.csv and, with ``json_too``, its mirror
-    ``stem``.json.  ``rows`` is a list of row tuples, mirrored as a list of
-    objects, or a single row tuple, mirrored as one object."""
+def _write_table(path: Path, header: list[str], rows: list[tuple] | tuple, json_too: bool) -> None:
+    """Write the CSV table ``path`` and, with ``json_too``, its mirror next to
+    it with a ``.json`` suffix.  ``rows`` is a list of row tuples, mirrored as
+    a list of objects, or a single row tuple, mirrored as one object."""
     one = not isinstance(rows, list)
     table = [rows] if one else rows
-    write_csv(out / f"{stem}.csv", header, table)
+    write_csv(path, header, table)
     if json_too:
         objs = [dict(zip(header, row)) for row in table]
-        write_json(out / f"{stem}.json", objs[0] if one else objs)
+        write_json(path.with_suffix(".json"), objs[0] if one else objs)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -63,23 +64,18 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    d = Path(cfg.output.directory)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+# A command returns its verdict, the text of its summary line, and its files
+# in order: (header, rows) for a .csv table, an object for .json, text for .svg.
+Result = tuple[bool, str, dict]
 
 
-def cmd_demo(cfg: ExperimentConfig, json_too: bool) -> int:
-    model = cfg.model.build()
+def cmd_demo(cfg: ExperimentConfig, model: GaussianModel) -> Result:
     run = cfg.run
     threshold = cfg.detector.threshold_value
     spec = ChangeSpec(nu=run.nu, horizon=run.horizon, seed=run.seed)
     path = generate_path(model, spec)
     trace = statistic_trace(cfg.detector.kind, model, path, window=cfg.detector.window)
-    out = _outdir(cfg)
     ns = list(range(1, run.horizon + 1))
-    _write_table(out, "demo_path", ["n", "x_n"], list(zip(ns, path.samples.tolist())), json_too)
-    _write_table(out, "demo_stat", ["n", "W_n"], list(zip(ns, trace.tolist())), json_too)
     vlines = [] if spec.no_change else [("change point", float(run.nu))]
     svg = line_chart(
         [("detector statistic", ns, trace)],
@@ -89,79 +85,59 @@ def cmd_demo(cfg: ExperimentConfig, json_too: bool) -> int:
         hlines=[(f"threshold {threshold:.4g}", threshold)],
         vlines=vlines,
     )
-    (out / "demo.svg").write_text(svg, encoding="utf-8")
     crossed = DETECTORS[cfg.detector.kind].crossed(trace, threshold)
-    tau = int(crossed.argmax()) + 1 if crossed.any() else None
-    print(
-        f"demo: PASS nu={run.nu} horizon={run.horizon} threshold={threshold:.6g} "
-        f"tau={tau if tau is not None else 'censored'} -> {out}/demo_path.csv, demo_stat.csv, demo.svg"
-    )
-    return 0
+    tau = int(crossed.argmax()) + 1 if crossed.any() else "censored"
+    return True, f"nu={run.nu} horizon={run.horizon} threshold={threshold:.6g} tau={tau}", {
+        "demo_path.csv": (["n", "x_n"], list(zip(ns, path.samples.tolist()))),
+        "demo_stat.csv": (["n", "W_n"], list(zip(ns, trace.tolist()))),
+        "demo.svg": svg,
+    }
 
 
-def cmd_verify(cfg: ExperimentConfig, json_too: bool) -> int:
-    model = cfg.model.build()
+def cmd_verify(cfg: ExperimentConfig, model: GaussianModel) -> Result:
     budgets = conditions.ConditionBudgets(seed=cfg.run.seed)
     report = conditions.full_condition_report(model, budgets)
-    out = _outdir(cfg)
-    write_json(out / "report.json", report.to_dict())
-    header = ["n", "cesaro_avg", "moment_est", "slln_q95"]
-    _write_table(out, "conditions_trace", header, report.trace_rows(), json_too)
     failing = [name for name, ok in report.verdicts.items() if not ok]
-    status = "PASS" if report.passed else "FAIL"
     detail = f"I={report.information_number_I:.6g}"
     if failing:
         detail += " failing=" + ",".join(failing)
-    print(f"verify: {status} {detail} -> {out}/report.json, conditions_trace.csv")
-    return 0 if report.passed else 1
+    return report.passed, detail, {
+        "report.json": report.to_dict(),
+        "conditions_trace.csv": (["n", "cesaro_avg", "moment_est", "slln_q95"], report.trace_rows()),
+    }
 
 
-def cmd_arl(cfg: ExperimentConfig, json_too: bool) -> int:
-    model = cfg.model.build()
+def cmd_arl(cfg: ExperimentConfig, model: GaussianModel) -> Result:
     threshold = cfg.detector.threshold_value
     gamma = cfg.detector.gamma_value
-    horizon = cfg.run.horizon
     est = metrics.estimate_arl2fa(
         model,
         cfg.detector.kind,
         threshold,
         cfg.run.trials,
-        horizon,
+        cfg.run.horizon,
         cfg.run.seed,
         window=cfg.detector.window,
     )
-    out = _outdir(cfg)
     row = (gamma, threshold, est.trials, est.mean_tau, est.stderr, est.censored_fraction, est.lcb95)
     header = ["gamma", "A", "trials", "mean_tau", "stderr", "censored_frac", "lcb95"]
-    _write_table(out, "arl", header, row, json_too)
-    ok = est.lcb95 >= gamma
-    print(
-        f"arl: {'PASS' if ok else 'FAIL'} mean_tau={est.mean_tau:.6g} lcb95={est.lcb95:.6g} "
-        f"gamma={gamma:.6g} censored={est.censored_fraction:.3f} -> {out}/arl.csv"
-    )
-    return 0 if ok else 1
+    detail = f"mean_tau={est.mean_tau:.6g} lcb95={est.lcb95:.6g} gamma={gamma:.6g} censored={est.censored_fraction:.3f}"
+    return est.lcb95 >= gamma, detail, {"arl.csv": (header, row)}
 
 
-def cmd_cadd(cfg: ExperimentConfig, json_too: bool) -> int:
-    model = cfg.model.build()
+def cmd_cadd(cfg: ExperimentConfig, model: GaussianModel) -> Result:
     threshold = cfg.detector.threshold_value
     if cfg.run.nu == math.inf:
-        print("cadd: FAIL run.nu must be finite for delay estimation", file=sys.stderr)
-        return 1
-    try:
-        est = metrics.estimate_cadd(
-            model,
-            cfg.detector.kind,
-            threshold,
-            int(cfg.run.nu),
-            cfg.run.trials,
-            cfg.run.seed,
-            window=cfg.detector.window,
-        )
-    except EstimationError as exc:
-        print(f"cadd: FAIL {exc}", file=sys.stderr)
-        return 1
-    out = _outdir(cfg)
+        raise EstimationError("run.nu must be finite for delay estimation")
+    est = metrics.estimate_cadd(
+        model,
+        cfg.detector.kind,
+        threshold,
+        int(cfg.run.nu),
+        cfg.run.trials,
+        cfg.run.seed,
+        window=cfg.detector.window,
+    )
     row = (
         cfg.detector.gamma_value,
         threshold,
@@ -172,32 +148,21 @@ def cmd_cadd(cfg: ExperimentConfig, json_too: bool) -> int:
         est.stderr,
     )
     header = ["gamma", "A", "nu", "trials", "accepted", "mean_delay", "stderr"]
-    _write_table(out, "cadd", header, row, json_too)
-    print(
-        f"cadd: PASS nu={est.nu} mean_delay={est.mean_delay:.6g} stderr={est.stderr:.3g} "
-        f"accepted={est.accepted}/{est.trials} -> {out}/cadd.csv"
+    detail = f"nu={est.nu} mean_delay={est.mean_delay:.6g} stderr={est.stderr:.3g} accepted={est.accepted}/{est.trials}"
+    return True, detail, {"cadd.csv": (header, row)}
+
+
+def cmd_tradeoff(cfg: ExperimentConfig, model: GaussianModel) -> Result:
+    rows = metrics.tradeoff_curve(
+        model,
+        cfg.tradeoff.gammas,
+        cfg.run.trials,
+        cfg.run.seed,
+        detector=cfg.detector.kind,
+        arl_trials=cfg.tradeoff.arl_trials,
+        window=cfg.detector.window,
     )
-    return 0
-
-
-def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
-    model = cfg.model.build()
-    try:
-        rows = metrics.tradeoff_curve(
-            model,
-            cfg.tradeoff.gammas,
-            cfg.run.trials,
-            cfg.run.seed,
-            detector=cfg.detector.kind,
-            arl_trials=cfg.tradeoff.arl_trials,
-            window=cfg.detector.window,
-        )
-    except EstimationError as exc:
-        print(f"tradeoff: FAIL {exc}", file=sys.stderr)
-        return 1
-    out = _outdir(cfg)
     csv_rows = [(r.gamma, r.threshold, r.arl.lcb95, r.cadd.mean_delay, r.bound) for r in rows]
-    _write_table(out, "tradeoff", ["gamma", "A", "arl_lcb", "cadd", "bound"], csv_rows, json_too)
     thresholds = [r.threshold for r in rows]
     svg = line_chart(
         [
@@ -208,18 +173,15 @@ def cmd_tradeoff(cfg: ExperimentConfig, json_too: bool) -> int:
         xlabel="threshold A = log(gamma)",
         ylabel="steps after the change",
     )
-    (out / "tradeoff.svg").write_text(svg, encoding="utf-8")
     ok = all(r.arl.lcb95 >= r.gamma for r in rows)
     worst = min(r.arl.lcb95 / r.gamma for r in rows)
-    print(
-        f"tradeoff: {'PASS' if ok else 'FAIL'} {len(rows)} gamma(s), min arl_lcb/gamma={worst:.3f} "
-        f"-> {out}/tradeoff.csv, tradeoff.svg"
-    )
-    return 0 if ok else 1
+    return ok, f"{len(rows)} gamma(s), min arl_lcb/gamma={worst:.3f}", {
+        "tradeoff.csv": (["gamma", "A", "arl_lcb", "cadd", "bound"], csv_rows),
+        "tradeoff.svg": svg,
+    }
 
 
-def cmd_simulate(cfg: ExperimentConfig, json_too: bool) -> int:
-    model = cfg.model.build()
+def cmd_simulate(cfg: ExperimentConfig, model: GaussianModel) -> Result:
     threshold = cfg.detector.threshold_value
     outcomes = metrics.simulate_trials(
         model,
@@ -231,20 +193,15 @@ def cmd_simulate(cfg: ExperimentConfig, json_too: bool) -> int:
         cfg.run.seed,
         window=cfg.detector.window,
     )
-    out = _outdir(cfg)
     rows = [
         (i, o.tau, o.censored_at, int(o.false_alarm), o.delay)
         for i, o in enumerate(outcomes)
     ]
     header = ["trial", "tau", "censored_at", "false_alarm", "delay"]
-    _write_table(out, "outcomes", header, rows, json_too)
     stopped = sum(o.tau is not None for o in outcomes)
     false_alarms = sum(o.false_alarm for o in outcomes)
-    print(
-        f"simulate: PASS trials={len(outcomes)} stopped={stopped} "
-        f"censored={len(outcomes) - stopped} false_alarms={false_alarms} -> {out}/outcomes.csv"
-    )
-    return 0
+    detail = f"trials={len(outcomes)} stopped={stopped} censored={len(outcomes) - stopped} false_alarms={false_alarms}"
+    return True, detail, {"outcomes.csv": (header, rows)}
 
 
 _COMMANDS = {
@@ -289,7 +246,22 @@ def main(argv: list[str] | None = None) -> int:
     # one line per warning, so stderr names no path or source line
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _COMMANDS[args.command](cfg, args.format == "json")
+            ok, detail, files = _COMMANDS[args.command](cfg, cfg.model.build())
+        except EstimationError as exc:
+            print(f"{args.command}: FAIL {exc}", file=sys.stderr)
+            return 1
+        else:
+            out = Path(cfg.output.directory)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                if name.endswith(".csv"):
+                    _write_table(out / name, *content, args.format == "json")
+                elif name.endswith(".json"):
+                    write_json(out / name, content)
+                else:
+                    (out / name).write_text(content, encoding="utf-8")
+            print(f"{args.command}: {'PASS' if ok else 'FAIL'} {detail} -> {out}/{', '.join(files)}")
+            return 0 if ok else 1
         finally:
             for w in caught:
                 print(f"{args.command}: warning: {w.message}", file=sys.stderr)

@@ -69,16 +69,21 @@ class TrialOutcome:
     tau: int | None
     censored_at: int | None
     nu: int | float
-    delay: int | None
-    false_alarm: bool
 
     @classmethod
     def from_stop(cls, result: StopResult, nu: int | float) -> "TrialOutcome":
-        if not result.stopped:
-            return cls(tau=None, censored_at=result.censored_at, nu=nu, delay=None, false_alarm=False)
-        if result.tau < nu:
-            return cls(tau=result.tau, censored_at=None, nu=nu, delay=None, false_alarm=True)
-        return cls(tau=result.tau, censored_at=None, nu=nu, delay=int(result.tau - nu), false_alarm=False)
+        return cls(tau=result.tau, censored_at=result.censored_at, nu=nu)
+
+    @property
+    def false_alarm(self) -> bool:
+        return self.tau is not None and self.tau < self.nu
+
+    @property
+    def delay(self) -> int | None:
+        """tau - nu for a detection, else None."""
+        if self.tau is None or self.false_alarm:
+            return None
+        return int(self.tau - self.nu)
 
     @property
     def kind(self) -> str:
@@ -133,9 +138,6 @@ class ArlEstimate:
     lcb95: float
     censored_fraction: float
     trials: int
-    horizon: int
-    threshold: float
-    detector: str
 
 
 def estimate_arl2fa(
@@ -174,9 +176,6 @@ def estimate_arl2fa(
         lcb95=mean - Z95 * se,
         censored_fraction=censored / trials,
         trials=trials,
-        horizon=horizon,
-        threshold=threshold,
-        detector=detector,
     )
 
 
@@ -198,9 +197,6 @@ class CaddEstimate:
     acceptance_rate: float
     censored: int
     trials: int
-    horizon: int
-    threshold: float
-    detector: str
 
 
 def estimate_cadd(
@@ -246,9 +242,6 @@ def estimate_cadd(
         acceptance_rate=(trials - false_alarms) / trials,
         censored=censored,
         trials=trials,
-        horizon=horizon,
-        threshold=threshold,
-        detector=detector,
     )
 
 

@@ -465,6 +465,26 @@ def test_zero_information_number_fails_delay_commands(tmp_path, capsys, command,
     assert main([command, "--config", write_config(tmp_path, obj)]) == 1
     err = capsys.readouterr().err
     assert f"{command}: FAIL" in err and "information number" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_command_names_exactly_the_files_it_writes(tmp_path, capsys, fmt):
+    # the summary line lists every file written but the JSON mirrors of its tables
+    obj = base_config(tmp_path / "unused", trials=10)
+    obj["detector"]["gamma"] = 20.0
+    obj["tradeoff"] = {"gammas": [math.e**2], "arl_trials": 10}
+    cfg = write_config(tmp_path, obj)
+    for command in ("demo", "verify", "arl", "cadd", "tradeoff", "simulate"):
+        out = tmp_path / command
+        main([command, "--config", cfg, "--out", str(out), "--format", fmt])
+        _, listed = capsys.readouterr().out.rstrip().split(" -> ")
+        assert listed.startswith(f"{out}/")
+        named = listed.removeprefix(f"{out}/").split(", ")
+        written = {f.name for f in out.iterdir()}
+        mirrors = {n.removesuffix(".csv") + ".json" for n in named if n.endswith(".csv")} if fmt == "json" else set()
+        assert mirrors <= written
+        assert sorted(named) == sorted(written - mirrors), command
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -98,13 +98,6 @@ def test_arctan_fourth_moments_respect_uniform_bound(arctan_model):
     assert check.closed_forms[-1] < check.bound
 
 
-def test_fourth_moment_check_requires_grid_or_nmax(arctan_model):
-    with pytest.raises(ValueError):
-        fourth_moment_check(arctan_model)
-    got = fourth_moment_check(arctan_model, n_max=64, trials=2_000, seed=1)
-    assert got.ks[0] == 1 and got.ks[-1] == 64
-
-
 def test_fourth_moment_check_names_the_gaussian_bound_for_other_models():
     with pytest.raises(ValueError, match="Gaussian family") as err:
         fourth_moment_check(generic_gaussian_model(MeanSchedule.arctangent()), ks=(1,))
