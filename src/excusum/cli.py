@@ -204,13 +204,14 @@ def cmd_simulate(cfg: ExperimentConfig, model: GaussianModel) -> Result:
     return True, detail, {"outcomes.csv": (header, rows)}
 
 
+#: every command, by name: its function and its help line
 _COMMANDS = {
-    "demo": cmd_demo,
-    "verify": cmd_verify,
-    "arl": cmd_arl,
-    "cadd": cmd_cadd,
-    "tradeoff": cmd_tradeoff,
-    "simulate": cmd_simulate,
+    "demo": (cmd_demo, "simulate one seeded path and emit the statistic trace + SVG"),
+    "verify": (cmd_verify, "run the optimality-condition checks and emit a report"),
+    "arl": (cmd_arl, "estimate the mean time to false alarm"),
+    "cadd": (cmd_cadd, "estimate the conditional average detection delay"),
+    "tradeoff": (cmd_tradeoff, "estimate the false-alarm/delay tradeoff curve"),
+    "simulate": (cmd_simulate, "run seeded detector trials and dump per-trial outcomes"),
 }
 
 
@@ -220,14 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential change detection for stochastically growing signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("demo", "simulate one seeded path and emit the statistic trace + SVG"),
-        ("verify", "run the optimality-condition checks and emit a report"),
-        ("arl", "estimate the mean time to false alarm"),
-        ("cadd", "estimate the conditional average detection delay"),
-        ("tradeoff", "estimate the false-alarm/delay tradeoff curve"),
-        ("simulate", "run seeded detector trials and dump per-trial outcomes"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON experiment config (built-in default if omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -246,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     # one line per warning, so stderr names no path or source line
     with warnings.catch_warnings(record=True) as caught:
         try:
-            ok, detail, files = _COMMANDS[args.command](cfg, cfg.model.build())
+            ok, detail, files = _COMMANDS[args.command][0](cfg, cfg.model.build())
         except EstimationError as exc:
             print(f"{args.command}: FAIL {exc}", file=sys.stderr)
             return 1

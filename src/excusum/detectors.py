@@ -136,10 +136,6 @@ class _CandidateBuffer:
     def view(self) -> np.ndarray:
         return self._buf[..., self._pos : self._pos + self.active]
 
-    def scratch(self, size: int) -> np.ndarray:
-        # _tmp's contents are dead once push() has folded them into the sums
-        return self._tmp[..., :size]
-
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop the rows whose entry in the boolean mask ``keep`` is False."""
         idx = np.flatnonzero(keep)
@@ -232,7 +228,8 @@ class SrState(_SumsState):
     def _advance(self, x, model: DensityModel):
         cands = self._cands
         view = cands.push(x, model, self._merge)
-        return logsumexp_rows(view, cands.scratch(view.shape[-1]), cands.scale)
+        # _tmp's contents are dead once push() has folded them into the sums
+        return logsumexp_rows(view, cands._tmp, cands.scale)
 
     def _merge(self, candidate: np.ndarray, tail: np.ndarray) -> None:
         # shift by the larger of the two; fmin maps the NaN of -inf - (-inf)
@@ -332,17 +329,19 @@ def ex_cusum_brute_all(samples, model: DensityModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StopResult:
-    """Outcome of running a detector to its first alarm or to the horizon."""
+    """Outcome of running a detector to its first alarm (tau) or to the
+    horizon (censored_at); exactly one of the two is set."""
 
-    stopped: bool
     tau: int | None
     censored_at: int | None
 
     def __post_init__(self) -> None:
-        if self.stopped and (self.tau is None or self.censored_at is not None):
-            raise ValueError("stopped result must carry tau and no censoring point")
-        if not self.stopped and (self.tau is not None or self.censored_at is None):
-            raise ValueError("censored result must carry censored_at and no tau")
+        if (self.tau is None) == (self.censored_at is None):
+            raise ValueError("a result carries exactly one of tau and censored_at")
+
+    @property
+    def stopped(self) -> bool:
+        return self.tau is not None
 
 
 def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
@@ -409,8 +408,8 @@ def run_detector(
         if not stat < math.inf:
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat} (x={x})")
         if spec.crossed(stat, threshold):
-            return StopResult(stopped=True, tau=t, censored_at=None)
-    return StopResult(stopped=False, tau=None, censored_at=horizon)
+            return StopResult(tau=t, censored_at=None)
+    return StopResult(tau=None, censored_at=horizon)
 
 
 def run_detector_batch(
@@ -421,18 +420,19 @@ def run_detector_batch(
     horizon: int,
     *,
     window: int | None = None,
-) -> list[StopResult]:
-    """Run one detector per stream in lockstep.
+) -> np.ndarray:
+    """Run one detector per stream in lockstep and return the stopping times.
 
     Each stream yields a run's observations as 1-d blocks, and the k-th
     blocks of all streams have one length (as process._sample_blocks gives
-    for paths with one change point and horizon).  Run r's result equals
-    run_detector(kind, model, <stream r's observations>, threshold, horizon,
-    window=window) exactly: all live runs take each step together, through
-    the same update and reduction, and a run is dropped once it crosses.  A
-    stream is read one block at a time and only while its run is live.  The
-    checks are run_detector's, applied to live runs only; when several runs
-    fail, the error names the earliest failing step.
+    for paths with one change point and horizon).  The result is an int64
+    array holding run r's tau, or 0 where run r is censored at the horizon,
+    and it equals run_detector(kind, model, <stream r's observations>,
+    threshold, horizon, window=window) exactly: all live runs take each step
+    together, through the same update and reduction, and a run is dropped
+    once it crosses.  A stream is read one block at a time and only while
+    its run is live.  The checks are run_detector's, applied to live runs
+    only; when several runs fail, the error names the earliest failing step.
     """
     state, spec = _start(kind, window, model, horizon, threshold, len(streams))
     taus = np.zeros(len(streams), dtype=np.int64)
@@ -470,12 +470,7 @@ def run_detector_batch(
                 break
             at = at[keep]
             state._cands.keep_rows(keep)
-    return [
-        StopResult(stopped=True, tau=int(t), censored_at=None)
-        if t
-        else StopResult(stopped=False, tau=None, censored_at=horizon)
-        for t in taus.tolist()
-    ]
+    return taus
 
 
 def statistic_trace(

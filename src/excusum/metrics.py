@@ -121,11 +121,11 @@ def simulate_trials(
     outcomes = []
     for start in range(0, trials, chunk):
         streams = [
-            _sample_blocks(model, ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i)))
+            _sample_blocks(model, nu, horizon, np.random.default_rng(derive_seed(seed, i)))
             for i in range(start, min(start + chunk, trials))
         ]
-        results = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
-        outcomes.extend(TrialOutcome.from_stop(res, nu) for res in results)
+        taus = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
+        outcomes.extend(TrialOutcome(tau=t or None, censored_at=None if t else horizon, nu=nu) for t in taus.tolist())
     return outcomes
 
 

@@ -74,16 +74,18 @@ class Path:
         return len(self.samples)
 
 
-def _sample_blocks(model: DensityModel, spec: ChangeSpec) -> Iterator[np.ndarray]:
-    """Draw the path in chunks; the single code path behind both generators."""
-    rng = np.random.default_rng(spec.seed)
-    n_pre = spec.horizon if spec.no_change else min(int(spec.nu) - 1, spec.horizon)
+def _sample_blocks(
+    model: DensityModel, nu: int | float, horizon: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Draw a path with change point nu in chunks from ``rng``; the single
+    code path behind both generators and the lockstep trials."""
+    n_pre = horizon if nu == NO_CHANGE else min(int(nu) - 1, horizon)
     done = 0
     while done < n_pre:
         take = min(_CHUNK, n_pre - done)
         yield np.atleast_1d(np.asarray(sample_pre(model, rng, size=take), dtype=np.float64))
         done += take
-    n_post = spec.horizon - n_pre
+    n_post = horizon - n_pre
     age = 0
     while age < n_post:
         take = min(_CHUNK, n_post - age)
@@ -94,7 +96,7 @@ def _sample_blocks(model: DensityModel, spec: ChangeSpec) -> Iterator[np.ndarray
 
 def generate_path(model: DensityModel, spec: ChangeSpec) -> Path:
     """Materialize the full observation path for a change spec."""
-    blocks = list(_sample_blocks(model, spec))
+    blocks = list(_sample_blocks(model, spec.nu, spec.horizon, np.random.default_rng(spec.seed)))
     samples = np.concatenate(blocks) if blocks else np.empty(0)
     samples.setflags(write=False)
     return Path(samples=samples, spec=spec)
@@ -102,5 +104,5 @@ def generate_path(model: DensityModel, spec: ChangeSpec) -> Path:
 
 def path_stream(model: DensityModel, spec: ChangeSpec) -> Iterator[float]:
     """Yield the path one observation at a time (identical values to generate_path)."""
-    for block in _sample_blocks(model, spec):
+    for block in _sample_blocks(model, spec.nu, spec.horizon, np.random.default_rng(spec.seed)):
         yield from block

@@ -34,10 +34,14 @@ def base_config(outdir, **run_overrides):
 
 
 def test_default_config_is_valid():
+    from pathlib import Path
+
     cfg = default_config()
     assert cfg.run.nu == 80 and cfg.run.horizon == 200
     assert cfg.detector.threshold_value == math.log(1000.0)
     assert cfg.detector.gamma_value == 1000.0
+    # the built-in default is the paper's demo
+    assert cfg == ExperimentConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
 
 
 def test_unknown_field_is_rejected_with_path():

@@ -38,20 +38,25 @@ I_ARCTAN = math.pi**2 / 8
 
 
 def test_trial_outcome_classification():
-    det = TrialOutcome.from_stop(StopResult(True, 12, None), nu=10)
+    det = TrialOutcome.from_stop(StopResult(12, None), nu=10)
     assert det.kind == "detection" and det.delay == 2 and not det.false_alarm
 
-    fa = TrialOutcome.from_stop(StopResult(True, 4, None), nu=10)
+    fa = TrialOutcome.from_stop(StopResult(4, None), nu=10)
     assert fa.kind == "false-alarm" and fa.delay is None and fa.false_alarm
 
-    cen = TrialOutcome.from_stop(StopResult(False, None, 50), nu=10)
+    cen = TrialOutcome.from_stop(StopResult(None, 50), nu=10)
     assert cen.kind == "censored" and cen.tau is None and cen.censored_at == 50
 
-    always_fa = TrialOutcome.from_stop(StopResult(True, 99, None), nu=NO_CHANGE)
+    always_fa = TrialOutcome.from_stop(StopResult(99, None), nu=NO_CHANGE)
     assert always_fa.kind == "false-alarm"
 
-    at_change = TrialOutcome.from_stop(StopResult(True, 10, None), nu=10)
+    at_change = TrialOutcome.from_stop(StopResult(10, None), nu=10)
     assert at_change.kind == "detection" and at_change.delay == 0
+
+    assert StopResult(12, None).stopped and not StopResult(None, 50).stopped
+    for both_or_neither in ((12, 50), (None, None)):
+        with pytest.raises(ValueError, match="exactly one"):
+            StopResult(*both_or_neither)
 
 
 def test_z95_is_the_one_sided_normal_quantile():
@@ -109,7 +114,7 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
 
     def record(kind, model, streams, threshold, horizon, *, window=None):
         sizes.append(len(streams))
-        return [StopResult(stopped=False, tau=None, censored_at=horizon)] * len(streams)
+        return np.zeros(len(streams), np.int64)
 
     monkeypatch.setattr(metrics, "run_detector_batch", record)
     arctan = gaussian_model(MeanSchedule.arctangent())
@@ -333,6 +338,26 @@ def test_cadd_shift_invariance_between_nu_1_and_40(arctan_model):
 def test_cadd_no_accepted_runs_is_an_error(arctan_model):
     with pytest.raises(EstimationError):
         estimate_cadd(arctan_model, "ex-cusum", math.log(10_000), nu=5, trials=10, seed=37, horizon=6)
+
+
+def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
+    # with the detector replaced by fixed stopping times (0: censored), the
+    # estimates are plain arithmetic with no Monte Carlo noise
+    def fixed(kind, model, streams, threshold, horizon, *, window=None):
+        assert len(streams) == 7
+        return np.array([0, 3, 9, 10, 14, 0, 25], np.int64)
+
+    monkeypatch.setattr(metrics, "run_detector_batch", fixed)
+    arl = estimate_arl2fa(arctan_model, "ex-cusum", threshold=0.0, trials=7, horizon=30, seed=1)
+    # censored runs count at the horizon: 30 + 3 + 9 + 10 + 14 + 30 + 25
+    assert arl.mean_tau == 121 / 7
+    assert arl.censored_fraction == 2 / 7
+    cadd = estimate_cadd(arctan_model, "ex-cusum", 0.0, nu=10, trials=7, seed=1, horizon=30)
+    # taus 3 and 9 are false alarms; 10, 14 and 25 are delays 0, 4 and 15
+    assert cadd.mean_delay == 19 / 3
+    assert cadd.accepted == 3
+    assert cadd.censored == 2
+    assert cadd.acceptance_rate == 5 / 7
 
 
 def test_default_delay_horizon_is_overshoot_safe():
