@@ -13,11 +13,10 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from . import conditions, metrics
-from .config import ConfigError, ExperimentConfig, default_config
+from .config import DEFAULT_CONFIG, ConfigError, ExperimentConfig, read_json
 from .detectors import DETECTORS, statistic_trace
 from .metrics import EstimationError
 from .models import GaussianModel
@@ -56,12 +55,15 @@ def _write_table(path: Path, header: list[str], rows: list[tuple] | tuple, json_
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
-    if args.out is not None:
-        cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
-    return cfg
+    # --seed and --out go into the parsed config, so they meet its schema
+    obj = read_json(args.config) if args.config else json.loads(json.dumps(DEFAULT_CONFIG))
+    if isinstance(obj, dict):
+        run, output = obj.get("run"), obj.setdefault("output", {})
+        if args.seed is not None and isinstance(run, dict):
+            run["seed"] = args.seed
+        if args.out is not None and isinstance(output, dict):
+            output["directory"] = args.out
+    return ExperimentConfig.from_dict(obj)
 
 
 # A command returns its verdict, the text of its summary line, and its files

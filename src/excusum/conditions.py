@@ -33,7 +33,6 @@ from .models import (
     DensityModel,
     GaussianModel,
     default_grid,
-    information_number,
     kl_divergence,
     llr,
     sample_post,
@@ -53,11 +52,9 @@ def dkw_slack(trials: int) -> float:
 
 
 def _kl_values(model: DensityModel, upto: int) -> np.ndarray:
-    """D(f_{k-1} || g) for k = 1..upto, preferring closed forms."""
+    """D(f_{k-1} || g) for k = 1..upto: the Gaussian closed form, else quadrature."""
     if isinstance(model, GaussianModel):
         return model.schedule.half_squares(upto)
-    if model.kl_closed_form is not None:
-        return np.array([float(model.kl_closed_form(j)) for j in range(upto)])
     return np.array([kl_divergence(model, j, method="quadrature") for j in range(upto)])
 
 
@@ -183,9 +180,10 @@ def slln_empirical(
 ) -> SllnCheck:
     """Simulate change-at-1 paths and track |(1/m) sum llr(k-1, X_k) - I|.
 
-    Averages are taken at m on a coarsening grid (default n/16, n/4, n); the
-    check passes when the 95th-percentile deviation strictly decreases, the
-    Monte Carlo surrogate for almost-sure convergence.
+    I is model.information_number(), else the Cesaro estimate.  Averages are
+    taken at m on a coarsening grid (default n/16, n/4, n); the check passes
+    when the 95th-percentile deviation strictly decreases, the Monte Carlo
+    surrogate for almost-sure convergence.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
@@ -193,7 +191,9 @@ def slln_empirical(
         grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
     if any(m < 1 or m > n for m in grid):
         raise ValueError("grid entries must lie in 1..n")
-    info = information_number(model) if isinstance(model, GaussianModel) else cesaro_kl_average(model, n).information_number
+    info = model.information_number()
+    if info is None:
+        info = cesaro_kl_average(model, n).information_number
     ages = np.arange(n)
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))

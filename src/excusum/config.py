@@ -172,7 +172,7 @@ class OutputConfig:
     @classmethod
     def from_dict(cls, obj: dict, path: str = "output") -> "OutputConfig":
         _require_keys(obj, path, set(), {"directory"})
-        directory = obj.get("directory", "out")
+        directory = obj.get("directory", cls.directory)
         if not isinstance(directory, str) or not directory:
             raise ConfigError(f"{path}.directory", "expected a non-empty string")
         return cls(directory=directory)
@@ -186,7 +186,7 @@ class TradeoffConfig:
     @classmethod
     def from_dict(cls, obj: dict, path: str = "tradeoff") -> "TradeoffConfig":
         _require_keys(obj, path, set(), {"gammas", "arl_trials"})
-        gammas = obj.get("gammas", [10.0, 100.0])
+        gammas = obj.get("gammas", list(cls.gammas))
         if (
             not isinstance(gammas, list)
             or not gammas
@@ -219,12 +219,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<config>", f"invalid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path))
+
+
+def read_json(path: str | Path):
+    """The parsed JSON of a config file, before any schema check."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("<config>", f"invalid JSON: {exc}") from exc
 
 
 #: the built-in experiment: arctangent Gaussian growth, change at 80 of a

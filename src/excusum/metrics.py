@@ -33,7 +33,7 @@ import numpy as np
 
 from . import process
 from .detectors import StopResult, _retained_columns, run_detector_batch
-from .models import DensityModel, information_number
+from .models import DensityModel
 from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
@@ -179,8 +179,10 @@ def estimate_arl2fa(
     )
 
 
-def default_delay_horizon(nu: int, threshold: float, info: float) -> int:
-    """nu + 10 * ceil(A / I) steps; EstimationError when I is not positive."""
+def default_delay_horizon(nu: int, threshold: float, info: float | None) -> int:
+    """nu + 10 * ceil(A / I) steps; EstimationError when I is None or not positive."""
+    if info is None:
+        raise EstimationError("the model has no information number, so no delay horizon exists")
     if not info > 0.0:
         raise EstimationError(f"information number {info} is not positive, so no delay horizon exists")
     return int(nu + DELAY_HORIZON_FACTOR * max(1, math.ceil(max(threshold, 0.0) / info)))
@@ -208,7 +210,6 @@ def estimate_cadd(
     seed: int,
     *,
     horizon: int | None = None,
-    info: float | None = None,
     window: int | None = None,
 ) -> CaddEstimate:
     """Estimate E_nu[tau - nu | tau >= nu] on change-at-nu paths.
@@ -217,12 +218,12 @@ def estimate_cadd(
     conditioning event; censored runs are reported but excluded from the
     average (the default horizon makes them vanishingly rare).  Raises
     EstimationError when no run is accepted, or when the default horizon is
-    asked of an information number that is not positive.
+    asked of a model whose information_number() is None or not positive.
     """
     if nu < 1 or (isinstance(nu, float) and math.isinf(nu)):
         raise ValueError("estimate_cadd needs a finite change point nu >= 1")
     if horizon is None:
-        horizon = default_delay_horizon(nu, threshold, information_number(model) if info is None else info)
+        horizon = default_delay_horizon(nu, threshold, model.information_number())
     outcomes = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
     delays = np.array([o.delay for o in outcomes if o.delay is not None], dtype=np.float64)
     censored = sum(o.censored_at is not None for o in outcomes)
@@ -274,7 +275,6 @@ def worst_case_delay_scan(
     trials: int,
     seed: int,
     *,
-    info: float | None = None,
     window: int | None = None,
 ) -> DelayScan:
     """Estimate the conditional delay at every nu in the grid and report the max.
@@ -293,8 +293,7 @@ def worst_case_delay_scan(
     if not nu_grid:
         raise ValueError("nu_grid must be nonempty")
     # fail on a model without a delay horizon before any run, naming I
-    info = information_number(model) if info is None else info
-    default_delay_horizon(1, threshold, info)
+    default_delay_horizon(1, threshold, model.information_number())
     cells = []
     for j, nu in enumerate(nu_grid):
         try:
@@ -305,7 +304,6 @@ def worst_case_delay_scan(
                 int(nu),
                 trials,
                 derive_seed(seed, j),
-                info=info,
                 window=window,
             )
             cells.append(DelayScanCell(nu=int(nu), estimate=est, error=None))
@@ -337,7 +335,6 @@ def tradeoff_curve(
     *,
     detector: str = "ex-cusum",
     arl_trials: int | None = None,
-    info: float | None = None,
     window: int | None = None,
 ) -> list[TradeoffRow]:
     """Estimate both sides of the tradeoff at threshold log(gamma) per gamma.
@@ -349,9 +346,9 @@ def tradeoff_curve(
     gs = [float(g) for g in gammas]
     if not gs or any(g <= 1.0 for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
         raise ValueError("gammas must be an increasing sequence of values > 1")
-    eff_info = information_number(model) if info is None else info
-    # every delay horizon first, so a model without one fails before any run
-    cadd_horizons = [default_delay_horizon(1, math.log(g), eff_info) for g in gs]
+    info = model.information_number()
+    # a model without a delay horizon fails before any run, naming I
+    default_delay_horizon(1, math.log(gs[0]), info)
     rows = []
     for j, gamma in enumerate(gs):
         threshold = math.log(gamma)
@@ -372,7 +369,6 @@ def tradeoff_curve(
             nu=1,
             trials=trials,
             seed=derive_seed(seed, 2 * j + 1),
-            horizon=cadd_horizons[j],
             window=window,
         )
         rows.append(
@@ -381,7 +377,7 @@ def tradeoff_curve(
                 threshold=threshold,
                 arl=arl,
                 cadd=cadd,
-                bound=threshold / eff_info,
+                bound=threshold / info,
             )
         )
     return rows

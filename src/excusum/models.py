@@ -233,7 +233,6 @@ class DensityModel:
     sampler_pre: Callable
     sampler_post: Callable
     support: tuple[float, float]
-    kl_closed_form: Callable | None = None
     finite_window: Callable | None = None
 
     def quadrature_window(self, n: int | None = None) -> tuple[float, float]:
@@ -272,6 +271,11 @@ class DensityModel:
         every candidate of age index >= L into one tail.  None by default."""
         return None
 
+    def information_number(self) -> float | None:
+        """The information number I = lim D(f_n || g), which sets the default
+        delay horizon and the log(gamma) / I bound, or None.  None by default."""
+        return None
+
 
 @dataclass(frozen=True, kw_only=True)
 class GaussianModel(DensityModel):
@@ -292,6 +296,9 @@ class GaussianModel(DensityModel):
 
     def saturation_index(self) -> int | None:
         return self.schedule.saturation_index()
+
+    def information_number(self) -> float:
+        return self.schedule.limit_mu ** 2 / 2.0
 
 
 def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
@@ -333,7 +340,6 @@ def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
         sampler_pre=draw_pre,
         sampler_post=draw_post,
         support=(-math.inf, math.inf),
-        kl_closed_form=lambda n: schedule.mu(n) ** 2 / 2.0,
         finite_window=window,
         schedule=schedule,
     )
@@ -382,13 +388,13 @@ def llr(model: DensityModel, post_index, x):
 
 
 def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:
-    """KL divergence D(f_n || g), by closed form or trapezoid quadrature."""
+    """D(f_n || g): the Gaussian family's cached mu_n**2 / 2, or trapezoid quadrature."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if method == "closed":
-        if model.kl_closed_form is None:
-            raise ValueError("closed-form KL requested but the model does not provide one")
-        return float(model.kl_closed_form(n))
+        if not isinstance(model, GaussianModel):
+            raise ValueError("closed-form KL requested but only the Gaussian family provides one")
+        return float(model.schedule.half_squares(n + 1)[n])
     if method != "quadrature":
         raise ValueError(f"unknown KL method {method!r}, expected 'closed' or 'quadrature'")
     lo, hi = model.quadrature_window(n)
@@ -401,17 +407,6 @@ def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:
 
     val = adaptive_trapezoid(integrand, lo, hi, tol=1e-10)
     return max(val, 0.0)
-
-
-def information_number(model: DensityModel) -> float:
-    """The information number I = lim D(f_n || g), exact for the Gaussian
-    family (limit_mu**2 / 2); other models pass I explicitly where a caller
-    takes ``info=``, or estimate it with conditions.cesaro_kl_average."""
-    if isinstance(model, GaussianModel):
-        return model.schedule.limit_mu ** 2 / 2.0
-    raise ValueError(
-        "no closed-form information number for this model; pass info= or use cesaro_kl_average"
-    )
 
 
 class MlrCheck(NamedTuple):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import hypothesis
@@ -42,3 +43,18 @@ def generic_gaussian_model(schedule: MeanSchedule) -> DensityModel:
         sampler_post=lambda n, rng, size=None: rng.normal(schedule.at(n), 1.0, size),
         support=(-math.inf, math.inf),
     )
+
+
+def with_information_number(model: DensityModel, info: float) -> DensityModel:
+    """``model`` as an instance of a subclass whose information_number()
+    returns ``info``, the way a custom family supplies its I."""
+    cls = type(f"Fixed{type(model).__name__}", (type(model),), {"information_number": lambda self: info})
+    return cls(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+
+
+def windowed_gaussian_model(mu: float) -> DensityModel:
+    """The constant-mean Gaussian family N(mu, 1) against N(0, 1) as a plain
+    DensityModel with a finite quadrature window, so its KL numbers come from
+    quadrature and it gives no information number."""
+    model = generic_gaussian_model(MeanSchedule.constant(mu))
+    return dataclasses.replace(model, finite_window=lambda n=None: (-11.0, mu + 11.0))

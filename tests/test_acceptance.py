@@ -203,7 +203,6 @@ def first_order_delay_slope(thresholds) -> float:
     return float(np.polyfit(thresholds, delays, 1)[0])
 
 
-@pytest.mark.slow
 def test_criterion_08_delay_asymptotics(arctan):
     # The paper's rate is first-order asymptotic: delay ~ A / I as A -> inf,
     # with I = pi^2/8 the limit of the per-age divergence arctan(j)^2 / 2.
@@ -239,7 +238,6 @@ def test_criterion_08_delay_asymptotics(arctan):
     )
 
 
-@pytest.mark.slow
 def test_delay_slope_approaches_theory_at_larger_thresholds(arctan):
     """Supplementary to criterion 8 (not itself a criterion).  Criterion 8
     holds the Monte Carlo slope at A in {4, 6, 8} to the finite-threshold rate

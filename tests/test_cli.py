@@ -3,6 +3,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from excusum import metrics
 from excusum.cli import _fmt, main
 from excusum.config import ConfigError, ExperimentConfig, default_config
 from excusum.detectors import DETECTORS
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -34,14 +38,12 @@ def base_config(outdir, **run_overrides):
 
 
 def test_default_config_is_valid():
-    from pathlib import Path
-
     cfg = default_config()
     assert cfg.run.nu == 80 and cfg.run.horizon == 200
     assert cfg.detector.threshold_value == math.log(1000.0)
     assert cfg.detector.gamma_value == 1000.0
     # the built-in default is the paper's demo
-    assert cfg == ExperimentConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    assert cfg == ExperimentConfig.from_file(CONFIGS / "demo.json")
 
 
 def test_unknown_field_is_rejected_with_path():
@@ -126,6 +128,24 @@ def test_config_rejected_at_load_exits_2_before_running(tmp_path, capsys, sectio
     assert main(["arl", "--config", write_config(tmp_path, obj)]) == 2
     assert f"config error: {path}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("use_file", [True, False], ids=["demo.json", "default"])
+@pytest.mark.parametrize(
+    "flags, path",
+    [
+        (["--seed", "-1"], "run.seed"),
+        (["--seed", str(2**64)], "run.seed"),
+        (["--out", ""], "output.directory"),
+    ],
+)
+def test_seed_and_out_flags_meet_the_config_schema(tmp_path, monkeypatch, capsys, use_file, flags, path):
+    # run in an empty directory, so a write to the working directory shows
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(CONFIGS / "demo.json")] if use_file else []
+    assert main(["simulate", *config, *flags]) == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nu_inf_string_accepted():
@@ -290,7 +310,6 @@ def test_importing_the_cli_loads_no_network_or_email_modules():
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     code = (
         "import sys, excusum.cli; "
@@ -438,9 +457,7 @@ def test_tradeoff_honours_the_detector_window(tmp_path):
 
 
 def test_every_shipped_config_loads_and_runs(tmp_path):
-    from pathlib import Path
-
-    shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    shipped = sorted(CONFIGS.glob("*.json"))
     assert {p.name for p in shipped} >= {"demo.json", "false_alarm.json", "tradeoff.json"}
     for path in shipped:
         ExperimentConfig.from_file(path)

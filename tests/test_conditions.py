@@ -20,7 +20,7 @@ from excusum import (
 )
 from excusum.conditions import dkw_slack
 
-from conftest import constant_model, generic_gaussian_model
+from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -67,6 +67,21 @@ def test_quadrature_and_closed_kl_agree_along_the_schedule(arctan_model):
         closed = kl_divergence(arctan_model, n, "closed")
         quad = kl_divergence(arctan_model, n, "quadrature")
         assert quad == pytest.approx(closed, abs=1e-8)
+
+
+def test_closed_kl_reads_the_cached_half_squares(arctan_model):
+    from excusum import kl_divergence
+
+    half = arctan_model.schedule.half_squares(20_000)
+    assert all(kl_divergence(arctan_model, n, "closed") == half[n] for n in range(20_000))
+
+
+def test_cesaro_average_by_quadrature_without_closed_forms():
+    # a plain DensityModel gives no closed-form KL, so each term is quadrature
+    trace = cesaro_kl_average(windowed_gaussian_model(1.0), 12)
+    assert trace.information_number == pytest.approx(0.5, abs=1e-8)
+    assert np.allclose(trace.averages, 0.5, rtol=0.0, atol=1e-8)
+    assert trace.passed
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +148,14 @@ def test_arctan_deviation_quantiles_shrink(arctan_model):
     assert q95[0] > q95[1] > q95[2]
     assert check.passed
     assert check.information_number == pytest.approx(I_ARCTAN, abs=1e-12)
+
+
+def test_slln_centres_on_the_cesaro_estimate_without_an_information_number():
+    model = windowed_gaussian_model(1.0)
+    assert model.information_number() is None
+    check = slln_empirical(model, 16, trials=40, seed=14)
+    assert check.information_number == cesaro_kl_average(model, 16).information_number
+    assert check.information_number == pytest.approx(0.5, abs=1e-8)
 
 
 def test_slln_variance_budget(arctan_model):

@@ -28,7 +28,7 @@ from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
 from excusum.detectors import StopResult
 from excusum.process import derive_seed
 
-from conftest import constant_model, generic_gaussian_model
+from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model, with_information_number
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -367,12 +367,26 @@ def test_default_delay_horizon_is_overshoot_safe():
 
 @pytest.mark.parametrize("info", [0.0, -1.0, math.nan])
 def test_explicit_information_number_must_be_positive(arctan_model, info):
+    model = with_information_number(arctan_model, info)
     with pytest.raises(EstimationError, match="information number"):
         default_delay_horizon(1, 3.0, info)
     with pytest.raises(EstimationError, match="information number"):
-        estimate_cadd(arctan_model, "ex-cusum", 3.0, nu=1, trials=5, seed=1, info=info)
+        estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1)
     with pytest.raises(EstimationError, match="information number"):
-        tradeoff_curve(arctan_model, [10.0], trials=5, seed=1, info=info)
+        tradeoff_curve(model, [10.0], trials=5, seed=1)
+
+
+def test_model_without_information_number_needs_an_explicit_horizon():
+    model = windowed_gaussian_model(1.0)
+    assert model.information_number() is None
+    with pytest.raises(EstimationError, match="information number"):
+        estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1)
+    with pytest.raises(EstimationError, match="information number"):
+        worst_case_delay_scan(model, "ex-cusum", 3.0, [1, 5], trials=5, seed=1)
+    with pytest.raises(EstimationError, match="information number"):
+        tradeoff_curve(model, [10.0], trials=5, seed=1)
+    est = estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1, horizon=60)
+    assert est.accepted == 5
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +419,7 @@ def test_scan_flags_empty_cells_instead_of_dropping(arctan_model):
     # tiny horizon: nu=1 cells detect instantly at threshold -1, nu=90 cell
     # cannot even reach its change point
     scan = worst_case_delay_scan(
-        arctan_model, "ex-cusum", math.log(50_000), (1, 90), trials=5, seed=47, info=I_ARCTAN
+        arctan_model, "ex-cusum", math.log(50_000), (1, 90), trials=5, seed=47
     )
     flagged = [c for c in scan.cells if c.estimate is None]
     # either cell may fail depending on horizon defaults; the contract is that
@@ -439,6 +453,14 @@ def test_tradeoff_rows_structure(arctan_model):
         assert r.bound == r.threshold / I_ARCTAN  # exact arithmetic
         assert r.arl.lcb95 >= r.gamma
         assert r.cadd.mean_delay > 0
+
+
+def test_custom_family_supplies_its_information_number_to_the_tradeoff():
+    # a plain DensityModel subclass whose information_number() gives I
+    model = with_information_number(windowed_gaussian_model(1.0), 0.5)
+    rows = tradeoff_curve(model, (math.e**2, math.e**3), trials=20, seed=5, arl_trials=10)
+    assert [r.bound for r in rows] == [math.log(r.gamma) / 0.5 for r in rows]
+    assert [r.cadd.accepted for r in rows] == [20, 20]
 
 
 def test_tradeoff_validates_gammas(arctan_model):
