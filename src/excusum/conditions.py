@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -38,12 +39,21 @@ from .models import (
     sample_post,
     verify_mlr,
 )
-from .process import derive_seed
+from .process import derive_seed, trial_generators
 
 DOMINANCE_CONFIDENCE = 0.99
 
 #: deviation quantiles reported by slln_empirical; its verdict reads 0.95
 SLLN_QUANTILE_LEVELS = (0.5, 0.9, 0.95)
+
+#: float64 elements of one (trials x n) block of slln_empirical's paths (512 KiB)
+_SLLN_BLOCK_ELEMENTS = 2**16
+
+#: stream keys: moment index k and SLLN trial t draw from
+#: derive_seed(derive_seed(seed, key), i), apart from each other and from the
+#: dominance block started at k, which draws from derive_seed(seed, k)
+_MOMENT_STREAMS = 2**64 - 1
+_SLLN_STREAMS = 2**64 - 2
 
 
 def dkw_slack(trials: int) -> float:
@@ -137,8 +147,9 @@ def fourth_moment_check(
     estimates = np.empty(len(ks))
     stderrs = np.empty(len(ks))
     closed = np.empty(len(ks))
+    base = derive_seed(seed, _MOMENT_STREAMS)
     for j, k in enumerate(ks):
-        rng = np.random.default_rng(derive_seed(seed, k))
+        rng = np.random.default_rng(derive_seed(base, k))
         x = np.asarray(sample_post(model, k - 1, rng, size=trials))
         z = llr(model, k - 1, x)
         center = kl_divergence(model, k - 1)
@@ -197,12 +208,13 @@ def slln_empirical(
     ages = np.arange(n)
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))
-    for t in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        x = np.asarray(sample_post(model, ages, rng))
+    rngs = trial_generators(derive_seed(seed, _SLLN_STREAMS), 0, trials)
+    rows = max(1, _SLLN_BLOCK_ELEMENTS // n)
+    for start in range(0, trials, rows):
+        x = np.array([sample_post(model, ages, rng) for rng in islice(rngs, rows)], dtype=np.float64)
         z = np.asarray(llr(model, ages, x), dtype=np.float64)
-        cs = np.cumsum(z)
-        avgs[t] = cs[marks - 1] / marks
+        cs = np.cumsum(z, axis=-1)
+        avgs[start : start + len(x)] = cs[:, marks - 1] / marks
     dev = np.abs(avgs - info)
     quantiles = {q: np.quantile(dev, q, axis=0) for q in SLLN_QUANTILE_LEVELS}
     q95 = quantiles[0.95]

@@ -34,7 +34,7 @@ import numpy as np
 from . import process
 from .detectors import StopResult, _retained_columns, run_detector_batch
 from .models import DensityModel
-from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed
+from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed, trial_generators
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
 Z95 = 1.6448536269514722
@@ -92,6 +92,31 @@ class TrialOutcome:
         return "false-alarm" if self.false_alarm else "detection"
 
 
+def _stopping_times(
+    model: DensityModel,
+    detector: str,
+    threshold: float,
+    nu: int | float,
+    horizon: int,
+    trials: int,
+    seed: int,
+    window: int | None,
+) -> np.ndarray:
+    """The int64 stopping times of simulate_trials' trials, 0 for a censored one."""
+    if trials < 1:
+        raise EstimationError("at least one trial is required")
+    ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
+    retained = _retained_columns(detector, window, model)
+    per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
+    chunk = max(1, _CHUNK_ELEMENTS // per_trial)
+    taus = []
+    for start in range(0, trials, chunk):
+        rngs = trial_generators(seed, start, min(start + chunk, trials))
+        streams = [_sample_blocks(model, nu, horizon, rng) for rng in rngs]
+        taus.append(run_detector_batch(detector, model, streams, threshold, horizon, window=window))
+    return np.concatenate(taus)
+
+
 def simulate_trials(
     model: DensityModel,
     detector: str,
@@ -112,21 +137,8 @@ def simulate_trials(
     raises as in run_detector; when several trials of a chunk fail, the error
     names the earliest failing step among them.
     """
-    if trials < 1:
-        raise EstimationError("at least one trial is required")
-    ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
-    retained = _retained_columns(detector, window, model)
-    per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
-    chunk = max(1, _CHUNK_ELEMENTS // per_trial)
-    outcomes = []
-    for start in range(0, trials, chunk):
-        streams = [
-            _sample_blocks(model, nu, horizon, np.random.default_rng(derive_seed(seed, i)))
-            for i in range(start, min(start + chunk, trials))
-        ]
-        taus = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
-        outcomes.extend(TrialOutcome(tau=t or None, censored_at=None if t else horizon, nu=nu) for t in taus.tolist())
-    return outcomes
+    taus = _stopping_times(model, detector, threshold, nu, horizon, trials, seed, window)
+    return [TrialOutcome(tau=t or None, censored_at=None if t else horizon, nu=nu) for t in taus.tolist()]
 
 
 @dataclass(frozen=True)
@@ -164,9 +176,9 @@ def estimate_arl2fa(
             UserWarning,
             stacklevel=2,
         )
-    outcomes = simulate_trials(model, detector, threshold, NO_CHANGE, horizon, trials, seed, window=window)
-    taus = np.array([o.tau if o.tau is not None else o.censored_at for o in outcomes], dtype=np.float64)
-    censored = sum(o.censored_at is not None for o in outcomes)
+    stops = _stopping_times(model, detector, threshold, NO_CHANGE, horizon, trials, seed, window)
+    censored = int(np.count_nonzero(stops == 0))
+    taus = np.where(stops == 0, horizon, stops).astype(np.float64)
     mean = float(taus.mean())
     sd = float(taus.std(ddof=1)) if trials > 1 else 0.0
     se = sd / math.sqrt(trials)
@@ -224,10 +236,10 @@ def estimate_cadd(
         raise ValueError("estimate_cadd needs a finite change point nu >= 1")
     if horizon is None:
         horizon = default_delay_horizon(nu, threshold, model.information_number())
-    outcomes = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
-    delays = np.array([o.delay for o in outcomes if o.delay is not None], dtype=np.float64)
-    censored = sum(o.censored_at is not None for o in outcomes)
-    false_alarms = sum(o.false_alarm for o in outcomes)
+    taus = _stopping_times(model, detector, threshold, nu, horizon, trials, seed, window)
+    delays = (taus[taus >= nu] - nu).astype(np.float64)
+    censored = int(np.count_nonzero(taus == 0))
+    false_alarms = trials - delays.size - censored
     if delays.size == 0:
         raise EstimationError(
             f"no accepted runs at nu={nu}, threshold={threshold} "

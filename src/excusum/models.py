@@ -313,7 +313,8 @@ def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
         return -0.5 * d * d - 0.5 * LOG_2PI
 
     def draw_pre(rng, size=None):
-        return rng.normal(0.0, 1.0, size)
+        # rng.normal(0.0, 1.0, size) bit for bit
+        return rng.standard_normal(size)
 
     def draw_post(n, rng, size=None):
         # rng.normal(mu, 1.0, size) bit for bit, without its broadcast path

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it lazily; load it with the package
 
-from .models import DensityModel, sample_post, sample_pre
+from .models import DensityModel
 
 #: explicit "the change never happens" value; deliberately not an integer so
 #: that false-alarm runs cannot be confused with large-nu runs
@@ -31,6 +31,114 @@ def derive_seed(base_seed: int, index: int) -> int:
     """Deterministic 64-bit per-trial seed, order-independent across trials."""
     state = np.random.SeedSequence([int(base_seed), int(index)]).generate_state(2, np.uint32)
     return (int(state[0]) << 32) | int(state[1])
+
+
+# numpy's SeedSequence hash (bit_generator.pyx), stable since numpy 1.17
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _mixed_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(n_words, np.uint32), one seed per
+    column: entropy[j] holds word j of every seed, as a uint32 array.  The
+    pool is SeedSequence's default of four words."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = x * _MIX_L
+        out -= y * _MIX_R
+        out ^= out >> 16
+        return out
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value *= const
+        value ^= value >> 16
+        state.append(value)
+    return state
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, low first, as SeedSequence
+    takes it in: one word below 2**32, two below 2**64."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_state(head: list[int], values: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence([*head, v]).generate_state(n_words, np.uint32) for every v
+    of a uint64 array, as (n_words, len(values)) rows."""
+    state = np.empty((n_words, len(values)), np.uint32)
+    short = values <= _MASK32
+    for rows, two_words in ((short, False), (~short, True)):
+        if rows.any():
+            v = values[rows]
+            entropy = [np.full(len(v), w, np.uint32) for w in head] + [(v & _MASK32).astype(np.uint32)]
+            if two_words:
+                entropy.append((v >> 32).astype(np.uint32))
+            state[:, rows] = _mixed_state(entropy, n_words)
+    return state
+
+
+def _trial_seeds(base_seed: int, indices: np.ndarray) -> np.ndarray:
+    """derive_seed(base_seed, i) for every i of a uint64 array, as uint64."""
+    state = _seed_state(_words(int(base_seed)), indices, 2)
+    return (state[0].astype(np.uint64) << 32) | state[1]
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state words were generated in advance."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """default_rng(s) for every s of a uint64 array, each built as it is
+    taken: PCG64 reads four uint64 words, SeedSequence(s).generate_state(4,
+    np.uint64), which are all generated up front."""
+    state = _seed_state([], seeds, 8)
+    words = state[0::2].astype(np.uint64) | (state[1::2].astype(np.uint64) << 32)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words.T.copy())
+
+
+def trial_generators(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """The generators of trials [start, stop), in order: trial i's draws equal
+    those of default_rng(derive_seed(seed, i)).  The range is seeded in one
+    vectorized pass; a generator costs memory only once it is taken."""
+    return _generators(_trial_seeds(seed, np.arange(start, stop, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -78,19 +186,21 @@ def _sample_blocks(
     model: DensityModel, nu: int | float, horizon: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Draw a path with change point nu in chunks from ``rng``; the single
-    code path behind both generators and the lockstep trials."""
+    code path behind both generators and the lockstep trials.  It calls the
+    model's samplers directly: its ages, counted from 0, pass sample_post's
+    index check."""
     n_pre = horizon if nu == NO_CHANGE else min(int(nu) - 1, horizon)
     done = 0
     while done < n_pre:
         take = min(_CHUNK, n_pre - done)
-        yield np.atleast_1d(np.asarray(sample_pre(model, rng, size=take), dtype=np.float64))
+        yield np.atleast_1d(np.asarray(model.sampler_pre(rng, take), dtype=np.float64))
         done += take
     n_post = horizon - n_pre
     age = 0
     while age < n_post:
         take = min(_CHUNK, n_post - age)
         idx = np.arange(age, age + take)
-        yield np.atleast_1d(np.asarray(sample_post(model, idx, rng), dtype=np.float64))
+        yield np.atleast_1d(np.asarray(model.sampler_post(idx, rng, None), dtype=np.float64))
         age += take
 
 

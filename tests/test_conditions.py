@@ -1,6 +1,7 @@
 """Condition verifiers: Cesaro-KL averaging, moment bounds, SLLN surrogate,
 block-sum dominance, and the composed report."""
 
+import dataclasses
 import math
 
 import hypothesis
@@ -230,6 +231,34 @@ def small_budgets(seed=0):
         dominance_trials=20_000,
         seed=seed,
     )
+
+
+def test_checks_draw_from_streams_of_their_own(arctan_model):
+    # the moment check, SLLN and the dominance blocks at the CLI budgets'
+    # indices each start from generator states no other check starts from
+    b = ConditionBudgets()
+    starts = {}
+
+    def recording(name):
+        def draw_post(n, rng, size=None):
+            if all(rng is not r for r, _ in starts.setdefault(name, [])):
+                starts[name].append((rng, tuple(rng.bit_generator.state["state"].values())))
+            return arctan_model.sampler_post(n, rng, size)
+
+        return dataclasses.replace(arctan_model, sampler_post=draw_post)
+
+    fourth_moment_check(recording("moment"), trials=2, seed=b.seed, ks=b.moment_ks)
+    slln_empirical(recording("slln"), 4, trials=b.slln_trials, seed=b.seed)
+    for k in b.dominance_pair:
+        sum_dominance_check(recording("dominance"), k, k, 1, trials=2, seed=b.seed)
+    states = {name: {state for _, state in entries} for name, entries in starts.items()}
+    assert [len(states[name]) for name in ("moment", "slln", "dominance")] == [
+        len(b.moment_ks),
+        b.slln_trials,
+        len(b.dominance_pair),
+    ]
+    assert not states["moment"] & states["slln"]
+    assert not (states["moment"] | states["slln"]) & states["dominance"]
 
 
 def test_full_report_passes_for_arctan(arctan_model):

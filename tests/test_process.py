@@ -17,6 +17,10 @@ from excusum import (
     generate_path,
     path_stream,
 )
+from excusum.process import _generators, _trial_seeds, trial_generators
+
+#: base seeds whose words SeedSequence reads as one word (below 2**32) and as two
+SEED_BASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D2B7E151)
 
 
 @dataclass
@@ -173,3 +177,54 @@ def test_derive_seed_is_stable_and_spread():
     assert a == derive_seed(123, 0)
     assert len({a, b, c}) == 3
     assert all(0 <= s < 2**64 for s in (a, b, c))
+
+
+def test_vectorized_trial_seeds_equal_seed_sequence():
+    # indices from 2**32 on enter SeedSequence as two words
+    blocks = (
+        np.arange(0, 9_000),
+        np.arange(2**32 - 4_000, 2**32 + 4_000),
+        np.array([2**63, 2**64 - 1]),
+    )
+    indices = np.concatenate([b.astype(np.uint64) for b in blocks])
+    checked = 0
+    for base in SEED_BASES:
+        got = _trial_seeds(base, indices)
+        for i, value in zip(indices.tolist(), got.tolist()):
+            hi, lo = np.random.SeedSequence([base, i]).generate_state(2, np.uint32).tolist()
+            assert value == (hi << 32) | lo, (base, i)
+        checked += len(indices)
+    assert checked >= 100_000
+
+
+def test_generators_draw_what_default_rng_draws():
+    # seeds below 2**32 enter SeedSequence as one word, larger ones as two
+    for seed, rng in zip(SEED_BASES, _generators(np.array(SEED_BASES, dtype=np.uint64)), strict=True):
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(rng.integers(0, 2**40, 300), ref.integers(0, 2**40, 300))
+    for base in SEED_BASES:
+        for i, rng in zip(range(2**32 - 3, 2**32 + 3), trial_generators(base, 2**32 - 3, 2**32 + 3), strict=True):
+            ref = np.random.default_rng(derive_seed(base, i))
+            assert np.array_equal(rng.standard_normal(300), ref.standard_normal(300))
+            assert np.array_equal(rng.normal(0.5, 2.0, 300), ref.normal(0.5, 2.0, 300))
+            assert np.array_equal(rng.integers(0, 1_000, 300), ref.integers(0, 1_000, 300))
+
+
+def test_trial_generators_do_not_depend_on_the_range():
+    whole = list(trial_generators(7, 0, 40))
+    parts = [*trial_generators(7, 0, 13), *trial_generators(7, 13, 40)]
+    assert list(trial_generators(7, 5, 5)) == []
+    for bad in (derive_seed, lambda seed, i: trial_generators(seed, i, i + 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            bad(-1, 0)
+    for a, b in zip(whole, parts, strict=True):
+        assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+
+
+@pytest.mark.parametrize("size", [None, 1, 300])
+def test_gaussian_pre_change_sampler_equals_rng_normal(arctan_model, size):
+    for seed in range(20):
+        got = arctan_model.sampler_pre(np.random.default_rng(seed), size)
+        want = np.random.default_rng(seed).normal(0.0, 1.0, size)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
