@@ -46,8 +46,9 @@ DOMINANCE_CONFIDENCE = 0.99
 #: deviation quantiles reported by slln_empirical; its verdict reads 0.95
 SLLN_QUANTILE_LEVELS = (0.5, 0.9, 0.95)
 
-#: float64 elements of one (trials x n) block of slln_empirical's paths (512 KiB)
-_SLLN_BLOCK_ELEMENTS = 2**16
+#: float64 elements of one (trials x ages) block of sampled paths (512 KiB),
+#: in slln_empirical and the dominance check alike
+_BLOCK_ELEMENTS = 2**16
 
 #: stream keys: moment index k and SLLN trial t draw from
 #: derive_seed(derive_seed(seed, key), i), apart from each other and from the
@@ -209,7 +210,7 @@ def slln_empirical(
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))
     rngs = trial_generators(derive_seed(seed, _SLLN_STREAMS), 0, trials)
-    rows = max(1, _SLLN_BLOCK_ELEMENTS // n)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, trials, rows):
         x = np.array([sample_post(model, ages, rng) for rng in islice(rngs, rows)], dtype=np.float64)
         z = np.asarray(llr(model, ages, x), dtype=np.float64)
@@ -252,7 +253,7 @@ def _block_averages(model: DensityModel, k: int, n: int, trials: int, seed: int)
     data_ages = np.arange(k - 1, k + n)  # X_i ~ f_{i-1} for i = k..k+n
     llr_ages = np.arange(n + 1)  # ratio index i-k
     out = np.empty(trials)
-    chunk = max(1, min(trials, 2_000_000 // (n + 1)))
+    chunk = max(1, _BLOCK_ELEMENTS // (n + 1))
     done = 0
     while done < trials:
         take = min(chunk, trials - done)

@@ -232,7 +232,11 @@ class SrState(_SumsState):
         return logsumexp_rows(view, cands._tmp, cands.scale)
 
     def _merge(self, candidate: np.ndarray, tail: np.ndarray) -> None:
-        # shift by the larger of the two; fmin maps the NaN of -inf - (-inf)
+        # the tail keeps a shift and a scale rather than one np.logaddexp
+        # column because the scale sums equal candidates exactly: on a zero
+        # schedule R_n = n, and a logaddexp tail rounds it, which moves SR's
+        # crossing of an exact threshold such as log 20.
+        # Shift by the larger of the two; fmin maps the NaN of -inf - (-inf)
         # to 0, where the tail's mass stays exp(-inf) = 0 whatever its scale
         cands = self._cands
         top = np.maximum(tail, candidate)

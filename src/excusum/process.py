@@ -42,8 +42,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 def _mixed_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
     """SeedSequence(entropy).generate_state(n_words, np.uint32), one seed per
-    column: entropy[j] holds word j of every seed, as a uint32 array.  The
-    pool is SeedSequence's default of four words."""
+    column: entropy[j] holds word j of every seed, as a uint32 array, for at
+    most four words.  The pool is SeedSequence's default of four words, which
+    hashes each missing word as a zero, so trailing zero words hash exactly
+    like absent ones: a uint64 may always enter as its (low, high) pair."""
     const = _INIT_A
 
     def hashmix(value):
@@ -66,9 +68,6 @@ def _mixed_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
     const = _INIT_B
     state = []
     for i in range(n_words):
@@ -80,36 +79,19 @@ def _mixed_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
     return state
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of a nonnegative integer, low first, as SeedSequence
-    takes it in: one word below 2**32, two below 2**64."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_state(head: list[int], values: np.ndarray, n_words: int) -> np.ndarray:
-    """SeedSequence([*head, v]).generate_state(n_words, np.uint32) for every v
-    of a uint64 array, as (n_words, len(values)) rows."""
-    state = np.empty((n_words, len(values)), np.uint32)
-    short = values <= _MASK32
-    for rows, two_words in ((short, False), (~short, True)):
-        if rows.any():
-            v = values[rows]
-            entropy = [np.full(len(v), w, np.uint32) for w in head] + [(v & _MASK32).astype(np.uint32)]
-            if two_words:
-                entropy.append((v >> 32).astype(np.uint32))
-            state[:, rows] = _mixed_state(entropy, n_words)
-    return state
+def _halves(values: np.ndarray) -> list[np.ndarray]:
+    """The (low, high) uint32 words of every value of a uint64 array."""
+    return [(values & _MASK32).astype(np.uint32), (values >> 32).astype(np.uint32)]
 
 
 def _trial_seeds(base_seed: int, indices: np.ndarray) -> np.ndarray:
-    """derive_seed(base_seed, i) for every i of a uint64 array, as uint64."""
-    state = _seed_state(_words(int(base_seed)), indices, 2)
+    """derive_seed(base_seed, i) for every i of a uint64 array, as uint64.
+    The base enters SeedSequence as one word below 2**32, else as two."""
+    base = int(base_seed)
+    if not 0 <= base < 2**64:
+        raise ValueError(f"seed must be a non-negative integer below 2**64, got {base_seed!r}")
+    head = _halves(np.full(len(indices), base, np.uint64))[: 1 + (base > _MASK32)]
+    state = _mixed_state(head + _halves(indices), 2)
     return (state[0].astype(np.uint64) << 32) | state[1]
 
 
@@ -129,8 +111,8 @@ def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """default_rng(s) for every s of a uint64 array, each built as it is
     taken: PCG64 reads four uint64 words, SeedSequence(s).generate_state(4,
     np.uint64), which are all generated up front."""
-    state = _seed_state([], seeds, 8)
-    words = state[0::2].astype(np.uint64) | (state[1::2].astype(np.uint64) << 32)
+    state = np.array(_mixed_state(_halves(seeds), 8), np.uint64)
+    words = state[0::2] | (state[1::2] << 32)
     return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words.T.copy())
 
 

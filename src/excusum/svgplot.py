@@ -8,6 +8,10 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+#: chart size in pixels, and about how many ticks each axis gets
+_WIDTH, _HEIGHT = 720, 440
+_TICKS = 6
+
 
 def escape(text: str) -> str:
     """Escape &, < and > for SVG text (ampersands first).  xml.sax.saxutils
@@ -15,10 +19,10 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,8 +45,6 @@ def line_chart(
     ylabel: str = "",
     hlines=(),
     vlines=(),
-    width: int = 720,
-    height: int = 440,
 ) -> str:
     """Render labeled (xs, ys) series plus reference lines as an SVG string.
 
@@ -64,7 +66,7 @@ def line_chart(
     ylo, yhi = ylo - pad, yhi + pad
 
     ml, mr, mt, mb = 62, 16, 34 if title else 16, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def px(x: float) -> float:
         return ml + (x - xlo) / (xhi - xlo) * pw
@@ -73,12 +75,12 @@ def line_chart(
         return mt + (yhi - y) / (yhi - ylo) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>')
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>')
     # axes and ticks
     out.append(
         f'<path d="M {ml} {mt} V {mt + ph} H {ml + pw}" fill="none" stroke="black" stroke-width="1"/>'
@@ -94,7 +96,7 @@ def line_chart(
             out.append(f'<line x1="{ml - 4}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>')
             out.append(f'<text x="{ml - 7}" y="{y + 4:.2f}" text-anchor="end">{t:g}</text>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle">{escape(xlabel)}</text>')
+        out.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{escape(xlabel)}</text>')
     if ylabel:
         out.append(
             f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '

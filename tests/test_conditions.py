@@ -3,6 +3,7 @@ block-sum dominance, and the composed report."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -19,7 +20,8 @@ from excusum import (
     slln_empirical,
     sum_dominance_check,
 )
-from excusum.conditions import dkw_slack
+from excusum import conditions
+from excusum.conditions import _block_averages, dkw_slack
 
 from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model
 
@@ -205,6 +207,26 @@ def test_dominance_fails_on_decreasing_table():
     model = gaussian_model(MeanSchedule.from_table([2.0, 1.5, 1.0, 0.5, 0.1]))
     check = sum_dominance_check(model, 1, 5, 20, trials=20_000, seed=24)
     assert not check.passed
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2_000])
+def test_block_averages_do_not_depend_on_the_block_budget(arctan_model, monkeypatch, rows):
+    # one generator fills the blocks in order, so only the chunking changes
+    n, trials = 20, 2_000
+    want = _block_averages(arctan_model, 3, n, trials, seed=31)
+    monkeypatch.setattr(conditions, "_BLOCK_ELEMENTS", rows * (n + 1))
+    got = _block_averages(arctan_model, 3, n, trials, seed=31)
+    assert np.array_equal(got, want)
+
+
+def test_dominance_check_memory_stays_within_the_block_budget(arctan_model):
+    tracemalloc.start()
+    try:
+        sum_dominance_check(arctan_model, 1, 5, 20, trials=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_dominance_validates_arguments(arctan_model):

@@ -214,9 +214,14 @@ def test_trial_generators_do_not_depend_on_the_range():
     whole = list(trial_generators(7, 0, 40))
     parts = [*trial_generators(7, 0, 13), *trial_generators(7, 13, 40)]
     assert list(trial_generators(7, 5, 5)) == []
-    for bad in (derive_seed, lambda seed, i: trial_generators(seed, i, i + 1)):
+    bad_seeds = (
+        lambda: derive_seed(-1, 0),
+        lambda: trial_generators(-1, 0, 1),
+        lambda: trial_generators(2**64, 0, 1),  # ChangeSpec's range: seeds lie in [0, 2**64)
+    )
+    for bad in bad_seeds:
         with pytest.raises(ValueError, match="non-negative"):
-            bad(-1, 0)
+            bad()
     for a, b in zip(whole, parts, strict=True):
         assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
 
