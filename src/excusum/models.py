@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,6 +81,9 @@ class MeanSchedule:
     by construction.  Explicit tables are *not* forced to be nondecreasing:
     decreasing tables are the standard counterexample input for the MLR and
     dominance checkers, which is why construction accepts them.
+
+    Copies and pickles are rebuilt through the constructor, so they are
+    validated again and start with an empty cache of their own.
     """
 
     kind: str
@@ -112,6 +116,9 @@ class MeanSchedule:
         if self.kind == "geometric-approach" and not 0.0 < self.params[0] < 1.0:
             raise ValueError("geometric-approach needs params=(ratio,) with 0 < ratio < 1")
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.limit_mu, self.params, self.table)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -141,6 +148,8 @@ class MeanSchedule:
 
     def _grown(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (mu, mu**2 / 2) holding at least ``upto`` entries each."""
+        if upto < 0:
+            raise ValueError("upto must be >= 0")
         cached = self._cache.get("mu")
         if cached is None or cached[0].size < upto:
             # grow geometrically: a detector asks for one more entry every step
@@ -166,14 +175,10 @@ class MeanSchedule:
 
     def means(self, upto: int) -> np.ndarray:
         """Read-only view of (mu_0, ..., mu_{upto-1})."""
-        if upto < 0:
-            raise ValueError("upto must be >= 0")
         return self._grown(upto)[0][:upto]
 
     def half_squares(self, upto: int) -> np.ndarray:
         """Read-only view of mu_j**2 / 2 for j = 0..upto-1, the KL numbers."""
-        if upto < 0:
-            raise ValueError("upto must be >= 0")
         return self._grown(upto)[1][:upto]
 
     def mu(self, n: int) -> float:
@@ -225,7 +230,9 @@ class DensityModel:
     sample per index.  ``finite_window(n)`` must return an interval holding
     essentially all mass of g and f_n, used to truncate quadrature when the
     support is infinite.  Instances are immutable and safe to share across
-    concurrent workers; rng state is always owned by the caller.
+    concurrent workers; rng state is always owned by the caller.  A
+    GaussianModel pickles, and so does a custom family whose callables do
+    (module-level functions and their partials, not lambdas or closures).
     """
 
     pre_change_log_density: Callable
@@ -301,32 +308,30 @@ class GaussianModel(DensityModel):
         return self.schedule.limit_mu ** 2 / 2.0
 
 
+def _normal_logpdf(mean, x):
+    d = np.asarray(x, dtype=np.float64) - mean
+    return -0.5 * d * d - 0.5 * LOG_2PI
+
+
+def _gaussian_post_logpdf(schedule: MeanSchedule, n, x):
+    return _normal_logpdf(schedule.at(n), x)
+
+
+def _gaussian_draw_post(schedule: MeanSchedule, n, rng, size=None):
+    # rng.normal(mu, 1.0, size) bit for bit, without its broadcast path
+    mu = schedule.at(n)
+    z = rng.standard_normal(np.shape(mu) if size is None else size)
+    z += mu
+    return z
+
+
+def _gaussian_window(schedule: MeanSchedule, n=None):
+    hi_mean = 0.0 if n is None or n < 0 else schedule.mu(n)
+    return (-TAIL_HALFWIDTH, hi_mean + TAIL_HALFWIDTH)
+
+
 def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
     """Build the unit-variance Gaussian location model for a mean schedule."""
-
-    def pre_logpdf(x):
-        xs = np.asarray(x, dtype=np.float64)
-        return -0.5 * xs * xs - 0.5 * LOG_2PI
-
-    def post_logpdf(n, x):
-        d = np.asarray(x, dtype=np.float64) - schedule.at(n)
-        return -0.5 * d * d - 0.5 * LOG_2PI
-
-    def draw_pre(rng, size=None):
-        # rng.normal(0.0, 1.0, size) bit for bit
-        return rng.standard_normal(size)
-
-    def draw_post(n, rng, size=None):
-        # rng.normal(mu, 1.0, size) bit for bit, without its broadcast path
-        mu = schedule.at(n)
-        z = rng.standard_normal(np.shape(mu) if size is None else size)
-        z += mu
-        return z
-
-    def window(n=None):
-        hi_mean = 0.0 if n is None or n < 0 else schedule.mu(n)
-        return (-TAIL_HALFWIDTH, hi_mean + TAIL_HALFWIDTH)
-
     if schedule.limit_mu == 0.0 and float(schedule.means(256).max(initial=0.0)) == 0.0:
         warnings.warn(
             "schedule is identically zero: pre- and post-change laws coincide, "
@@ -336,12 +341,13 @@ def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
         )
 
     return GaussianModel(
-        pre_change_log_density=pre_logpdf,
-        post_change_log_density=post_logpdf,
-        sampler_pre=draw_pre,
-        sampler_post=draw_post,
+        pre_change_log_density=partial(_normal_logpdf, 0.0),
+        post_change_log_density=partial(_gaussian_post_logpdf, schedule),
+        # rng.normal(0.0, 1.0, size) bit for bit
+        sampler_pre=np.random.Generator.standard_normal,
+        sampler_post=partial(_gaussian_draw_post, schedule),
         support=(-math.inf, math.inf),
-        finite_window=window,
+        finite_window=partial(_gaussian_window, schedule),
         schedule=schedule,
     )
 
@@ -371,6 +377,13 @@ def _validate_x(model: DensityModel, x):
     return xs
 
 
+def _checked_index(index, name: str) -> np.ndarray:
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" or np.any(idx < 0):
+        raise ValueError(f"{name} must be a nonnegative integer (or array thereof)")
+    return idx
+
+
 def llr(model: DensityModel, post_index, x):
     """Per-sample log-likelihood ratio log f_{post_index}(x) - log g(x).
 
@@ -379,10 +392,7 @@ def llr(model: DensityModel, post_index, x):
     non-finite x, x outside the support, or a negative or non-integer index.
     """
     xs = _validate_x(model, x)
-    idx = np.asarray(post_index)
-    if idx.dtype.kind not in "iu" or np.any(idx < 0):
-        raise ValueError("post_index must be a nonnegative integer (or array thereof)")
-    val = model.log_ratio(idx, xs)
+    val = model.log_ratio(_checked_index(post_index, "post_index"), xs)
     if np.ndim(val) == 0:
         return float(val)
     return val
@@ -489,9 +499,7 @@ def sample_pre(model: DensityModel, rng: np.random.Generator, size=None):
 
 def sample_post(model: DensityModel, n, rng: np.random.Generator, size=None):
     """Draw from f_n; n may be an index array (one draw per index)."""
-    idx = np.asarray(n)
-    if idx.dtype.kind not in "iu" or np.any(idx < 0):
-        raise ValueError("post-change index must be a nonnegative integer (or array thereof)")
+    _checked_index(n, "post-change index")
     return model.sampler_post(n, rng, size)
 
 

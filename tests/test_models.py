@@ -1,7 +1,9 @@
 """Density-family tests: log-likelihood ratios, KL, MLR/dominance checks,
 schedules, and sampling contracts."""
 
+import copy
 import math
+import pickle
 
 import hypothesis
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from excusum import (
     DensityModel,
+    GaussianModel,
     MeanSchedule,
     NumericError,
     default_grid,
@@ -21,10 +24,21 @@ from excusum import (
     verify_mlr,
     verify_stochastic_dominance,
 )
+from excusum import metrics
 from excusum.models import LOG_2PI, SATURATION_SCAN_CAP, SCHEDULE_KINDS
 from excusum.numerics import adaptive_trapezoid
 
 from conftest import constant_model, generic_gaussian_model
+
+
+#: one schedule of each kind in SCHEDULE_KINDS
+EVERY_KIND = [
+    MeanSchedule.constant(0.8),
+    MeanSchedule.arctangent(),
+    MeanSchedule.linear_saturating(0.1, 1.0),
+    MeanSchedule.geometric_approach(1.3, 0.9),
+    MeanSchedule.from_table([0.2, 0.9, 0.4, 1.5]),
+]
 
 
 def normal_logpdf(x, mean):
@@ -328,16 +342,7 @@ def test_zero_mean_post_change_matches_pre_change_in_distribution():
     assert abs(pre.mean() - post.mean()) < 0.02
 
 
-@pytest.mark.parametrize(
-    "schedule",
-    [
-        MeanSchedule.arctangent(),
-        MeanSchedule.linear_saturating(0.1, 1.0),
-        MeanSchedule.geometric_approach(1.3, 0.9),
-        MeanSchedule.from_table([0.2, 0.9, 0.4, 1.5]),
-    ],
-    ids=lambda s: s.kind,
-)
+@pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
 @pytest.mark.parametrize(
     "n, size",
     [
@@ -362,6 +367,50 @@ def test_gaussian_post_draws_equal_rng_normal(schedule, n, size):
 def test_sample_post_rejects_negative_index(arctan_model):
     with pytest.raises(ValueError):
         sample_post(arctan_model, -2, np.random.default_rng(0))
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
+def test_unpickled_gaussian_model_gives_the_same_numbers(schedule):
+    model = gaussian_model(schedule)
+    twin = _round_trip(model)
+    assert type(twin) is GaussianModel and twin.schedule == schedule
+    assert twin.llr_prefix(70, 0.7, np.empty(80)).tobytes() == model.llr_prefix(70, 0.7, np.empty(80)).tobytes()
+    col = np.array([[-2.5], [0.0], [3.25]])
+    got = twin.llr_prefix(70, col, np.empty((3, 80)))
+    assert got.tobytes() == model.llr_prefix(70, col, np.empty((3, 80))).tobytes()
+    idx, xs = np.arange(70), np.linspace(-3.0, 5.0, 70)
+    assert twin.log_ratio(idx, xs).tobytes() == model.log_ratio(idx, xs).tobytes()
+    assert twin.pre_change_log_density(xs).tobytes() == model.pre_change_log_density(xs).tobytes()
+    assert twin.post_change_log_density(idx, xs).tobytes() == model.post_change_log_density(idx, xs).tobytes()
+
+    def draws(m, rng):
+        out = (m.sampler_pre(rng, 7), m.sampler_post(idx, rng), m.sampler_post(5, rng, 3), m.sampler_pre(rng))
+        return [np.asarray(d).tobytes() for d in out]
+
+    got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+    assert draws(twin, got_rng) == draws(model, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for n in (None, 0, 3, 400):
+        assert twin.quadrature_window(n) == model.quadrature_window(n)
+    assert twin.saturation_index() == model.saturation_index()
+    assert twin.information_number() == model.information_number()
+
+
+@pytest.mark.parametrize("detector", ["ex-cusum", "sr", "cusum"])
+@pytest.mark.parametrize(
+    "schedule",
+    [MeanSchedule.arctangent(), MeanSchedule.linear_saturating(0.1, 1.0), MeanSchedule.constant(0.8)],
+    ids=["unbounded", "folded", "folded-at-0"],  # mu_0 = 0 leaves CUSUM censored but for the constant
+)
+def test_unpickled_gaussian_model_stops_at_the_same_times(detector, schedule):
+    model = gaussian_model(schedule)
+    args = (detector, math.log(50.0), 20, 150, 24, 5, None)
+    want = metrics._stopping_times(model, *args)
+    assert np.array_equal(metrics._stopping_times(_round_trip(model), *args), want)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +438,20 @@ def test_half_squares_match_means_bit_for_bit_across_regrowth():
     assert big[:10].tobytes() == first.tobytes()
     assert not big.flags.writeable and not mu.flags.writeable
     assert s.at(np.array([3, 4999, 0])).tolist() == [mu[3], mu[4999], mu[0]]
+
+
+@pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, _round_trip], ids=["deepcopy", "pickle"])
+def test_copied_schedules_keep_a_read_only_cache_of_their_own(schedule, copy_of):
+    want = schedule.means(100).tobytes()  # a filled cache, then the copy
+    twin = copy_of(schedule)
+    assert twin == schedule
+    for view in (twin.means(5), twin.half_squares(5)):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 99.0
+    assert twin.means(100).tobytes() == want
+    assert schedule.means(100).tobytes() == want
 
 
 def test_schedule_cache_is_not_a_constructor_argument():
