@@ -149,7 +149,7 @@ class MeanSchedule:
     def _grown(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (mu, mu**2 / 2) holding at least ``upto`` entries each."""
         if upto < 0:
-            raise ValueError("upto must be >= 0")
+            raise ValueError("schedule index or count must be >= 0")
         cached = self._cache.get("mu")
         if cached is None or cached[0].size < upto:
             # grow geometrically: a detector asks for one more entry every step

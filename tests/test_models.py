@@ -454,6 +454,13 @@ def test_copied_schedules_keep_a_read_only_cache_of_their_own(schedule, copy_of)
     assert schedule.means(100).tobytes() == want
 
 
+def test_schedule_rejects_negative_counts_and_indices_below_minus_one():
+    s = MeanSchedule.arctangent()
+    for call in (lambda: s.means(-1), lambda: s.half_squares(-1), lambda: s.at(np.array([-2]))):
+        with pytest.raises(ValueError, match="index or count must be >= 0"):
+            call()
+
+
 def test_schedule_cache_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         MeanSchedule(kind="constant", limit_mu=1.0, _cache={})

@@ -4,9 +4,9 @@ Lines are newline characters; statements are the nodes of the module's
 syntax tree that are ``ast.stmt`` instances, nested ones included.  These are
 the two counts the ROADMAP tracks for ``src/``.
 
-    python3 tools/src_size.py [DIR]
+    python3 tools/src_size.py
 
-DIR defaults to the repository's ``src/``.  Stdlib only.
+Stdlib only.
 """
 
 import ast
@@ -20,8 +20,8 @@ def module_size(path: Path) -> tuple[int, int]:
     return text.count("\n"), sum(isinstance(node, ast.stmt) for node in ast.walk(tree))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src"
     total_lines = total_stmts = 0
     print(f"{'lines':>6} {'stmts':>6}  module")
     for path in sorted(root.rglob("*.py")):
@@ -34,4 +34,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
