@@ -66,7 +66,7 @@ def _kl_values(model: DensityModel, upto: int) -> np.ndarray:
     """D(f_{k-1} || g) for k = 1..upto: the Gaussian closed form, else quadrature."""
     if isinstance(model, GaussianModel):
         return model.schedule.half_squares(upto)
-    return np.array([kl_divergence(model, j, method="quadrature") for j in range(upto)])
+    return np.array([kl_divergence(model, j) for j in range(upto)])
 
 
 def _trace_indices(n_max: int) -> np.ndarray:

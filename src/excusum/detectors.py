@@ -177,9 +177,8 @@ class ExCusumState(_SumsState):
     """
 
     def __init__(self, window: int | None = None) -> None:
-        if window is not None and (not isinstance(window, int) or window < 1):
+        if window is not None and (type(window) is not int or window < 1):
             raise ValueError(f"window must be a positive integer or None, got {window!r}")
-        self.window = window
         self.statistic = -math.inf
         self._cands = _CandidateBuffer(limit=window)
 

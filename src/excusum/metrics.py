@@ -103,7 +103,7 @@ def _stopping_times(
     window: int | None,
 ) -> np.ndarray:
     """The int64 stopping times of simulate_trials' trials, 0 for a censored one."""
-    if trials < 1:
+    if isinstance(trials, bool) or trials < 1:
         raise EstimationError("at least one trial is required")
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
     retained = _retained_columns(detector, window, model)
@@ -369,7 +369,7 @@ def tradeoff_curve(
             model,
             detector,
             threshold,
-            arl_trials or trials,
+            trials if arl_trials is None else arl_trials,
             horizon,
             derive_seed(seed, 2 * j),
             window=window,

@@ -61,8 +61,10 @@ MLR_TOLERANCE = 1e-12
 #: limit only past this many entries is treated as never reaching it
 SATURATION_SCAN_CAP = 2**20
 
-#: quadrature error allowed in verify_stochastic_dominance's tail comparison
+#: quadrature error allowed in verify_stochastic_dominance's tail comparison,
+#: and the points of the fine grid on which it integrates the tails
 DOMINANCE_SLACK = 1e-9
+DOMINANCE_POINTS = 4001
 
 
 @dataclass(frozen=True)
@@ -182,13 +184,13 @@ class MeanSchedule:
         return self._grown(upto)[1][:upto]
 
     def mu(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("schedule index must be >= 0")
-        return float(self._grown(n + 1)[0][n])
+        return float(self.at(n))
 
     def at(self, index) -> np.ndarray:
         """mu at every entry of a nonnegative integer index (array)."""
         idx = np.asarray(index)
+        if idx.size and idx.min() < 0:
+            raise ValueError("schedule index or count must be >= 0")
         return self._grown(int(idx.max()) + 1 if idx.size else 1)[0][idx]
 
     def saturation_index(self) -> int | None:
@@ -398,16 +400,12 @@ def llr(model: DensityModel, post_index, x):
     return val
 
 
-def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:
-    """D(f_n || g): the Gaussian family's cached mu_n**2 / 2, or trapezoid quadrature."""
+def kl_divergence(model: DensityModel, n: int) -> float:
+    """D(f_n || g): the Gaussian family's cached mu_n**2 / 2, else trapezoid quadrature."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if method == "closed":
-        if not isinstance(model, GaussianModel):
-            raise ValueError("closed-form KL requested but only the Gaussian family provides one")
+    if isinstance(model, GaussianModel):
         return float(model.schedule.half_squares(n + 1)[n])
-    if method != "quadrature":
-        raise ValueError(f"unknown KL method {method!r}, expected 'closed' or 'quadrature'")
     lo, hi = model.quadrature_window(n)
 
     def integrand(xs):
@@ -416,7 +414,7 @@ def kl_divergence(model: DensityModel, n: int, method: str = "closed") -> float:
         f = np.exp(logf)
         return np.where(f > 0.0, f * (logf - logg), 0.0)
 
-    val = adaptive_trapezoid(integrand, lo, hi, tol=1e-10)
+    val = adaptive_trapezoid(integrand, lo, hi)
     return max(val, 0.0)
 
 
@@ -449,7 +447,7 @@ def _validate_grid(model: DensityModel, grid) -> np.ndarray:
     return g
 
 
-def verify_mlr(model: DensityModel, n: int, grid, tol: float = MLR_TOLERANCE) -> MlrCheck:
+def verify_mlr(model: DensityModel, n: int, grid) -> MlrCheck:
     """Check that f_{n+1}/f_n is nondecreasing along a grid (n = -1: f_0/g).
 
     Works in the log domain; a grid point where the denominator density
@@ -465,19 +463,19 @@ def verify_mlr(model: DensityModel, n: int, grid, tol: float = MLR_TOLERANCE) ->
         return MlrCheck(False, math.inf)
     drops = -np.diff(ratio)
     worst = float(max(0.0, drops.max(initial=0.0)))
-    return MlrCheck(worst <= tol, worst)
+    return MlrCheck(worst <= MLR_TOLERANCE, worst)
 
 
-def _right_tails(log_density, grid: np.ndarray, hi: float, points: int) -> np.ndarray:
+def _right_tails(log_density, grid: np.ndarray, hi: float) -> np.ndarray:
     """Upper-tail masses at the grid points, by trapezoid on a shared fine grid."""
-    fine = np.union1d(grid, np.linspace(grid[0], hi, points))
+    fine = np.union1d(grid, np.linspace(grid[0], hi, DOMINANCE_POINTS))
     dens = np.exp(np.asarray(log_density(fine), dtype=np.float64))
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(fine)
     tails = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     return tails[np.searchsorted(fine, grid)]
 
 
-def verify_stochastic_dominance(model: DensityModel, n: int, grid, *, points: int = 4001) -> bool:
+def verify_stochastic_dominance(model: DensityModel, n: int, grid) -> bool:
     """Check P(f_n > x) <= P(f_{n+1} > x) at every grid point (n = -1: g vs f_0).
 
     Tail masses are computed by quadrature on a shared fine grid, so when the
@@ -487,8 +485,8 @@ def verify_stochastic_dominance(model: DensityModel, n: int, grid, *, points: in
     lower, upper = _pair_log_densities(model, n)
     _, hi = model.quadrature_window(max(n + 1, 0))
     hi = max(hi, float(g[-1]))
-    tails_lower = _right_tails(lower, g, hi, points)
-    tails_upper = _right_tails(upper, g, hi, points)
+    tails_lower = _right_tails(lower, g, hi)
+    tails_upper = _right_tails(upper, g, hi)
     return bool(np.all(tails_lower <= tails_upper + DOMINANCE_SLACK))
 
 

@@ -132,14 +132,14 @@ class ChangeSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.nu, bool) or not (
-            (isinstance(self.nu, int) and self.nu >= 1)
+        if not (
+            (type(self.nu) is int and self.nu >= 1)
             or (isinstance(self.nu, float) and math.isinf(self.nu) and self.nu > 0)
         ):
             raise ValueError(f"nu must be an integer >= 1 or NO_CHANGE, got {self.nu!r}")
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if not (type(self.horizon) is int and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     @property

@@ -45,6 +45,12 @@ def generic_gaussian_model(schedule: MeanSchedule) -> DensityModel:
     )
 
 
+def plain(model: DensityModel) -> DensityModel:
+    """``model``'s densities, samplers and window as a plain DensityModel, without
+    the GaussianModel closed forms, so kl_divergence integrates it by quadrature."""
+    return DensityModel(**{f.name: getattr(model, f.name) for f in dataclasses.fields(DensityModel)})
+
+
 def with_information_number(model: DensityModel, info: float) -> DensityModel:
     """``model`` as an instance of a subclass whose information_number()
     returns ``info``, the way a custom family supplies its I."""

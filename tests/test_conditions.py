@@ -23,7 +23,7 @@ from excusum import (
 from excusum import conditions
 from excusum.conditions import _block_averages, dkw_slack
 
-from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model
+from conftest import constant_model, generic_gaussian_model, plain, windowed_gaussian_model
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -67,8 +67,8 @@ def test_quadrature_and_closed_kl_agree_along_the_schedule(arctan_model):
     from excusum import kl_divergence
 
     for n in (0, 1, 7, 80):
-        closed = kl_divergence(arctan_model, n, "closed")
-        quad = kl_divergence(arctan_model, n, "quadrature")
+        closed = kl_divergence(arctan_model, n)
+        quad = kl_divergence(plain(arctan_model), n)
         assert quad == pytest.approx(closed, abs=1e-8)
 
 
@@ -76,7 +76,7 @@ def test_closed_kl_reads_the_cached_half_squares(arctan_model):
     from excusum import kl_divergence
 
     half = arctan_model.schedule.half_squares(20_000)
-    assert all(kl_divergence(arctan_model, n, "closed") == half[n] for n in range(20_000))
+    assert all(kl_divergence(arctan_model, n) == half[n] for n in range(20_000))
 
 
 def test_cesaro_average_by_quadrature_without_closed_forms():

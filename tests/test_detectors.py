@@ -250,6 +250,15 @@ def test_window_validation():
         ExCusumState(window=2.5)
 
 
+def test_window_refuses_a_bool(arctan_model):
+    # True is an int subclass; the config refuses it, and so does the engine
+    path = generate_path(arctan_model, ChangeSpec(nu=1, horizon=5, seed=67))
+    with pytest.raises(ValueError, match="window must be a positive integer"):
+        ExCusumState(window=True)
+    with pytest.raises(ValueError, match="window must be a positive integer"):
+        run_detector("ex-cusum", arctan_model, path, 1.0, 5, window=True)
+
+
 # ---------------------------------------------------------------------------
 # folding saturated candidates
 

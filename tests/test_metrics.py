@@ -340,6 +340,11 @@ def test_cadd_no_accepted_runs_is_an_error(arctan_model):
         estimate_cadd(arctan_model, "ex-cusum", math.log(10_000), nu=5, trials=10, seed=37, horizon=6)
 
 
+def test_estimators_refuse_a_bool_trial_count(arctan_model):
+    with pytest.raises(EstimationError, match="at least one trial"):
+        estimate_arl2fa(arctan_model, "ex-cusum", 1.0, trials=True, horizon=100, seed=1)
+
+
 def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
     # with the detector replaced by fixed stopping times (0: censored), the
     # estimates are plain arithmetic with no Monte Carlo noise
@@ -464,6 +469,8 @@ def test_custom_family_supplies_its_information_number_to_the_tradeoff():
 
 
 def test_tradeoff_validates_gammas(arctan_model):
+    with pytest.raises(EstimationError, match="at least one trial"):
+        tradeoff_curve(arctan_model, (math.e**2,), trials=10, seed=1, arl_trials=0)
     with pytest.raises(ValueError):
         tradeoff_curve(arctan_model, (), trials=10, seed=1)
     with pytest.raises(ValueError):

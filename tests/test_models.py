@@ -28,7 +28,7 @@ from excusum import metrics
 from excusum.models import LOG_2PI, SATURATION_SCAN_CAP, SCHEDULE_KINDS
 from excusum.numerics import adaptive_trapezoid
 
-from conftest import constant_model, generic_gaussian_model
+from conftest import constant_model, generic_gaussian_model, plain
 
 
 #: one schedule of each kind in SCHEDULE_KINDS
@@ -160,12 +160,12 @@ def test_kl_closed_form_values():
 @pytest.mark.parametrize("mu", [0.1, 1.0, math.pi / 2])
 def test_kl_quadrature_matches_closed_form(mu):
     model = constant_model(mu)
-    closed = kl_divergence(model, 0, "closed")
-    quad = kl_divergence(model, 0, "quadrature")
+    closed = kl_divergence(model, 0)
+    quad = kl_divergence(plain(model), 0)
     assert quad == pytest.approx(closed, abs=1e-8)
 
 
-def test_kl_closed_without_closed_form_errors():
+def test_kl_without_closed_form_is_quadrature():
     bare = DensityModel(
         pre_change_log_density=lambda x: normal_logpdf(np.asarray(x, float), 0.0),
         post_change_log_density=lambda n, x: normal_logpdf(np.asarray(x, float), 1.0),
@@ -174,9 +174,7 @@ def test_kl_closed_without_closed_form_errors():
         support=(-math.inf, math.inf),
         finite_window=lambda n=None: (-11.0, 11.0),
     )
-    with pytest.raises(ValueError, match="closed-form"):
-        kl_divergence(bare, 0, "closed")
-    assert kl_divergence(bare, 0, "quadrature") == pytest.approx(0.5, abs=1e-8)
+    assert kl_divergence(bare, 0) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_kl_quadrature_without_window_errors():
@@ -188,7 +186,7 @@ def test_kl_quadrature_without_window_errors():
         support=(-math.inf, math.inf),
     )
     with pytest.raises(ValueError, match="finite"):
-        kl_divergence(bare, 0, "quadrature")
+        kl_divergence(bare, 0)
 
 
 def test_trapezoid_non_convergence_raises():
@@ -278,7 +276,7 @@ def test_mlr_implies_dominance(raw, n):
     model = gaussian_model(MeanSchedule.from_table(sorted(raw)))
     grid = default_grid(model, n + 1, points=201)
     assert verify_mlr(model, n, grid).ok
-    assert verify_stochastic_dominance(model, n, grid, points=801)
+    assert verify_stochastic_dominance(model, n, grid)
 
 
 def test_built_in_schedules_pass_mlr_and_dominance_with_defaults():
@@ -454,9 +452,15 @@ def test_copied_schedules_keep_a_read_only_cache_of_their_own(schedule, copy_of)
     assert schedule.means(100).tobytes() == want
 
 
-def test_schedule_rejects_negative_counts_and_indices_below_minus_one():
+def test_schedule_rejects_negative_counts_and_indices():
     s = MeanSchedule.arctangent()
-    for call in (lambda: s.means(-1), lambda: s.half_squares(-1), lambda: s.at(np.array([-2]))):
+    for call in (
+        lambda: s.means(-1),
+        lambda: s.half_squares(-1),
+        lambda: s.at(np.array([-2])),
+        lambda: s.at(np.array([-1])),
+        lambda: s.mu(-1),
+    ):
         with pytest.raises(ValueError, match="index or count must be >= 0"):
             call()
 

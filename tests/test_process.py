@@ -62,6 +62,10 @@ def test_change_spec_validation():
     with pytest.raises(ValueError):
         ChangeSpec(nu=2, horizon=0, seed=0)
     with pytest.raises(ValueError):
+        ChangeSpec(nu=1, horizon=True, seed=0)
+    with pytest.raises(ValueError):
+        ChangeSpec(nu=1, horizon=10, seed=True)
+    with pytest.raises(ValueError):
         ChangeSpec(nu=2, horizon=10, seed=-1)
     with pytest.raises(ValueError):
         ChangeSpec(nu=2, horizon=10, seed=2**64)
