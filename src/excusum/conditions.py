@@ -3,7 +3,8 @@
 Four pieces of evidence are produced for a model:
 
 - Cesaro convergence of the KL divergences D(f_{k-1} || g) to an information
-  number I > 0 (exact arithmetic, closed form when available);
+  number I > 0 (read from the model's kl hook: closed form for the Gaussian
+  family, quadrature otherwise);
 - a uniform bound on the centered fourth moments of the per-sample
   log-likelihood ratio (Monte Carlo against the closed-form Gaussian bound
   3 * mu**4);
@@ -36,7 +37,6 @@ from .models import (
     default_grid,
     kl_divergence,
     llr,
-    sample_post,
     verify_mlr,
 )
 from .process import derive_seed, trial_generators
@@ -60,13 +60,6 @@ _SLLN_STREAMS = 2**64 - 2
 def dkw_slack(trials: int) -> float:
     """One-sided empirical-CDF comparison slack at DOMINANCE_CONFIDENCE."""
     return math.sqrt(math.log(2.0 / (1.0 - DOMINANCE_CONFIDENCE)) / (2.0 * trials))
-
-
-def _kl_values(model: DensityModel, upto: int) -> np.ndarray:
-    """D(f_{k-1} || g) for k = 1..upto: the Gaussian closed form, else quadrature."""
-    if isinstance(model, GaussianModel):
-        return model.schedule.half_squares(upto)
-    return np.array([kl_divergence(model, j) for j in range(upto)])
 
 
 def _trace_indices(n_max: int) -> np.ndarray:
@@ -94,7 +87,7 @@ def cesaro_kl_average(model: DensityModel, n_max: int) -> CesaroTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    vals = _kl_values(model, n_max)
+    vals = model.kl(np.arange(n_max))
     # running mean in recurrence form: exact on constant sequences, where a
     # cumsum-based mean would wobble in the last bits
     cumavg = np.empty(n_max)
@@ -142,8 +135,10 @@ def fourth_moment_check(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("the fourth-moment check needs the Gaussian family, whose bound is 3 * limit_mu**4")
-    if any(k < 1 for k in ks):
-        raise ValueError("moment check indices k must be >= 1")
+    if not ks or any(k < 1 for k in ks):
+        raise ValueError("moment check indices k must be given, each >= 1")
+    if trials < 2:
+        raise ValueError("the moment check needs trials >= 2 for its standard errors")
     bound = 3.0 * model.schedule.limit_mu ** 4
     estimates = np.empty(len(ks))
     stderrs = np.empty(len(ks))
@@ -151,7 +146,7 @@ def fourth_moment_check(
     base = derive_seed(seed, _MOMENT_STREAMS)
     for j, k in enumerate(ks):
         rng = np.random.default_rng(derive_seed(base, k))
-        x = np.asarray(sample_post(model, k - 1, rng, size=trials))
+        x = np.asarray(model.sampler_post(k - 1, rng, trials))
         z = llr(model, k - 1, x)
         center = kl_divergence(model, k - 1)
         fourth = (z - center) ** 4
@@ -187,22 +182,17 @@ def slln_empirical(
     n: int,
     trials: int = 1_000,
     seed: int = 0,
-    *,
-    grid: tuple[int, ...] | None = None,
 ) -> SllnCheck:
     """Simulate change-at-1 paths and track |(1/m) sum llr(k-1, X_k) - I|.
 
     I is model.information_number(), else the Cesaro estimate.  Averages are
-    taken at m on a coarsening grid (default n/16, n/4, n); the check passes
+    taken at m on the coarsening grid n/16, n/4, n; the check passes
     when the 95th-percentile deviation strictly decreases, the Monte Carlo
     surrogate for almost-sure convergence.
     """
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be >= 1")
-    if grid is None:
-        grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
-    if any(m < 1 or m > n for m in grid):
-        raise ValueError("grid entries must lie in 1..n")
+    if n < 1 or trials < 2:
+        raise ValueError("n must be >= 1 and trials >= 2")
+    grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
     info = model.information_number()
     if info is None:
         info = cesaro_kl_average(model, n).information_number
@@ -212,7 +202,7 @@ def slln_empirical(
     rngs = trial_generators(derive_seed(seed, _SLLN_STREAMS), 0, trials)
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, trials, rows):
-        x = np.array([sample_post(model, ages, rng) for rng in islice(rngs, rows)], dtype=np.float64)
+        x = np.array([model.sampler_post(ages, rng, None) for rng in islice(rngs, rows)], dtype=np.float64)
         z = np.asarray(llr(model, ages, x), dtype=np.float64)
         cs = np.cumsum(z, axis=-1)
         avgs[start : start + len(x)] = cs[:, marks - 1] / marks
@@ -257,7 +247,7 @@ def _block_averages(model: DensityModel, k: int, n: int, trials: int, seed: int)
     done = 0
     while done < trials:
         take = min(chunk, trials - done)
-        x = np.asarray(sample_post(model, np.broadcast_to(data_ages, (take, n + 1)), rng))
+        x = np.asarray(model.sampler_post(np.broadcast_to(data_ages, (take, n + 1)), rng, None))
         z = llr(model, llr_ages, x)
         out[done : done + take] = z.sum(axis=1) / n
         done += take

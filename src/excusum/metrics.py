@@ -296,7 +296,8 @@ def worst_case_delay_scan(
     where Lorden takes their essential supremum.  A nu with no accepted runs
     is flagged in its cell rather than silently dropped; the scan fails only
     if every cell fails.  An information number that is not positive gives
-    no delay horizon, which fails the scan before any run.
+    no delay horizon, which fails the scan before any run, as does a grid
+    entry that is not an integer >= 1 (a bool included).
 
     It is library-only: each cell is what ``excusum cadd`` estimates on a
     config whose run.nu is that nu, so a command would only add a nu-grid
@@ -304,6 +305,8 @@ def worst_case_delay_scan(
     """
     if not nu_grid:
         raise ValueError("nu_grid must be nonempty")
+    if any(isinstance(nu, bool) or not isinstance(nu, (int, np.integer)) or nu < 1 for nu in nu_grid):
+        raise ValueError(f"nu_grid entries must be integers >= 1, got {list(nu_grid)}")
     # fail on a model without a delay horizon before any run, naming I
     default_delay_horizon(1, threshold, model.information_number())
     cells = []

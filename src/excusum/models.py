@@ -20,7 +20,9 @@ DensityModel interface, so custom families (including deliberately broken
 ones used as counterexamples in tests) plug in the same way.  The per-sample
 log-likelihood ratio has one hook, DensityModel.log_ratio and its prefix
 form llr_prefix (the detectors' hot path); the defaults subtract the log
-densities, and GaussianModel overrides both with the closed form.
+densities, and GaussianModel overrides both with the closed form.  The KL
+numbers have one hook too, DensityModel.kl: trapezoid quadrature by default,
+the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
 changing: for the Gaussian family, the index from which the schedule's
 cached means equal its limit bit for bit, scanned in the same array
@@ -274,6 +276,16 @@ class DensityModel:
             row[:] = self.log_ratio(idx, xr)
         return block
 
+    def kl(self, index):
+        """D(f_j || g) at every entry j of a nonnegative integer index (array),
+        one trapezoid quadrature over quadrature_window(j) per entry (no checks)."""
+        idx = np.asarray(index)
+        vals = [
+            max(adaptive_trapezoid(partial(_kl_integrand, self, j), *self.quadrature_window(j)), 0.0)
+            for j in idx.ravel().tolist()
+        ]
+        return np.reshape(vals, idx.shape)
+
     def saturation_index(self) -> int | None:
         """The first age index L from which log_ratio(j, x) is one function of
         x for every j >= L, bit for bit, or None.  The detectors then fold
@@ -303,11 +315,23 @@ class GaussianModel(DensityModel):
         block -= self.schedule.half_squares(n)
         return block
 
+    def kl(self, index):
+        # the same operations as the cached half_squares, so the same bits
+        m = self.schedule.at(index)
+        return m * m / 2.0
+
     def saturation_index(self) -> int | None:
         return self.schedule.saturation_index()
 
     def information_number(self) -> float:
         return self.schedule.limit_mu ** 2 / 2.0
+
+
+def _kl_integrand(model: DensityModel, n: int, xs):
+    logf = model.post_change_log_density(n, xs)
+    logg = model.pre_change_log_density(xs)
+    f = np.exp(logf)
+    return np.where(f > 0.0, f * (logf - logg), 0.0)
 
 
 def _normal_logpdf(mean, x):
@@ -401,21 +425,10 @@ def llr(model: DensityModel, post_index, x):
 
 
 def kl_divergence(model: DensityModel, n: int) -> float:
-    """D(f_n || g): the Gaussian family's cached mu_n**2 / 2, else trapezoid quadrature."""
+    """D(f_n || g): the checked form of model.kl."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if isinstance(model, GaussianModel):
-        return float(model.schedule.half_squares(n + 1)[n])
-    lo, hi = model.quadrature_window(n)
-
-    def integrand(xs):
-        logf = model.post_change_log_density(n, xs)
-        logg = model.pre_change_log_density(xs)
-        f = np.exp(logf)
-        return np.where(f > 0.0, f * (logf - logg), 0.0)
-
-    val = adaptive_trapezoid(integrand, lo, hi)
-    return max(val, 0.0)
+    return float(model.kl(n))
 
 
 class MlrCheck(NamedTuple):

@@ -10,45 +10,43 @@ import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-#: points of adaptive_trapezoid's first grid
+#: points of adaptive_trapezoid's first grid, the gap between two successive
+#: estimates that ends its refinement, and the most grids it tries
 TRAPEZOID_START_POINTS = 1025
+TRAPEZOID_TOL = 1e-10
+TRAPEZOID_REFINEMENTS = 16
 
 
 class NumericError(RuntimeError):
     """A numerical routine failed (non-convergence, non-finite statistic)."""
 
 
-def adaptive_trapezoid(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-10,
-    max_refinements: int = 16,
-) -> float:
+def adaptive_trapezoid(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """Integrate ``fn`` over [lo, hi] by composite trapezoid with grid doubling.
 
     The grid starts at TRAPEZOID_START_POINTS points and is refined (points
     roughly doubled) until two successive estimates differ by less than
-    ``tol``.  Raises NumericError with the last residual if the budget of
-    refinements is exhausted.  ``fn`` must accept a full grid as an ndarray.
+    TRAPEZOID_TOL.  Raises NumericError with the last residual if
+    TRAPEZOID_REFINEMENTS grids do not get there.  ``fn`` must accept a full
+    grid as an ndarray.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"integration window must be finite with lo < hi, got ({lo}, {hi})")
     pts = TRAPEZOID_START_POINTS
     prev: float | None = None
     residual = np.inf
-    for _ in range(max_refinements):
+    for _ in range(TRAPEZOID_REFINEMENTS):
         xs = np.linspace(lo, hi, pts)
         val = float(_trapezoid(fn(xs), xs))
         if prev is not None:
             residual = abs(val - prev)
-            if residual < tol:
+            if residual < TRAPEZOID_TOL:
                 return val
         prev = val
         pts = 2 * pts - 1
     raise NumericError(
-        f"trapezoid refinement did not converge on [{lo}, {hi}]: residual {residual:.3e} > tol {tol:.1e}"
+        f"trapezoid refinement did not converge on [{lo}, {hi}]: "
+        f"residual {residual:.3e} > tol {TRAPEZOID_TOL:.1e}"
     )
 
 

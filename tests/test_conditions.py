@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from excusum import (
     ConditionBudgets,
+    DensityModel,
     MeanSchedule,
     cesaro_kl_average,
     fourth_moment_check,
     full_condition_report,
     gaussian_model,
+    kl_divergence,
     slln_empirical,
     sum_dominance_check,
 )
@@ -64,8 +66,6 @@ def test_nondecreasing_schedule_gives_nondecreasing_averages(raw):
 
 
 def test_quadrature_and_closed_kl_agree_along_the_schedule(arctan_model):
-    from excusum import kl_divergence
-
     for n in (0, 1, 7, 80):
         closed = kl_divergence(arctan_model, n)
         quad = kl_divergence(plain(arctan_model), n)
@@ -73,10 +73,18 @@ def test_quadrature_and_closed_kl_agree_along_the_schedule(arctan_model):
 
 
 def test_closed_kl_reads_the_cached_half_squares(arctan_model):
-    from excusum import kl_divergence
-
     half = arctan_model.schedule.half_squares(20_000)
     assert all(kl_divergence(arctan_model, n) == half[n] for n in range(20_000))
+
+
+def test_a_family_that_overrides_kl_feeds_kl_divergence_and_cesaro(arctan_model):
+    # a custom family supplies its KL numbers the way GaussianModel does
+    base = plain(arctan_model)
+    cls = type("HalfAge", (DensityModel,), {"kl": lambda self, index: np.asarray(index) / 2.0})
+    model = cls(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
+    assert kl_divergence(model, 7) == 3.5
+    trace = cesaro_kl_average(model, 9)
+    assert trace.information_number == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cesaro_average_by_quadrature_without_closed_forms():
@@ -116,6 +124,13 @@ def test_arctan_fourth_moments_respect_uniform_bound(arctan_model):
     assert check.closed_forms[-1] < check.bound
 
 
+@pytest.mark.parametrize("trials, ks", [(1, (1, 10)), (0, (1, 10)), (1_000, ())])
+def test_fourth_moment_check_refuses_budgets_without_evidence(trials, ks, arctan_model):
+    # one trial gives no standard error, none no estimate, and no k no check
+    with pytest.raises(ValueError, match="moment check"):
+        fourth_moment_check(arctan_model, trials=trials, seed=0, ks=ks)
+
+
 def test_fourth_moment_check_names_the_gaussian_bound_for_other_models():
     with pytest.raises(ValueError, match="Gaussian family") as err:
         fourth_moment_check(generic_gaussian_model(MeanSchedule.arctangent()), ks=(1,))
@@ -130,10 +145,17 @@ def test_constant_schedule_average_concentrates():
     mu = 0.7
     model = constant_model(mu)
     n = 10_000
-    check = slln_empirical(model, n, trials=200, seed=9, grid=(n,))
-    # mean of the trial averages is within 3 * (mu / sqrt(n)) of mu^2/2
+    check = slln_empirical(model, n, trials=200, seed=9)
+    # at m = n the mean of the trial averages is within 3 * (mu / sqrt(n)) of mu^2/2
+    assert check.ns[-1] == n
     devs = check.quantiles[0.5]
-    assert devs[0] < 3 * mu / math.sqrt(n) + 3 * mu / math.sqrt(n * 200)
+    assert devs[-1] < 3 * mu / math.sqrt(n) + 3 * mu / math.sqrt(n * 200)
+
+
+def test_slln_refuses_a_single_trial(arctan_model):
+    # one trial gives no variance of the averages
+    with pytest.raises(ValueError, match="trials >= 2"):
+        slln_empirical(arctan_model, 10, trials=1)
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")

@@ -445,6 +445,22 @@ def test_scan_empty_grid_rejected(arctan_model):
         worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, (), trials=10, seed=1)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, np.True_, 0])
+def test_scan_refuses_a_nu_that_is_not_a_positive_integer_before_any_run(bad, arctan_model, monkeypatch):
+    # int(2.5) would run a nu = 2 cell and int(True) a nu = 1 cell
+    runs = []
+    monkeypatch.setattr(metrics, "estimate_cadd", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValueError, match="integers"):
+        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, bad], trials=10, seed=1)
+    assert runs == []
+
+
+def test_scan_takes_numpy_integers(arctan_model):
+    scan = worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [np.int64(1), np.int64(3)], trials=10, seed=1)
+    assert [c.nu for c in scan.cells] == [1, 3]
+    assert all(type(c.nu) is int for c in scan.cells)
+
+
 # ---------------------------------------------------------------------------
 # tradeoff curve
 

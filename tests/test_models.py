@@ -24,7 +24,7 @@ from excusum import (
     verify_mlr,
     verify_stochastic_dominance,
 )
-from excusum import metrics
+from excusum import metrics, numerics
 from excusum.models import LOG_2PI, SATURATION_SCAN_CAP, SCHEDULE_KINDS
 from excusum.numerics import adaptive_trapezoid
 
@@ -138,10 +138,7 @@ def test_llr_integrates_to_one_under_pre_change():
     for n in (0, 3, 50):
         lo, hi = model.quadrature_window(n)
         val = adaptive_trapezoid(
-            lambda xs: np.exp(llr(model, np.full(xs.shape, n), xs) + model.pre_change_log_density(xs)),
-            lo,
-            hi,
-            tol=1e-12,
+            lambda xs: np.exp(llr(model, np.full(xs.shape, n), xs) + model.pre_change_log_density(xs)), lo, hi
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -163,6 +160,14 @@ def test_kl_quadrature_matches_closed_form(mu):
     closed = kl_divergence(model, 0)
     quad = kl_divergence(plain(model), 0)
     assert quad == pytest.approx(closed, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_kl_hook_is_kl_divergence_bit_for_bit(n, arctan_model):
+    for model in (arctan_model, plain(arctan_model)):
+        got = model.kl(np.arange(n))
+        assert got.shape == (n,)
+        assert got.tobytes() == np.array([kl_divergence(model, j) for j in range(n)]).tobytes()
 
 
 def test_kl_without_closed_form_is_quadrature():
@@ -189,13 +194,15 @@ def test_kl_quadrature_without_window_errors():
         kl_divergence(bare, 0)
 
 
-def test_trapezoid_non_convergence_raises():
+def test_trapezoid_non_convergence_raises(monkeypatch):
     # an effectively random integrand never stabilizes under refinement
     def noisy(xs):
         return np.sin(1e9 * xs * xs)
 
+    monkeypatch.setattr(numerics, "TRAPEZOID_TOL", 1e-14)
+    monkeypatch.setattr(numerics, "TRAPEZOID_REFINEMENTS", 4)
     with pytest.raises(NumericError, match="residual"):
-        adaptive_trapezoid(noisy, 0.0, 3.0, tol=1e-14, max_refinements=4)
+        adaptive_trapezoid(noisy, 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +304,14 @@ def test_built_in_schedules_pass_mlr_and_dominance_with_defaults():
 # normalization
 
 
-def check_normalization(model: DensityModel, n: int | None = None, *, tol: float = 1e-8) -> float:
+def check_normalization(model: DensityModel, n: int | None = None) -> float:
     """Integral of g (n = None) or of f_n over the model's quadrature window."""
     lo, hi = model.quadrature_window(n)
     if n is None:
         fn = lambda xs: np.exp(model.pre_change_log_density(xs))
     else:
         fn = lambda xs: np.exp(model.post_change_log_density(n, xs))
-    return adaptive_trapezoid(fn, lo, hi, tol=tol)
+    return adaptive_trapezoid(fn, lo, hi)
 
 
 @pytest.mark.parametrize("n", [None, 0, 10, 100])
