@@ -36,7 +36,6 @@ from .models import (
     GaussianModel,
     default_grid,
     kl_divergence,
-    llr,
     verify_mlr,
 )
 from .process import derive_seed, trial_generators
@@ -147,7 +146,7 @@ def fourth_moment_check(
     for j, k in enumerate(ks):
         rng = np.random.default_rng(derive_seed(base, k))
         x = np.asarray(model.sampler_post(k - 1, rng, trials))
-        z = llr(model, k - 1, x)
+        z = model.log_ratio(k - 1, x)
         center = kl_divergence(model, k - 1)
         fourth = (z - center) ** 4
         estimates[j] = fourth.mean()
@@ -203,7 +202,7 @@ def slln_empirical(
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, trials, rows):
         x = np.array([model.sampler_post(ages, rng, None) for rng in islice(rngs, rows)], dtype=np.float64)
-        z = np.asarray(llr(model, ages, x), dtype=np.float64)
+        z = model.log_ratio(ages, x)
         cs = np.cumsum(z, axis=-1)
         avgs[start : start + len(x)] = cs[:, marks - 1] / marks
     dev = np.abs(avgs - info)
@@ -248,7 +247,7 @@ def _block_averages(model: DensityModel, k: int, n: int, trials: int, seed: int)
     while done < trials:
         take = min(chunk, trials - done)
         x = np.asarray(model.sampler_post(np.broadcast_to(data_ages, (take, n + 1)), rng, None))
-        z = llr(model, llr_ages, x)
+        z = model.log_ratio(llr_ages, x)
         out[done : done + take] = z.sum(axis=1) / n
         done += take
     return out

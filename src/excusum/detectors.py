@@ -18,11 +18,19 @@ scaled sum for SR, to rounding.  For the Gaussian family L is read off the
 schedule's cached means, the very values llr_prefix adds, and every
 built-in schedule but arctangent has one (geometric-approach from where
 1 - ratio**n rounds to 1).  The classic CUSUM is this engine folded at
-L = 0 on the age-0 ratio.  Only for families that never saturate does no
-constant-memory recursion exist; there an optional window caps the
-candidate count at the price of an uncharacterized approximation.  The
-candidate buffer owns all of this: how many columns are read, whether older
-candidates are dropped or folded, and SR's tail weight.
+L = 0 on the age-0 ratio.  For families that never saturate (arctangent)
+no constant-memory recursion of the exact statistic exists, but the Monte
+Carlo runs of ex-cusum still need only O(M) per step: they keep the newest M
+candidates exact and fold the older ones into one tail that gains the
+model's llr_envelope, an upper bound of their ratios, so the tail bounds
+them from above.  A run whose head crosses stops exactly; one whose tail
+comes within _TAIL_MARGIN of the threshold leaves and reruns on the exact
+state, so every stopping time is the exact run's.  run_detector,
+statistic_trace and run_detector_batch stay exact; an optional window caps
+the candidate count of any run at the price of an uncharacterized
+approximation.  The candidate buffer owns all of this: how many columns are
+read, whether older candidates are dropped, folded or bounded, and SR's
+tail weight.
 
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
@@ -55,6 +63,22 @@ from .numerics import NumericError, logsumexp_rows
 
 _MIN_CAPACITY = 64
 
+#: fewest candidates a certified tail keeps exact (see _certified_tail)
+_MIN_HEAD = 32
+
+#: how far below the threshold a certified tail must stay for its run to go
+#: on.  IEEE rounding is monotone, so max and add keep any order between
+#: floats, and the tail falls below the float sums it bounds only by what
+#: rounding takes from it: (a) the computed envelope c*x - c*c/2 can round
+#: below a computed ratio m*x - m*m/2 that it bounds in the reals, by at most
+#: their three roundings each, 2**-51 (mu*|x| + mu**2) with mu the largest
+#: mean; (b) the tail's add and the sum's add each round by at most 2**-53 of
+#: a sum of size S, so 2**-52 S together.  Each step adds both.  With mu < 2
+#: (arctangent's pi / 2), |x| < 64 and |S| < 2**12 that is below 2**-39 per
+#: step, so 2**-12 covers 2**27 steps, past metrics.ARL_HORIZON_CAP = 1e7
+#: and far past any run the exact state could finish.
+_TAIL_MARGIN = 2.0**-12
+
 
 class _CandidateBuffer:
     """Right-aligned running sums of the candidate change points.
@@ -75,14 +99,22 @@ class _CandidateBuffer:
     L = limit - 1, every candidate of age index >= L gains the same
     increment, so they share one tail column at age index L, and each step
     the candidate that reaches it takes the old tail in through the state's
-    merge.  The buffer also keeps SR's tail weight, ``scale``.
+    merge.  With an ``envelope`` the fold bounds rather than sums: the tail
+    column gains envelope(x), at least the ratio of every age it holds, so
+    it stays at or above each of its candidates' sums (to rounding, see
+    _TAIL_MARGIN) while the newest limit - 1 stay exact.  The buffer also
+    keeps SR's tail weight, ``scale``.
     """
 
-    def __init__(self, rows: int | None = None, limit: int | None = None, fold: bool = False) -> None:
+    def __init__(
+        self, rows: int | None = None, limit: int | None = None, fold: bool = False, envelope=None
+    ) -> None:
         #: most columns read (None: all of them)
         self.limit = limit
         #: whether candidates past the limit merge into the last column
         self.fold = fold
+        #: the folded tail's increment as a function of x (None: the ratio)
+        self.envelope = envelope
         #: SR's tail weight per row: the last column holds a shift m, and the
         #: tail's log mass is m + log scale; None until the first merge stands
         #: for 1.0, which is exact since 1.0 * w == w
@@ -130,7 +162,12 @@ class _CandidateBuffer:
             at = self._pos + self.limit - 1
             merge(self._buf[..., at], self._buf[..., at + 1])
         view = self._buf[..., self._pos : self._pos + active]
-        view += model.llr_prefix(active, x, self._tmp)
+        if self.envelope is None or not folding:
+            view += model.llr_prefix(active, x, self._tmp)
+        else:
+            model.llr_prefix(active - 1, x, self._tmp)
+            self._tmp[..., active - 1 : active] = self.envelope(x)
+            view += self._tmp[..., :active]
         return view
 
     def view(self) -> np.ndarray:
@@ -347,20 +384,24 @@ class StopResult:
         return self.tau is not None
 
 
-def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
+def _start(
+    kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None, tail=None
+):
     """Validate a run and return its fresh state and its kind's DETECTORS row."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, model, rows), DETECTORS[kind]
+    return _make_state(kind, window, model, rows, tail), DETECTORS[kind]
 
 
-def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None):
+def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None, tail=None):
     """A fresh state for runs on ``model``: of one stream or, with ``rows``, of
     that many streams in lockstep.  Without a window it folds at the model's
-    saturation index (CUSUM always folds at 0).  The folded and lockstep
-    forms serve the runs only; the public views do not apply to them."""
+    saturation index (CUSUM always folds at 0); with ``tail``, the (M,
+    envelope) pair of _certified_tail, it keeps M exact candidates and one
+    bounding tail.  The folded and lockstep forms serve the runs only; the
+    public views do not apply to them."""
     spec = DETECTORS.get(kind)
     if spec is None:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")
@@ -371,17 +412,39 @@ def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | 
     else:
         state = spec.state()
     limit, fold = state._cands.limit, state._cands.fold
-    if limit is None:
+    if tail is not None:
+        limit, fold = tail[0] + 1, True
+    elif limit is None:
         saturation = model.saturation_index()
         if saturation is not None:
             limit, fold = saturation + 1, True
-    state._cands = _CandidateBuffer(rows, limit, fold)
+    state._cands = _CandidateBuffer(rows, limit, fold, None if tail is None else tail[1])
     return state
 
 
-def _retained_columns(kind: str, window: int | None, model: DensityModel) -> int | None:
+def _retained_columns(kind: str, window: int | None, model: DensityModel, tail=None) -> int | None:
     """Most candidate sums a run keeps per stream, or None when they grow with n."""
-    return _make_state(kind, window, model)._cands.limit
+    return _make_state(kind, window, model, None, tail)._cands.limit
+
+
+def _certified_tail(kind: str, window: int | None, model: DensityModel, threshold: float, horizon: int):
+    """The (M, envelope) pair that bounds the tail of lockstep ex-cusum runs
+    on a family that never saturates, or None where the runs keep the exact
+    state: another kind, a window, a saturating family or one without an
+    llr_envelope or a positive information number I, or a horizon by which
+    no candidate gets past age M.  M = max(_MIN_HEAD, 2 ceil(A / I)) is about
+    twice the first-order delay A / I, so the candidates that carry a
+    crossing are almost always in the exact head."""
+    if kind != "ex-cusum" or window is not None or model.saturation_index() is not None:
+        return None
+    info = model.information_number()
+    if info is None or not info > 0.0 or not max(threshold, 0.0) / info < horizon:
+        return None
+    head = max(_MIN_HEAD, 2 * math.ceil(max(threshold, 0.0) / info))
+    if head + 1 >= horizon:
+        return None
+    envelope = model.llr_envelope(head, horizon)
+    return None if envelope is None else (head, envelope)
 
 
 def run_detector(
@@ -437,7 +500,23 @@ def run_detector_batch(
     its run is live.  The checks are run_detector's, applied to live runs
     only; when several runs fail, the error names the earliest failing step.
     """
-    state, spec = _start(kind, window, model, horizon, threshold, len(streams))
+    return _lockstep(kind, model, streams, threshold, horizon, window)
+
+
+def _lockstep(
+    kind: str, model: DensityModel, streams, threshold: float, horizon: int, window: int | None = None, tail=None
+) -> np.ndarray:
+    """run_detector_batch's loop.  With ``tail``, the (M, envelope) pair of
+    _certified_tail, each ex-cusum run keeps its newest M candidates exact
+    and bounds the older ones by one tail column, so max(head) <= W_n <=
+    max(head, tail) with W_n the exact statistic.  A run stops where its
+    head crosses, goes on where its tail is at most threshold - _TAIL_MARGIN,
+    and otherwise leaves with tau -1, to be rerun on the exact state; every
+    other tau is the exact run's."""
+    state, spec = _start(kind, window, model, horizon, threshold, len(streams), tail)
+    cands = state._cands
+    head = None if tail is None else tail[0]
+    ceiling = threshold - _TAIL_MARGIN
     taus = np.zeros(len(streams), dtype=np.int64)
     live = np.arange(len(streams))
     block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
@@ -459,20 +538,30 @@ def run_detector_batch(
             j = 0
         xs = _validate_x(model, block[j, at][:, None])
         j += 1
-        stat = state._advance(xs, model)
+        if head is None:
+            stat = state._advance(xs, model)
+        else:
+            sums = cands.push(xs, model, state._merge)
+            stat = sums[:, :head].max(axis=-1)
         top = float(stat.max())  # NaN and +inf propagate into the max
         if not top < math.inf:
             r = int(np.argmax(~(stat < math.inf)))
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
+        stop = None
+        if head is not None and cands.n > head and not float(sums[:, head].max()) <= ceiling:
+            stop = ~(sums[:, head] <= ceiling)  # NaN included
+            taus[live[stop]] = -1
         if spec.crossed(top, threshold):
             crossed = spec.crossed(stat, threshold)
-            taus[live[crossed]] = t
-            keep = ~crossed
+            taus[live[crossed]] = t  # a crossing head settles a run exactly
+            stop = crossed if stop is None else stop | crossed
+        if stop is not None:
+            keep = ~stop
             live = live[keep]
             if live.size == 0:
                 break
             at = at[keep]
-            state._cands.keep_rows(keep)
+            cands.keep_rows(keep)
     return taus
 
 

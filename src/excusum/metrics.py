@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import process
-from .detectors import StopResult, _retained_columns, run_detector_batch
+from .detectors import StopResult, _certified_tail, _lockstep, _retained_columns, run_detector_batch
 from .models import DensityModel
 from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed, trial_generators
 
@@ -102,18 +102,29 @@ def _stopping_times(
     seed: int,
     window: int | None,
 ) -> np.ndarray:
-    """The int64 stopping times of simulate_trials' trials, 0 for a censored one."""
+    """The int64 stopping times of simulate_trials' trials, 0 for a censored one.
+
+    Where detectors._certified_tail applies, the trials run with a bounded
+    tail, and the few whose tail comes too close to the threshold rerun on
+    the exact state from their own generators, so every tau is exact."""
     if isinstance(trials, bool) or trials < 1:
         raise EstimationError("at least one trial is required")
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
-    retained = _retained_columns(detector, window, model)
+    tail = _certified_tail(detector, window, model, threshold, horizon)
+    retained = _retained_columns(detector, window, model, tail)
     per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
     chunk = max(1, _CHUNK_ELEMENTS // per_trial)
     taus = []
     for start in range(0, trials, chunk):
         rngs = trial_generators(seed, start, min(start + chunk, trials))
         streams = [_sample_blocks(model, nu, horizon, rng) for rng in rngs]
-        taus.append(run_detector_batch(detector, model, streams, threshold, horizon, window=window))
+        part = _lockstep(detector, model, streams, threshold, horizon, window, tail)
+        rerun = np.flatnonzero(part < 0)
+        if rerun.size:
+            rngs = [next(trial_generators(seed, start + i, start + i + 1)) for i in rerun.tolist()]
+            streams = [_sample_blocks(model, nu, horizon, rng) for rng in rngs]
+            part[rerun] = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
+        taus.append(part)
     return np.concatenate(taus)
 
 
@@ -303,7 +314,7 @@ def worst_case_delay_scan(
     config whose run.nu is that nu, so a command would only add a nu-grid
     field to the config schema.
     """
-    if not nu_grid:
+    if len(nu_grid) == 0:
         raise ValueError("nu_grid must be nonempty")
     if any(isinstance(nu, bool) or not isinstance(nu, (int, np.integer)) or nu < 1 for nu in nu_grid):
         raise ValueError(f"nu_grid entries must be integers >= 1, got {list(nu_grid)}")

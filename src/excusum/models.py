@@ -26,7 +26,10 @@ the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
 changing: for the Gaussian family, the index from which the schedule's
 cached means equal its limit bit for bit, scanned in the same array
-llr_prefix reads, so folding there is exact.
+llr_prefix reads, so folding there is exact.  For a family that never
+saturates, llr_envelope(start, stop) bounds the ratio of every age in
+[start, stop) from above, which lets the Monte Carlo runs bound their old
+candidates by one tail.
 """
 
 from __future__ import annotations
@@ -292,6 +295,14 @@ class DensityModel:
         every candidate of age index >= L into one tail.  None by default."""
         return None
 
+    def llr_envelope(self, start: int, stop: int) -> Callable | None:
+        """A function of x that is >= log_ratio(j, x) for every age index j in
+        [start, stop) (in the reals; the computed values may round apart, see
+        detectors._TAIL_MARGIN), or None.  The Monte Carlo runs of a family
+        that never saturates then bound every candidate of age index >= start
+        by one tail.  None by default."""
+        return None
+
     def information_number(self) -> float | None:
         """The information number I = lim D(f_n || g), which sets the default
         delay horizon and the log(gamma) / I bound, or None.  None by default."""
@@ -323,6 +334,12 @@ class GaussianModel(DensityModel):
     def saturation_index(self) -> int | None:
         return self.schedule.saturation_index()
 
+    def llr_envelope(self, start: int, stop: int) -> Callable:
+        # mu * x - mu * mu / 2 is concave in mu, so over the cached means of
+        # [start, stop), whatever their order, it peaks at x clipped to their range
+        vals = self.schedule.means(stop)[start:]
+        return partial(_gaussian_envelope, float(vals.min()), float(vals.max()))
+
     def information_number(self) -> float:
         return self.schedule.limit_mu ** 2 / 2.0
 
@@ -332,6 +349,12 @@ def _kl_integrand(model: DensityModel, n: int, xs):
     logg = model.pre_change_log_density(xs)
     f = np.exp(logf)
     return np.where(f > 0.0, f * (logf - logg), 0.0)
+
+
+def _gaussian_envelope(lo: float, hi: float, x):
+    # the operations of llr_prefix, so a zero-width range gives its bits
+    c = np.clip(x, lo, hi)
+    return c * x - c * c / 2.0
 
 
 def _normal_logpdf(mean, x):

@@ -114,7 +114,6 @@ def test_criterion_03_sr_martingale_mean():
     report(3, "pre-change SR martingale", ok, ", ".join(details) + f", {elapsed:.0f}s")
 
 
-@pytest.mark.slow
 def test_criterion_04_false_alarm_bound(arctan):
     t0 = time.time()
     details = []

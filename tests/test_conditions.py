@@ -22,7 +22,7 @@ from excusum import (
     slln_empirical,
     sum_dominance_check,
 )
-from excusum import conditions
+from excusum import conditions, models
 from excusum.conditions import _block_averages, dkw_slack
 
 from conftest import constant_model, generic_gaussian_model, plain, windowed_gaussian_model
@@ -314,6 +314,15 @@ def test_full_report_passes_for_arctan(arctan_model):
     assert d["passed"] and "cesaro" in d and "mlr" in d
     rows = report.trace_rows()
     assert all(len(r) == 4 for r in rows)
+
+
+def test_full_report_checks_no_index_of_its_own_draws(arctan_model, monkeypatch):
+    # the checks build their ages themselves, so model.log_ratio and the
+    # sampler's MeanSchedule.at are the one index check of every draw
+    calls = []
+    monkeypatch.setattr(models, "_checked_index", lambda *args: calls.append(args))
+    assert full_condition_report(arctan_model, small_budgets()).passed
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")

@@ -23,9 +23,9 @@ from excusum import (
     tradeoff_curve,
     worst_case_delay_scan,
 )
-from excusum import metrics, process
+from excusum import detectors, metrics, process
 from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
-from excusum.detectors import StopResult
+from excusum.detectors import StopResult, run_detector_batch
 from excusum.process import derive_seed
 
 from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model, with_information_number
@@ -112,18 +112,20 @@ def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, model
 def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
     sizes = []
 
-    def record(kind, model, streams, threshold, horizon, *, window=None):
+    def record(kind, model, streams, *rest):
         sizes.append(len(streams))
         return np.zeros(len(streams), np.int64)
 
-    monkeypatch.setattr(metrics, "run_detector_batch", record)
+    monkeypatch.setattr(metrics, "_lockstep", record)
     arctan = gaussian_model(MeanSchedule.arctangent())
     saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
+    head = 2 * math.ceil(100.0 / I_ARCTAN)  # M = 164 exact candidates at threshold 100
     for kind, model, window, horizon, chunk in (
-        ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload
-        ("ex-cusum", arctan, None, 2000, 131),  # false-alarm
+        ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload: 140 <= M + 1
+        ("ex-cusum", arctan, None, 2000, 2**18 // (process._CHUNK + head + 1)),  # false-alarm
         ("sr", saturating, None, 6000, 2**18 // (process._CHUNK + 11)),  # sr-saturating
-        ("ex-cusum", arctan, None, 200_000, 1),  # sums grow with the horizon
+        ("ex-cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + head + 1)),  # a certified tail
+        ("sr", arctan, None, 200_000, 1),  # sums grow with the horizon
         ("ex-cusum", saturating, None, 200_000, 2**18 // (process._CHUNK + 11)),
         ("cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + 1)),
         ("ex-cusum", arctan, 50, 200_000, 2**18 // (process._CHUNK + 50)),
@@ -131,6 +133,78 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
         sizes.clear()
         simulate_trials(model, kind, 100.0, NO_CHANGE, horizon, chunk + 1, 3, window=window)
         assert sizes == [chunk, 1], (kind, horizon, window)
+
+
+def exact_taus(model, threshold, nu, horizon, trials, seed):
+    """The exact kernel: every trial's own stream through run_detector_batch."""
+    rngs = process.trial_generators(seed, 0, trials)
+    streams = [process._sample_blocks(model, nu, horizon, rng) for rng in rngs]
+    return run_detector_batch("ex-cusum", model, streams, threshold, horizon)
+
+
+def count_reruns(monkeypatch) -> list:
+    """Record the trial count of every exact rerun _stopping_times makes."""
+    reruns = []
+
+    def counted(kind, model, streams, *args, **kwargs):
+        reruns.append(len(streams))
+        return run_detector_batch(kind, model, streams, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_detector_batch", counted)
+    return reruns
+
+
+@pytest.mark.parametrize(
+    "threshold, nu, horizon, trials",
+    [(math.log(100), NO_CHANGE, 2000, 60), (math.log(1000), 80, 140, 300)],
+    ids=["false-alarm", "delay"],
+)
+def test_certified_tail_runs_equal_the_exact_kernel(threshold, nu, horizon, trials, monkeypatch):
+    model = gaussian_model(MeanSchedule.arctangent())
+    head, _ = detectors._certified_tail("ex-cusum", None, model, threshold, horizon)
+    assert head == 32 and metrics._retained_columns("ex-cusum", None, model, (head, None)) == 33
+    reruns = count_reruns(monkeypatch)
+    got = metrics._stopping_times(model, "ex-cusum", threshold, nu, horizon, trials, 17, None)
+    assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, trials, 17))
+    assert sum(reruns) < trials // 10
+
+
+@pytest.mark.parametrize(
+    "schedule, threshold, nu, horizon",
+    [
+        (MeanSchedule.arctangent(), 1.0, 20, 300),
+        (MeanSchedule.arctangent(), 4.0, NO_CHANGE, 300),
+        (MeanSchedule.geometric_approach(1000.0, 0.999999), 2.0, 1, 1000),
+    ],
+    ids=["arctan-delay", "arctan-false-alarm", "geometric"],
+)
+def test_uncertified_trials_rerun_to_the_exact_stopping_times(schedule, threshold, nu, horizon, monkeypatch):
+    # a head of 2 to 8 candidates leaves the crossings to the tail, whose
+    # bound then comes within the margin of the threshold in many trials
+    model = gaussian_model(schedule)
+    monkeypatch.setattr(detectors, "_MIN_HEAD", 1)
+    assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon)[0] <= 8
+    reruns = count_reruns(monkeypatch)
+    got = metrics._stopping_times(model, "ex-cusum", threshold, nu, horizon, 60, 5, None)
+    assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, 60, 5))
+    assert sum(reruns) >= 1
+
+
+def test_certified_tail_applies_to_bounded_ex_cusum_runs_only():
+    arctan = gaussian_model(MeanSchedule.arctangent())
+    no_envelope = with_information_number(generic_gaussian_model(MeanSchedule.arctangent()), I_ARCTAN)
+    assert detectors._certified_tail("ex-cusum", None, arctan, 4.0, 100) is not None
+    for kind, window, model, threshold, horizon in (
+        ("sr", None, arctan, 4.0, 100),
+        ("cusum", None, arctan, 4.0, 100),
+        ("ex-cusum", 50, arctan, 4.0, 100),
+        ("ex-cusum", None, gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)), 4.0, 100),
+        ("ex-cusum", None, no_envelope, 4.0, 100),
+        ("ex-cusum", None, arctan, 4.0, 33),  # no candidate gets past age 32
+        ("ex-cusum", None, arctan, math.inf, 100),
+        ("ex-cusum", None, with_information_number(arctan, None), 4.0, 100),
+    ):
+        assert detectors._certified_tail(kind, window, model, threshold, horizon) is None, (kind, window, horizon)
 
 
 def test_lockstep_chunks_of_bounded_trials_equal_chunks_of_one(monkeypatch):
@@ -348,11 +422,11 @@ def test_estimators_refuse_a_bool_trial_count(arctan_model):
 def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
     # with the detector replaced by fixed stopping times (0: censored), the
     # estimates are plain arithmetic with no Monte Carlo noise
-    def fixed(kind, model, streams, threshold, horizon, *, window=None):
+    def fixed(kind, model, streams, *rest):
         assert len(streams) == 7
         return np.array([0, 3, 9, 10, 14, 0, 25], np.int64)
 
-    monkeypatch.setattr(metrics, "run_detector_batch", fixed)
+    monkeypatch.setattr(metrics, "_lockstep", fixed)
     arl = estimate_arl2fa(arctan_model, "ex-cusum", threshold=0.0, trials=7, horizon=30, seed=1)
     # censored runs count at the horizon: 30 + 3 + 9 + 10 + 14 + 30 + 25
     assert arl.mean_tau == 121 / 7
@@ -459,6 +533,9 @@ def test_scan_takes_numpy_integers(arctan_model):
     scan = worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [np.int64(1), np.int64(3)], trials=10, seed=1)
     assert [c.nu for c in scan.cells] == [1, 3]
     assert all(type(c.nu) is int for c in scan.cells)
+    assert worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, np.array([1, 3]), trials=10, seed=1) == scan
+    with pytest.raises(ValueError, match="nonempty"):
+        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, np.array([], dtype=np.int64), trials=10, seed=1)
 
 
 # ---------------------------------------------------------------------------

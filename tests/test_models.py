@@ -132,6 +132,31 @@ def test_gaussian_closed_forms_agree_with_the_density_model_defaults(schedule):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("schedule", EVERY_KIND + [MeanSchedule.geometric_approach(1000.0, 0.999999)])
+@pytest.mark.parametrize("start, stop", [(0, 1), (0, 4), (3, 10), (32, 2000)])
+def test_llr_envelope_bounds_every_ratio_of_its_ages(schedule, start, stop):
+    model = gaussian_model(schedule)
+    mus = schedule.means(stop)[start:]
+    # the means themselves and their neighbours are where the bound is tight
+    xs = np.concatenate([np.linspace(-8.0, 8.0, 3201), mus, np.nextafter(mus, 9.0), np.nextafter(mus, -9.0)])
+    bound = model.llr_envelope(start, stop)(xs)
+    ratios = model.log_ratio(np.arange(start, stop)[:, None], xs)
+    # in the reals bound >= ratio; the computed forms may round apart by
+    # the per-step term the detectors' _TAIL_MARGIN covers
+    slack = 2.0**-51 * (mus.max() * np.abs(xs) + mus.max() ** 2)
+    assert np.all(bound >= ratios.max(axis=0) - slack)
+
+
+@pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
+def test_a_zero_width_llr_envelope_is_the_ratio_bit_for_bit(schedule):
+    model = gaussian_model(schedule)
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 1201), schedule.means(8)])[:, None]
+    prefix = model.llr_prefix(8, xs, np.empty((xs.size, 8)))
+    for j in range(8):
+        assert model.llr_envelope(j, j + 1)(xs).tobytes() == prefix[:, j : j + 1].tobytes()
+    assert plain(model).llr_envelope(0, 8) is None
+
+
 def test_llr_integrates_to_one_under_pre_change():
     # exp(llr) * g is the post-change density, so its integral is 1
     model = gaussian_model(MeanSchedule.arctangent())
