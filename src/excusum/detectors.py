@@ -20,17 +20,17 @@ built-in schedule but arctangent has one (geometric-approach from where
 1 - ratio**n rounds to 1).  The classic CUSUM is this engine folded at
 L = 0 on the age-0 ratio.  For families that never saturate (arctangent)
 no constant-memory recursion of the exact statistic exists, but the Monte
-Carlo runs of ex-cusum still need only O(M) per step: they keep the newest M
-candidates exact and fold the older ones into one tail that gains the
-model's llr_envelope, an upper bound of their ratios, so the tail bounds
-them from above.  A run whose head crosses stops exactly; one whose tail
-comes within _TAIL_MARGIN of the threshold leaves and reruns on the exact
-state, so every stopping time is the exact run's.  run_detector,
-statistic_trace and run_detector_batch stay exact; an optional window caps
-the candidate count of any run at the price of an uncharacterized
-approximation.  The candidate buffer owns all of this: how many columns are
-read, whether older candidates are dropped, folded or bounded, and SR's
-tail weight.
+Carlo runs of ex-cusum still need only O(_HEAD) per step: _bounded_lockstep
+keeps the newest _HEAD candidates exact and folds the older ones into one
+tail that gains the model's llr_envelope, an upper bound of their ratios,
+so the tail bounds them from above.  A run whose head crosses stops
+exactly; one whose tail comes within _TAIL_MARGIN of the threshold leaves,
+for its caller to rerun on the exact state, so every stopping time is the
+exact run's.  run_detector, statistic_trace and run_detector_batch stay
+exact; an optional window caps the candidate count of any run at the price
+of an uncharacterized approximation.  The candidate buffer owns all of
+this: how many columns are read, whether older candidates are dropped,
+folded or bounded, and SR's tail weight.
 
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
@@ -63,20 +63,29 @@ from .numerics import NumericError, logsumexp_rows
 
 _MIN_CAPACITY = 64
 
-#: fewest candidates a certified tail keeps exact (see _certified_tail)
-_MIN_HEAD = 32
+#: candidates a bounded run keeps exact (see _certified_tail), several times
+#: the first-order delay A / I at the thresholds the configs use
+_HEAD = 32
 
-#: how far below the threshold a certified tail must stay for its run to go
-#: on.  IEEE rounding is monotone, so max and add keep any order between
-#: floats, and the tail falls below the float sums it bounds only by what
-#: rounding takes from it: (a) the computed envelope c*x - c*c/2 can round
-#: below a computed ratio m*x - m*m/2 that it bounds in the reals, by at most
-#: their three roundings each, 2**-51 (mu*|x| + mu**2) with mu the largest
-#: mean; (b) the tail's add and the sum's add each round by at most 2**-53 of
-#: a sum of size S, so 2**-52 S together.  Each step adds both.  With mu < 2
-#: (arctangent's pi / 2), |x| < 64 and |S| < 2**12 that is below 2**-39 per
-#: step, so 2**-12 covers 2**27 steps, past metrics.ARL_HORIZON_CAP = 1e7
-#: and far past any run the exact state could finish.
+#: the largest |x| a bounded run reads; a block holding a larger one sends
+#: its runs back to the exact state (see _TAIL_MARGIN)
+_X_BOUND = 32.0
+
+#: how far below the threshold a bounded tail T must stay for its run to go
+#: on.  T bounds each of its candidates' sums S in the reals, and in floats
+#: falls below a float S only by rounding, since max is exact and IEEE
+#: rounding monotone.  Per step: (a) the computed envelope c*x - c*c/2 and
+#: ratio m*x - m*m/2 each round by at most 2**-52 (mu |x| + mu**2), mu the
+#: largest |mean| of the tail's ages; (b) the adds T + e and S + r round by
+#: at most 2**-53 |T| and 2**-53 |S|.  The runs keep these in range: the
+#: Gaussian llr_envelope gives no bound where mu reaches 2, a block with an
+#: |x| of _X_BOUND leaves, and _certified_tail takes thresholds below 2**11
+#: and horizons up to 2**24.  So |T| < 2**12 while a run goes on (T <= A,
+#: and T is at least the sum of _HEAD + 1 ratios and one envelope, each of
+#: size below 66), and an S below -2**13 trails T by more than 2**12, a gap
+#: that never closes in the reals and that its rounding, at most 2**-29 |S|
+#: over 2**24 steps, cannot close either.  That leaves (a) + (b) below
+#: 2**-44 + 2**-39 per step, under 2**-14 over 2**24 steps.
 _TAIL_MARGIN = 2.0**-12
 
 
@@ -384,24 +393,20 @@ class StopResult:
         return self.tau is not None
 
 
-def _start(
-    kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None, tail=None
-):
+def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
     """Validate a run and return its fresh state and its kind's DETECTORS row."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, model, rows, tail), DETECTORS[kind]
+    return _make_state(kind, window, model, rows), DETECTORS[kind]
 
 
-def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None, tail=None):
+def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None):
     """A fresh state for runs on ``model``: of one stream or, with ``rows``, of
     that many streams in lockstep.  Without a window it folds at the model's
-    saturation index (CUSUM always folds at 0); with ``tail``, the (M,
-    envelope) pair of _certified_tail, it keeps M exact candidates and one
-    bounding tail.  The folded and lockstep forms serve the runs only; the
-    public views do not apply to them."""
+    saturation index (CUSUM always folds at 0).  The folded and lockstep
+    forms serve the runs only; the public views do not apply to them."""
     spec = DETECTORS.get(kind)
     if spec is None:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")
@@ -412,39 +417,31 @@ def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | 
     else:
         state = spec.state()
     limit, fold = state._cands.limit, state._cands.fold
-    if tail is not None:
-        limit, fold = tail[0] + 1, True
-    elif limit is None:
+    if limit is None:
         saturation = model.saturation_index()
         if saturation is not None:
             limit, fold = saturation + 1, True
-    state._cands = _CandidateBuffer(rows, limit, fold, None if tail is None else tail[1])
+    state._cands = _CandidateBuffer(rows, limit, fold)
     return state
 
 
-def _retained_columns(kind: str, window: int | None, model: DensityModel, tail=None) -> int | None:
-    """Most candidate sums a run keeps per stream, or None when they grow with n."""
-    return _make_state(kind, window, model, None, tail)._cands.limit
+def _retained_columns(kind: str, window: int | None, model: DensityModel, bounded: bool = False) -> int | None:
+    """Most candidate sums a run keeps per stream, or None when they grow with
+    n.  A ``bounded`` run (_bounded_lockstep) keeps _HEAD and its tail."""
+    return _HEAD + 1 if bounded else _make_state(kind, window, model)._cands.limit
 
 
 def _certified_tail(kind: str, window: int | None, model: DensityModel, threshold: float, horizon: int):
-    """The (M, envelope) pair that bounds the tail of lockstep ex-cusum runs
-    on a family that never saturates, or None where the runs keep the exact
-    state: another kind, a window, a saturating family or one without an
-    llr_envelope or a positive information number I, or a horizon by which
-    no candidate gets past age M.  M = max(_MIN_HEAD, 2 ceil(A / I)) is about
-    twice the first-order delay A / I, so the candidates that carry a
-    crossing are almost always in the exact head."""
+    """The envelope with which _bounded_lockstep runs ex-cusum on a family
+    that never saturates, or None where the runs keep the exact state:
+    another kind, a window, a saturating family, one without an llr_envelope
+    for the ages past _HEAD, a horizon by which no candidate gets there, or a
+    threshold or horizon past the ranges _TAIL_MARGIN covers."""
     if kind != "ex-cusum" or window is not None or model.saturation_index() is not None:
         return None
-    info = model.information_number()
-    if info is None or not info > 0.0 or not max(threshold, 0.0) / info < horizon:
+    if not threshold < 2.0**11 or not _HEAD + 1 < horizon <= 2**24:
         return None
-    head = max(_MIN_HEAD, 2 * math.ceil(max(threshold, 0.0) / info))
-    if head + 1 >= horizon:
-        return None
-    envelope = model.llr_envelope(head, horizon)
-    return None if envelope is None else (head, envelope)
+    return model.llr_envelope(_HEAD, horizon)
 
 
 def run_detector(
@@ -500,23 +497,7 @@ def run_detector_batch(
     its run is live.  The checks are run_detector's, applied to live runs
     only; when several runs fail, the error names the earliest failing step.
     """
-    return _lockstep(kind, model, streams, threshold, horizon, window)
-
-
-def _lockstep(
-    kind: str, model: DensityModel, streams, threshold: float, horizon: int, window: int | None = None, tail=None
-) -> np.ndarray:
-    """run_detector_batch's loop.  With ``tail``, the (M, envelope) pair of
-    _certified_tail, each ex-cusum run keeps its newest M candidates exact
-    and bounds the older ones by one tail column, so max(head) <= W_n <=
-    max(head, tail) with W_n the exact statistic.  A run stops where its
-    head crosses, goes on where its tail is at most threshold - _TAIL_MARGIN,
-    and otherwise leaves with tau -1, to be rerun on the exact state; every
-    other tau is the exact run's."""
-    state, spec = _start(kind, window, model, horizon, threshold, len(streams), tail)
-    cands = state._cands
-    head = None if tail is None else tail[0]
-    ceiling = threshold - _TAIL_MARGIN
+    state, spec = _start(kind, window, model, horizon, threshold, len(streams))
     taus = np.zeros(len(streams), dtype=np.int64)
     live = np.arange(len(streams))
     block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
@@ -524,32 +505,64 @@ def _lockstep(
     j = 0
     for t in range(1, horizon + 1):
         if j == block.shape[0]:
-            # the next block of every live run, one row per step, copied in
-            # as it is drawn so that no run's block is held twice
-            block = None
-            for c, r in enumerate(live.tolist()):
-                part = next(streams[r], None)
-                if part is None:
-                    raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
-                if block is None:
-                    block = np.empty((part.size, live.size))
-                block[:, c] = part
-            at = np.arange(live.size)
-            j = 0
+            del block  # free the old block before the next one is drawn
+            block, at, j = _next_blocks(streams, live, t, horizon), np.arange(live.size), 0
         xs = _validate_x(model, block[j, at][:, None])
         j += 1
-        if head is None:
-            stat = state._advance(xs, model)
-        else:
-            sums = cands.push(xs, model, state._merge)
-            stat = sums[:, :head].max(axis=-1)
+        stat = state._advance(xs, model)
         top = float(stat.max())  # NaN and +inf propagate into the max
         if not top < math.inf:
             r = int(np.argmax(~(stat < math.inf)))
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
+        if spec.crossed(top, threshold):
+            crossed = spec.crossed(stat, threshold)
+            taus[live[crossed]] = t
+            keep = ~crossed
+            live = live[keep]
+            if live.size == 0:
+                break
+            at = at[keep]
+            state._cands.keep_rows(keep)
+    return taus
+
+
+def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: int, envelope) -> np.ndarray:
+    """run_detector_batch for ex-cusum with a bounded tail, the ``envelope``
+    of _certified_tail: each run keeps its newest _HEAD candidates exact and
+    bounds the older ones by one tail column that gains envelope(x), so
+    max(head) <= W_n <= max(head, tail) with W_n the exact statistic (to
+    rounding, see _TAIL_MARGIN).  A run stops where its head crosses and
+    goes on where its tail is at most threshold - _TAIL_MARGIN.  Otherwise,
+    or where its next block holds an |x| of _X_BOUND or more (NaN too), it
+    leaves with tau -1, to be rerun on the exact state; every other tau is
+    run_detector_batch's."""
+    spec = DETECTORS["ex-cusum"]
+    state = ExCusumState()
+    cands = state._cands = _CandidateBuffer(len(streams), _HEAD + 1, True, envelope)
+    ceiling = threshold - _TAIL_MARGIN
+    taus = np.zeros(len(streams), dtype=np.int64)
+    live = np.arange(len(streams))
+    block = np.empty((0, 0))
+    at = live
+    j = 0
+    for t in range(1, horizon + 1):
+        if j == block.shape[0]:
+            del block  # free the old block before the next one is drawn
+            block, at, j = _next_blocks(streams, live, t, horizon), np.arange(live.size), 0
+            if not float(np.abs(block).max()) < _X_BOUND:
+                taus[live] = -1
+                break
+        xs = _validate_x(model, block[j, at][:, None])
+        j += 1
+        sums = cands.push(xs, model, state._merge)
+        stat = sums[:, :_HEAD].max(axis=-1)
+        top = float(stat.max())
+        if not top < math.inf:
+            r = int(np.argmax(~(stat < math.inf)))
+            raise NumericError(f"ex-cusum statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
         stop = None
-        if head is not None and cands.n > head and not float(sums[:, head].max()) <= ceiling:
-            stop = ~(sums[:, head] <= ceiling)  # NaN included
+        if cands.n > _HEAD and not float(sums[:, _HEAD].max()) <= ceiling:
+            stop = ~(sums[:, _HEAD] <= ceiling)
             taus[live[stop]] = -1
         if spec.crossed(top, threshold):
             crossed = spec.crossed(stat, threshold)
@@ -563,6 +576,20 @@ def _lockstep(
             at = at[keep]
             cands.keep_rows(keep)
     return taus
+
+
+def _next_blocks(streams, live: np.ndarray, t: int, horizon: int) -> np.ndarray:
+    """The next block of every live run, one row per step and one column per
+    run, copied in as it is drawn so that no run's block is held twice."""
+    block = None
+    for c, r in enumerate(live.tolist()):
+        part = next(streams[r], None)
+        if part is None:
+            raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
+        if block is None:
+            block = np.empty((part.size, live.size))
+        block[:, c] = part
+    return block
 
 
 def statistic_trace(

@@ -32,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from . import process
-from .detectors import StopResult, _certified_tail, _lockstep, _retained_columns, run_detector_batch
+from .detectors import StopResult, _bounded_lockstep, _certified_tail, _retained_columns, run_detector_batch
 from .models import DensityModel
-from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed, trial_generators
+from .process import NO_CHANGE, ChangeSpec, _generators, _sample_blocks, _trial_seeds, derive_seed
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
 Z95 = 1.6448536269514722
@@ -104,28 +104,32 @@ def _stopping_times(
 ) -> np.ndarray:
     """The int64 stopping times of simulate_trials' trials, 0 for a censored one.
 
-    Where detectors._certified_tail applies, the trials run with a bounded
-    tail, and the few whose tail comes too close to the threshold rerun on
-    the exact state from their own generators, so every tau is exact."""
+    Where detectors._certified_tail gives an envelope, the trials first run
+    with a bounded tail, and the few it leaves unsettled (tau -1) run again
+    on the exact state, in chunks sized for what an exact trial holds, so
+    every tau is the exact run's."""
     if isinstance(trials, bool) or trials < 1:
         raise EstimationError("at least one trial is required")
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
-    tail = _certified_tail(detector, window, model, threshold, horizon)
-    retained = _retained_columns(detector, window, model, tail)
-    per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
-    chunk = max(1, _CHUNK_ELEMENTS // per_trial)
-    taus = []
-    for start in range(0, trials, chunk):
-        rngs = trial_generators(seed, start, min(start + chunk, trials))
-        streams = [_sample_blocks(model, nu, horizon, rng) for rng in rngs]
-        part = _lockstep(detector, model, streams, threshold, horizon, window, tail)
-        rerun = np.flatnonzero(part < 0)
-        if rerun.size:
-            rngs = [next(trial_generators(seed, start + i, start + i + 1)) for i in rerun.tolist()]
+    envelope = _certified_tail(detector, window, model, threshold, horizon)
+    taus = np.empty(trials, dtype=np.int64)
+
+    def run(ids: np.ndarray, bounded: bool) -> None:
+        retained = _retained_columns(detector, window, model, bounded)
+        per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
+        chunk = max(1, _CHUNK_ELEMENTS // per_trial)
+        for k in range(0, ids.size, chunk):
+            part = ids[k : k + chunk]
+            rngs = _generators(_trial_seeds(seed, part.astype(np.uint64)))
             streams = [_sample_blocks(model, nu, horizon, rng) for rng in rngs]
-            part[rerun] = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
-        taus.append(part)
-    return np.concatenate(taus)
+            if bounded:
+                taus[part] = _bounded_lockstep(model, streams, threshold, horizon, envelope)
+            else:
+                taus[part] = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
+
+    run(np.arange(trials), envelope is not None)
+    run(np.flatnonzero(taus < 0), False)
+    return taus
 
 
 def simulate_trials(

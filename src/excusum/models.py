@@ -297,10 +297,11 @@ class DensityModel:
 
     def llr_envelope(self, start: int, stop: int) -> Callable | None:
         """A function of x that is >= log_ratio(j, x) for every age index j in
-        [start, stop) (in the reals; the computed values may round apart, see
-        detectors._TAIL_MARGIN), or None.  The Monte Carlo runs of a family
-        that never saturates then bound every candidate of age index >= start
-        by one tail.  None by default."""
+        [start, stop) (in the reals; the computed values may round apart), or
+        None, also where that rounding is past what detectors._TAIL_MARGIN
+        covers.  The Monte Carlo runs of a family that never saturates then
+        bound every candidate of age index >= start by one tail.  None by
+        default."""
         return None
 
     def information_number(self) -> float | None:
@@ -334,11 +335,13 @@ class GaussianModel(DensityModel):
     def saturation_index(self) -> int | None:
         return self.schedule.saturation_index()
 
-    def llr_envelope(self, start: int, stop: int) -> Callable:
+    def llr_envelope(self, start: int, stop: int) -> Callable | None:
         # mu * x - mu * mu / 2 is concave in mu, so over the cached means of
-        # [start, stop), whatever their order, it peaks at x clipped to their range
+        # [start, stop), whatever their order, it peaks at x clipped to their
+        # range; _TAIL_MARGIN's rounding bound takes means below 2 in size
         vals = self.schedule.means(stop)[start:]
-        return partial(_gaussian_envelope, float(vals.min()), float(vals.max()))
+        lo, hi = float(vals.min()), float(vals.max())
+        return partial(_gaussian_envelope, lo, hi) if -2.0 < lo and hi < 2.0 else None
 
     def information_number(self) -> float:
         return self.schedule.limit_mu ** 2 / 2.0

@@ -112,19 +112,20 @@ def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, model
 def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
     sizes = []
 
-    def record(kind, model, streams, *rest):
+    def record(streams):
         sizes.append(len(streams))
         return np.zeros(len(streams), np.int64)
 
-    monkeypatch.setattr(metrics, "_lockstep", record)
+    monkeypatch.setattr(metrics, "run_detector_batch", lambda kind, model, streams, *rest, **kw: record(streams))
+    monkeypatch.setattr(metrics, "_bounded_lockstep", lambda model, streams, *rest: record(streams))
     arctan = gaussian_model(MeanSchedule.arctangent())
     saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
-    head = 2 * math.ceil(100.0 / I_ARCTAN)  # M = 164 exact candidates at threshold 100
+    bounded = 2**18 // (process._CHUNK + detectors._HEAD + 1)  # a bounded tail: _HEAD exact sums and the tail
     for kind, model, window, horizon, chunk in (
-        ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload: 140 <= M + 1
-        ("ex-cusum", arctan, None, 2000, 2**18 // (process._CHUNK + head + 1)),  # false-alarm
+        ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload
+        ("ex-cusum", arctan, None, 2000, bounded),  # false-alarm
         ("sr", saturating, None, 6000, 2**18 // (process._CHUNK + 11)),  # sr-saturating
-        ("ex-cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + head + 1)),  # a certified tail
+        ("ex-cusum", arctan, None, 200_000, bounded),
         ("sr", arctan, None, 200_000, 1),  # sums grow with the horizon
         ("ex-cusum", saturating, None, 200_000, 2**18 // (process._CHUNK + 11)),
         ("cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + 1)),
@@ -161,8 +162,7 @@ def count_reruns(monkeypatch) -> list:
 )
 def test_certified_tail_runs_equal_the_exact_kernel(threshold, nu, horizon, trials, monkeypatch):
     model = gaussian_model(MeanSchedule.arctangent())
-    head, _ = detectors._certified_tail("ex-cusum", None, model, threshold, horizon)
-    assert head == 32 and metrics._retained_columns("ex-cusum", None, model, (head, None)) == 33
+    assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon) is not None
     reruns = count_reruns(monkeypatch)
     got = metrics._stopping_times(model, "ex-cusum", threshold, nu, horizon, trials, 17, None)
     assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, trials, 17))
@@ -179,21 +179,46 @@ def test_certified_tail_runs_equal_the_exact_kernel(threshold, nu, horizon, tria
     ids=["arctan-delay", "arctan-false-alarm", "geometric"],
 )
 def test_uncertified_trials_rerun_to_the_exact_stopping_times(schedule, threshold, nu, horizon, monkeypatch):
-    # a head of 2 to 8 candidates leaves the crossings to the tail, whose
-    # bound then comes within the margin of the threshold in many trials
+    # a head of one candidate leaves the crossings to the tail, whose bound
+    # then comes within the margin of the threshold in many trials
     model = gaussian_model(schedule)
-    monkeypatch.setattr(detectors, "_MIN_HEAD", 1)
-    assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon)[0] <= 8
+    monkeypatch.setattr(detectors, "_HEAD", 1)
+    assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon) is not None
     reruns = count_reruns(monkeypatch)
     got = metrics._stopping_times(model, "ex-cusum", threshold, nu, horizon, 60, 5, None)
     assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, 60, 5))
     assert sum(reruns) >= 1
 
 
+def test_runs_whose_block_leaves_the_x_bound_rerun_exactly(monkeypatch):
+    # pre-change draws pass |x| = 1.5 in most blocks; those blocks send their
+    # runs, not only the runs that read the large value, back to the exact state
+    model = gaussian_model(MeanSchedule.arctangent())
+    monkeypatch.setattr(detectors, "_X_BOUND", 1.5)
+    reruns = count_reruns(monkeypatch)
+    got = metrics._stopping_times(model, "ex-cusum", 4.0, NO_CHANGE, 600, 40, 9, None)
+    assert np.array_equal(got, exact_taus(model, 4.0, NO_CHANGE, 600, 40, 9))
+    assert sum(reruns) == 40
+
+
+def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
+    # an exact trial on arctan holds up to horizon sums, so its reruns take
+    # _CHUNK_ELEMENTS // horizon trials at a time, not the bounded chunk
+    model = gaussian_model(MeanSchedule.arctangent())
+    horizon = 2**14
+    monkeypatch.setattr(metrics, "_bounded_lockstep", lambda model, streams, *rest: np.full(len(streams), -1))
+    reruns = count_reruns(monkeypatch)
+    got = metrics._stopping_times(model, "ex-cusum", 2.0, 1, horizon, 40, 3, None)
+    assert np.array_equal(got, exact_taus(model, 2.0, 1, horizon, 40, 3))
+    assert metrics._CHUNK_ELEMENTS // horizon == 16 and reruns == [16, 16, 8]
+
+
 def test_certified_tail_applies_to_bounded_ex_cusum_runs_only():
     arctan = gaussian_model(MeanSchedule.arctangent())
     no_envelope = with_information_number(generic_gaussian_model(MeanSchedule.arctangent()), I_ARCTAN)
+    far_limit = gaussian_model(MeanSchedule.geometric_approach(1000.0, 0.999999))
     assert detectors._certified_tail("ex-cusum", None, arctan, 4.0, 100) is not None
+    assert detectors._certified_tail("ex-cusum", None, far_limit, 4.0, 1000) is not None
     for kind, window, model, threshold, horizon in (
         ("sr", None, arctan, 4.0, 100),
         ("cusum", None, arctan, 4.0, 100),
@@ -202,9 +227,11 @@ def test_certified_tail_applies_to_bounded_ex_cusum_runs_only():
         ("ex-cusum", None, no_envelope, 4.0, 100),
         ("ex-cusum", None, arctan, 4.0, 33),  # no candidate gets past age 32
         ("ex-cusum", None, arctan, math.inf, 100),
-        ("ex-cusum", None, with_information_number(arctan, None), 4.0, 100),
+        ("ex-cusum", None, arctan, 2.0**11, 100),  # past the margin's thresholds
+        ("ex-cusum", None, arctan, 4.0, 2**24 + 1),  # past its horizons
+        ("ex-cusum", None, far_limit, 4.0, 20_000),  # means up to 20, past its means
     ):
-        assert detectors._certified_tail(kind, window, model, threshold, horizon) is None, (kind, window, horizon)
+        assert detectors._certified_tail(kind, window, model, threshold, horizon) is None, (kind, threshold, horizon)
 
 
 def test_lockstep_chunks_of_bounded_trials_equal_chunks_of_one(monkeypatch):
@@ -422,11 +449,11 @@ def test_estimators_refuse_a_bool_trial_count(arctan_model):
 def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
     # with the detector replaced by fixed stopping times (0: censored), the
     # estimates are plain arithmetic with no Monte Carlo noise
-    def fixed(kind, model, streams, *rest):
+    def fixed(kind, model, streams, threshold, horizon, *, window=None):
         assert len(streams) == 7
         return np.array([0, 3, 9, 10, 14, 0, 25], np.int64)
 
-    monkeypatch.setattr(metrics, "_lockstep", fixed)
+    monkeypatch.setattr(metrics, "run_detector_batch", fixed)
     arl = estimate_arl2fa(arctan_model, "ex-cusum", threshold=0.0, trials=7, horizon=30, seed=1)
     # censored runs count at the horizon: 30 + 3 + 9 + 10 + 14 + 30 + 25
     assert arl.mean_tau == 121 / 7

@@ -147,6 +147,16 @@ def test_llr_envelope_bounds_every_ratio_of_its_ages(schedule, start, stop):
     assert np.all(bound >= ratios.max(axis=0) - slack)
 
 
+def test_llr_envelope_stops_where_the_means_reach_two():
+    # the range detectors._TAIL_MARGIN's rounding bound covers; this
+    # schedule's means pass 2 from index 2003 on
+    model = gaussian_model(MeanSchedule.geometric_approach(1000.0, 0.999999))
+    assert model.schedule.means(2003)[-1] < 2.0 <= model.schedule.means(2004)[-1]
+    assert model.llr_envelope(32, 2003) is not None
+    assert model.llr_envelope(32, 2004) is None
+    assert model.llr_envelope(32, 20_000) is None
+
+
 @pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
 def test_a_zero_width_llr_envelope_is_the_ratio_bit_for_bit(schedule):
     model = gaussian_model(schedule)
