@@ -44,9 +44,9 @@ one test of a statistic against a threshold, for every stop decision.
 Every per-sample ratio comes from the model's llr_prefix hook.
 
 States are single-owner: mutate them only from their owning run.  A state
-holds one stream (a 1-d row of running sums); run_detector_batch builds
-private states holding a stack of rows that advance in lockstep through the
-same update, fold and reductions, and drops each row once its run stops.
+holds one stream (a 1-d array of running sums); run_detector_batch builds
+private states of one candidate-major row per run, advancing in lockstep
+through the same update, fold and reductions, and drops each finished row.
 The public ExCusumState and SrState never fold, and serve as the reference.
 """
 
@@ -92,38 +92,36 @@ _TAIL_MARGIN = 2.0**-12
 class _CandidateBuffer:
     """Right-aligned running sums of the candidate change points.
 
-    The sums of one stream form a 1-d row; run_detector_batch stacks one row
-    per run into a 2-d array, and every operation below acts on the last axis,
-    so both shapes go through the same arithmetic.  The candidates occupy
-    buf[..., pos:], newest first: column pos + j holds the candidate of age j,
-    whose increment at the next observation is the log-likelihood ratio at
-    age index j.  That makes every per-step update a contiguous-slice
-    operation on each row.  When at most ``limit`` columns are read, once the
-    buffer fills the newest ones move back to its right end instead of the
-    buffer growing: it stays below 4 limit + 64 columns, and the moves cost
-    O(1) per step on average.
+    The sums of one stream form a 1-d array of columns; run_detector_batch
+    stacks one row per run into a candidate-major array of (columns, rows),
+    and every operation below acts on axis 0, so both shapes go through the
+    same arithmetic.  The candidates occupy buf[pos:], newest first: column
+    pos + j holds the candidate of age j, whose increment at the next
+    observation is the log-likelihood ratio at age index j.  That makes every
+    per-step update one contiguous block.  When at most ``limit`` columns are
+    read, once the buffer fills the newest ones move back to its end instead
+    of the buffer growing: it stays below 4 limit + 64 columns, and the moves
+    cost O(1) per step on average.  The ratios' scratch holds the columns read.
 
     Past the limit, older candidates are dropped (a window) or, with
     ``fold``, merged into the last column: with a fold at saturation index
     L = limit - 1, every candidate of age index >= L gains the same
     increment, so they share one tail column at age index L, and each step
     the candidate that reaches it takes the old tail in through the state's
-    merge.  With an ``envelope`` the fold bounds rather than sums: the tail
-    column gains envelope(x), at least the ratio of every age it holds, so
-    it stays at or above each of its candidates' sums (to rounding, see
-    _TAIL_MARGIN) while the newest limit - 1 stay exact.  The buffer also
-    keeps SR's tail weight, ``scale``.
+    merge.  With a ``bound`` per row (_bounded_lockstep) the fold bounds
+    rather than sums: the tail column gains bound, at least the ratio of
+    every age it holds, so it stays at or above each of its candidates' sums
+    (to rounding, see _TAIL_MARGIN) while the newest limit - 1 stay exact.
+    The buffer also keeps SR's tail weight, ``scale``.
     """
 
     def __init__(
-        self, rows: int | None = None, limit: int | None = None, fold: bool = False, envelope=None
+        self, rows: int | None = None, limit: int | None = None, fold: bool = False, model: DensityModel | None = None
     ) -> None:
         #: most columns read (None: all of them)
         self.limit = limit
         #: whether candidates past the limit merge into the last column
         self.fold = fold
-        #: the folded tail's increment as a function of x (None: the ratio)
-        self.envelope = envelope
         #: SR's tail weight per row: the last column holds a shift m, and the
         #: tail's log mass is m + log scale; None until the first merge stands
         #: for 1.0, which is exact since 1.0 * w == w
@@ -131,35 +129,42 @@ class _CandidateBuffer:
         self.n = 0
         self._pos = _MIN_CAPACITY
         self._rows = () if rows is None else (rows,)
+        # rows write their ratios through llr_columns, bound as the scratch grows
+        self._columns = None if rows is None else model.llr_columns
         # columns left of the newest candidate stay zero, ready for the next one
-        self._buf = np.zeros(self._rows + (_MIN_CAPACITY,))
-        self._tmp = np.empty(self._buf.shape)
+        self._buf = np.zeros((_MIN_CAPACITY,) + self._rows)
+        self._size_scratch(_MIN_CAPACITY)
 
     @property
     def active(self) -> int:
         """Number of candidates read after the latest observation."""
         return self.n if self.limit is None else min(self.n, self.limit)
 
+    def _size_scratch(self, cap: int) -> None:
+        cols = cap if self.limit is None else min(cap, self.limit)
+        self._tmp = np.empty((cols,) + self._rows)
+        self._prefix = None if self._columns is None else self._columns(cols)
+
     def _make_room(self, keep: int) -> None:
         # free the column left of the newest candidate, keeping the newest `keep`
-        cap = self._buf.shape[-1]
+        cap = self._buf.shape[0]
         buf = self._buf
         if 2 * keep > cap:
             cap *= 2
-            buf = np.zeros(self._rows + (cap,))
-            self._tmp = np.empty(buf.shape)
-            buf[..., cap - keep :] = self._buf[..., :keep]
+            buf = np.zeros((cap,) + self._rows)
+            self._size_scratch(cap)
+            buf[cap - keep :] = self._buf[:keep]
         else:
-            buf[..., cap - keep :] = buf[..., :keep]
-            buf[..., : cap - keep] = 0.0
+            buf[cap - keep :] = buf[:keep]
+            buf[: cap - keep] = 0.0
         self._buf = buf
         self._pos = cap - keep
 
-    def push(self, x, model: DensityModel, merge) -> np.ndarray:
-        """Register an observation (a float, or a (rows, 1) column with one per
-        row), fold the old tail into the candidate reaching age index L with
-        ``merge(candidate, tail)`` (column views), update the newest `active`
-        candidates, and return the view of their sums (newest first)."""
+    def push(self, x, model: DensityModel, merge, bound=None) -> np.ndarray:
+        """Register an observation (a float, or a (rows,) row), fold the old
+        tail into the candidate reaching age index L with ``merge(candidate,
+        tail)`` (views of one column), update the newest `active` candidates
+        (a folded tail by ``bound`` if given), and return their sums' view."""
         self.n += 1
         active = self.active
         folding = self.fold and self.n > self.limit
@@ -169,27 +174,28 @@ class _CandidateBuffer:
         self._pos -= 1
         if folding:
             at = self._pos + self.limit - 1
-            merge(self._buf[..., at], self._buf[..., at + 1])
-        view = self._buf[..., self._pos : self._pos + active]
-        if self.envelope is None or not folding:
-            view += model.llr_prefix(active, x, self._tmp)
-        else:
-            model.llr_prefix(active - 1, x, self._tmp)
-            self._tmp[..., active - 1 : active] = self.envelope(x)
-            view += self._tmp[..., :active]
+            merge(self._buf[at, ...], self._buf[at + 1, ...])
+        view = self._buf[self._pos : self._pos + active]
+        ratios = (self._prefix or model.llr_prefix)(active, x, self._tmp)
+        if bound is not None and folding:
+            ratios[-1] = bound
+        view += ratios
         return view
 
     def view(self) -> np.ndarray:
-        return self._buf[..., self._pos : self._pos + self.active]
+        return self._buf[self._pos : self._pos + self.active]
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop the rows whose entry in the boolean mask ``keep`` is False."""
         idx = np.flatnonzero(keep)
         cols = slice(self._pos, self._pos + self.active)
-        self._buf[: idx.size, cols] = self._buf[idx, cols]
-        self._buf = self._buf[: idx.size]
-        self._tmp = self._tmp[: idx.size]
+        sums = self._buf[cols, idx]
+        # contiguous in place, as the per-step passes and SR's scratch want: the
+        # zero rows left of pos take a prefix of the old ones' memory
+        self._buf = self._buf.reshape(-1)[: self._buf.shape[0] * idx.size].reshape(-1, idx.size)
+        self._buf[cols] = sums
         self._rows = (idx.size,)
+        self._tmp = self._tmp.reshape(-1)[: self._tmp.shape[0] * idx.size].reshape(-1, idx.size)
         if self.scale is not None:
             self.scale = self.scale[keep]
 
@@ -205,7 +211,7 @@ class _SumsState:
         return self._cands.n
 
     def _advance(self, x, model: DensityModel):
-        return self._cands.push(x, model, self._merge).max(axis=-1)
+        return np.maximum.reduce(self._cands.push(x, model, self._merge), axis=0)
 
     @staticmethod
     def _merge(candidate: np.ndarray, tail: np.ndarray) -> None:
@@ -274,7 +280,7 @@ class SrState(_SumsState):
         cands = self._cands
         view = cands.push(x, model, self._merge)
         # _tmp's contents are dead once push() has folded them into the sums
-        return logsumexp_rows(view, cands._tmp, cands.scale)
+        return logsumexp_rows(view, cands._tmp.reshape(-1), cands.scale)
 
     def _merge(self, candidate: np.ndarray, tail: np.ndarray) -> None:
         # the tail keeps a shift and a scale rather than one np.logaddexp
@@ -421,7 +427,7 @@ def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | 
         saturation = model.saturation_index()
         if saturation is not None:
             limit, fold = saturation + 1, True
-    state._cands = _CandidateBuffer(rows, limit, fold)
+    state._cands = _CandidateBuffer(rows, limit, fold, model)
     return state
 
 
@@ -498,32 +504,11 @@ def run_detector_batch(
     only; when several runs fail, the error names the earliest failing step.
     """
     state, spec = _start(kind, window, model, horizon, threshold, len(streams))
-    taus = np.zeros(len(streams), dtype=np.int64)
-    live = np.arange(len(streams))
-    block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
-    at = live  # column of each live run in block
-    j = 0
-    for t in range(1, horizon + 1):
-        if j == block.shape[0]:
-            del block  # free the old block before the next one is drawn
-            block, at, j = _next_blocks(streams, live, t, horizon), np.arange(live.size), 0
-        xs = _validate_x(model, block[j, at][:, None])
-        j += 1
+    def step(xs, bounds, j, at):
         stat = state._advance(xs, model)
-        top = float(stat.max())  # NaN and +inf propagate into the max
-        if not top < math.inf:
-            r = int(np.argmax(~(stat < math.inf)))
-            raise NumericError(f"{kind} statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
-        if spec.crossed(top, threshold):
-            crossed = spec.crossed(stat, threshold)
-            taus[live[crossed]] = t
-            keep = ~crossed
-            live = live[keep]
-            if live.size == 0:
-                break
-            at = at[keep]
-            state._cands.keep_rows(keep)
-    return taus
+        return float(np.maximum.reduce(stat)), stat
+
+    return _lockstep(kind, model, streams, threshold, horizon, state._cands, step, lambda stat: (stat, None))
 
 
 def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: int, envelope) -> np.ndarray:
@@ -536,40 +521,66 @@ def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: i
     or where its next block holds an |x| of _X_BOUND or more (NaN too), it
     leaves with tau -1, to be rerun on the exact state; every other tau is
     run_detector_batch's."""
-    spec = DETECTORS["ex-cusum"]
-    state = ExCusumState()
-    cands = state._cands = _CandidateBuffer(len(streams), _HEAD + 1, True, envelope)
-    ceiling = threshold - _TAIL_MARGIN
+    cands = _CandidateBuffer(len(streams), _HEAD + 1, True, model)
+
+    def step(xs, bounds, j, at):
+        sums = cands.push(xs, model, _SumsState._merge, bounds[j, at])
+        return float(np.maximum.reduce(sums, axis=None)), sums
+
+    def settle(sums):
+        return np.maximum.reduce(sums[:_HEAD], axis=0), sums[_HEAD] if cands.n > _HEAD else None
+
+    return _lockstep("ex-cusum", model, streams, threshold, horizon, cands, step, settle, envelope)
+
+
+def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, cands, step, settle, envelope=None):
+    """The one step loop of run_detector_batch and _bounded_lockstep: ``step(xs,
+    bounds, j, at)`` advances the live runs on xs, step j of the block's columns
+    ``at``, returning their largest value and what ``settle`` turns into their
+    statistics and tails (None if exact).  ``envelope`` and the check run per block."""
+    spec = DETECTORS[kind]
+    # below calm no statistic crosses or is +inf or NaN, and no tail passes the ceiling
+    ceiling = threshold if envelope is None else threshold - _TAIL_MARGIN
+    calm = float(np.nextafter(ceiling, math.inf)) if spec.strict else ceiling
     taus = np.zeros(len(streams), dtype=np.int64)
     live = np.arange(len(streams))
-    block = np.empty((0, 0))
-    at = live
+    block = bounds = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
+    at = live  # column of each live run in block
     j = 0
     for t in range(1, horizon + 1):
         if j == block.shape[0]:
-            del block  # free the old block before the next one is drawn
+            del block, bounds  # free the old block before the next one is drawn
             block, at, j = _next_blocks(streams, live, t, horizon), np.arange(live.size), 0
-            if not float(np.abs(block).max()) < _X_BOUND:
+            if envelope is not None and not float(np.abs(block).max()) < _X_BOUND:
                 taus[live] = -1
                 break
-        xs = _validate_x(model, block[j, at][:, None])
+            bounds = None if envelope is None else envelope(block)
+            try:
+                checked = _validate_x(model, block) is not None  # True unless it raises
+            except ValueError:
+                checked = False  # so each step checks its live runs
+        xs = block[j, at]
+        if not checked:
+            _validate_x(model, xs)
+        top, values = step(xs, bounds, j, at)
         j += 1
-        sums = cands.push(xs, model, state._merge)
-        stat = sums[:, :_HEAD].max(axis=-1)
-        top = float(stat.max())
+        if top < calm:
+            continue
+        stat, tail = settle(values)
+        top = float(np.maximum.reduce(stat))  # NaN and +inf propagate into the max
         if not top < math.inf:
             r = int(np.argmax(~(stat < math.inf)))
-            raise NumericError(f"ex-cusum statistic non-finite at step {t}: {stat[r]} (x={xs[r, 0]})")
-        stop = None
-        if cands.n > _HEAD and not float(sums[:, _HEAD].max()) <= ceiling:
-            stop = ~(sums[:, _HEAD] <= ceiling)
-            taus[live[stop]] = -1
+            raise NumericError(f"{kind} statistic non-finite at step {t}: {stat[r]} (x={xs[r]})")
+        leave = None
+        if tail is not None and not float(np.maximum.reduce(tail)) <= ceiling:
+            leave = ~(tail <= ceiling)
+            taus[live[leave]] = -1
         if spec.crossed(top, threshold):
             crossed = spec.crossed(stat, threshold)
-            taus[live[crossed]] = t  # a crossing head settles a run exactly
-            stop = crossed if stop is None else stop | crossed
-        if stop is not None:
-            keep = ~stop
+            taus[live[crossed]] = t  # a crossing head settles a bounded run exactly
+            leave = crossed if leave is None else leave | crossed
+        if leave is not None:
+            keep = ~leave
             live = live[keep]
             if live.size == 0:
                 break

@@ -18,9 +18,10 @@ Carlo studies.  The schedule caches mu_n and mu_n**2 / 2 together.
 All detector and simulation code is written against the generic
 DensityModel interface, so custom families (including deliberately broken
 ones used as counterexamples in tests) plug in the same way.  The per-sample
-log-likelihood ratio has one hook, DensityModel.log_ratio and its prefix
-form llr_prefix (the detectors' hot path); the defaults subtract the log
-densities, and GaussianModel overrides both with the closed form.  The KL
+log-likelihood ratio has one hook, DensityModel.log_ratio, its prefix form
+llr_prefix (the detectors' hot path) and that form bound for a lockstep run,
+llr_columns; the defaults subtract the log densities, and GaussianModel
+overrides all three with the closed form.  The KL
 numbers have one hook too, DensityModel.kl: trapezoid quadrature by default,
 the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
@@ -161,24 +162,28 @@ class MeanSchedule:
         if cached is None or cached[0].size < upto:
             # grow geometrically: a detector asks for one more entry every step
             size = max(int(upto), 64, 2 * (cached[0].size if cached is not None else 0))
-            n = np.arange(size, dtype=np.float64)
-            if self.kind == "constant":
-                vals = np.full(size, self.limit_mu)
-            elif self.kind == "arctangent":
-                vals = np.arctan(n)
-            elif self.kind == "linear-saturating":
-                vals = np.minimum(self.params[0] * n, self.limit_mu)
-            elif self.kind == "geometric-approach":
-                vals = self.limit_mu * (1.0 - self.params[0] ** n)
-            else:  # explicit-table
-                vals = np.full(size, self.table[-1])
-                head = min(len(self.table), size)
-                vals[:head] = self.table[:head]
+            vals = self._evaluate(0, size)
             half = vals * vals / 2.0
             vals.setflags(write=False)
             half.setflags(write=False)
             cached = self._cache["mu"] = (vals, half)
         return cached
+
+    def _evaluate(self, start: int, stop: int) -> np.ndarray:
+        """mu_j for start <= j < stop, with the cache's bits but not through it."""
+        n = np.arange(start, stop, dtype=np.float64)
+        if self.kind == "constant":
+            return np.full(n.size, self.limit_mu)
+        if self.kind == "arctangent":
+            return np.arctan(n)
+        if self.kind == "linear-saturating":
+            return np.minimum(self.params[0] * n, self.limit_mu)
+        if self.kind == "geometric-approach":
+            return self.limit_mu * (1.0 - self.params[0] ** n)
+        vals = np.full(n.size, self.table[-1])  # explicit-table
+        head = self.table[start:stop]
+        vals[: len(head)] = head
+        return vals
 
     def means(self, upto: int) -> np.ndarray:
         """Read-only view of (mu_0, ..., mu_{upto-1})."""
@@ -266,18 +271,23 @@ class DensityModel:
         return self.post_change_log_density(index, x) - self.pre_change_log_density(x)
 
     def llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
-        """Write log_ratio(j, x) for j = 0..n-1 into out[..., :n] and return that view.
+        """Write log_ratio(j, x) for j = 0..n-1 into out[:n] and return that view.
 
-        ``x`` is a float with a 1-d ``out``, or a (rows, 1) column with a 2-d
-        ``out`` whose row r takes x[r].  Hot path for the detectors: x must
-        already be validated.  This default sees one scalar observation per
-        call of the densities.
+        ``x`` is a float with a 1-d ``out``, or a (rows,) row with a 2-d,
+        candidate-major ``out`` whose [j, r] takes age index j at x[r].  Hot
+        path for the detectors: x must already be validated.  This default
+        sees one scalar observation per call of the densities.
         """
-        block = out[..., :n]
+        block = out[:n]
         idx = np.arange(n)
-        for row, xr in zip(block.reshape(-1, n), np.ravel(x).tolist()):
-            row[:] = self.log_ratio(idx, xr)
+        for col, xr in zip(block.reshape(n, -1).T, np.ravel(x).tolist()):
+            col[:] = self.log_ratio(idx, xr)
         return block
+
+    def llr_columns(self, size: int) -> Callable:
+        """llr_prefix's 2-d form for n <= size, with what it reads per age
+        fetched once, so lockstep steps do not ask again; llr_prefix here."""
+        return self.llr_prefix
 
     def kl(self, index):
         """D(f_j || g) at every entry j of a nonnegative integer index (array),
@@ -322,10 +332,13 @@ class GaussianModel(DensityModel):
         return m * x - m * m / 2.0
 
     def llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
-        block = out[..., :n]
-        np.multiply(self.schedule.means(n), x, out=block)
-        block -= self.schedule.half_squares(n)
-        return block
+        if out.ndim == 2:
+            return self.llr_columns(n)(n, x, out)
+        block = np.multiply(self.schedule.means(n), x, out=out[:n])
+        return np.subtract(block, self.schedule.half_squares(n), out=block)
+
+    def llr_columns(self, size: int) -> Callable:
+        return partial(_gaussian_columns, self.schedule.means(size)[:, None], self.schedule.half_squares(size)[:, None])
 
     def kl(self, index):
         # the same operations as the cached half_squares, so the same bits
@@ -336,11 +349,13 @@ class GaussianModel(DensityModel):
         return self.schedule.saturation_index()
 
     def llr_envelope(self, start: int, stop: int) -> Callable | None:
-        # mu * x - mu * mu / 2 is concave in mu, so over the cached means of
-        # [start, stop), whatever their order, it peaks at x clipped to their
-        # range; _TAIL_MARGIN's rounding bound takes means below 2 in size
-        vals = self.schedule.means(stop)[start:]
-        lo, hi = float(vals.min()), float(vals.max())
+        # mu * x - mu * mu / 2 is concave in mu, so over the means of [start,
+        # stop), in any order, it peaks at x clipped to their range, scanned in
+        # pieces so the cache does not grow; _TAIL_MARGIN takes |means| < 2
+        lo, hi = math.inf, -math.inf
+        for first in range(start, stop, 2**15):
+            vals = self.schedule._evaluate(first, min(first + 2**15, stop))
+            lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
         return partial(_gaussian_envelope, lo, hi) if -2.0 < lo and hi < 2.0 else None
 
     def information_number(self) -> float:
@@ -354,10 +369,19 @@ def _kl_integrand(model: DensityModel, n: int, xs):
     return np.where(f > 0.0, f * (logf - logg), 0.0)
 
 
+def _gaussian_columns(means: np.ndarray, half: np.ndarray, n: int, x, out: np.ndarray) -> np.ndarray:
+    block = np.multiply(means[:n], x, out=out[:n])
+    return np.subtract(block, half[:n], out=block)
+
+
 def _gaussian_envelope(lo: float, hi: float, x):
-    # the operations of llr_prefix, so a zero-width range gives its bits
+    # the operations of llr_prefix, so a zero-width range gives its bits;
+    # in place, so an array x costs one temporary besides the result
     c = np.clip(x, lo, hi)
-    return c * x - c * c / 2.0
+    half = c * c / 2.0  # numpy divides its large temporaries in place
+    c *= x
+    c -= half
+    return c
 
 
 def _normal_logpdf(mean, x):

@@ -201,6 +201,44 @@ def test_runs_whose_block_leaves_the_x_bound_rerun_exactly(monkeypatch):
     assert sum(reruns) == 40
 
 
+def test_bounded_runs_check_a_narrower_support_like_run_detector():
+    # |x| < _X_BOUND no longer implies the support, so the bounded runs check
+    # each block, and its runs step by step where a value falls outside
+    model = dataclasses.replace(gaussian_model(MeanSchedule.arctangent()), support=(-3.0, 3.0))
+    assert detectors._certified_tail("ex-cusum", None, model, 50.0, 2000) is not None
+    spec = ChangeSpec(nu=NO_CHANGE, horizon=2000, seed=derive_seed(9, 0))
+    with pytest.raises(ValueError, match=r"outside support \[-3.0, 3.0\]"):
+        run_detector("ex-cusum", model, path_stream(model, spec), 50.0, 2000)
+    with pytest.raises(ValueError, match=r"outside support \[-3.0, 3.0\]"):
+        metrics._stopping_times(model, "ex-cusum", 50.0, NO_CHANGE, 2000, 8, 9, None)
+
+
+def test_a_bad_value_only_a_stopped_run_would_read_is_never_checked():
+    # one block of 8 steps per run; run 0 crosses at step 1, and its block
+    # holds a NaN and an out-of-support value from step 4 on, which fail the
+    # block's check, so the live runs' steps are checked one by one instead
+    model = dataclasses.replace(constant_model(1.0), support=(-20.0, 20.0))
+    blocks = np.zeros((3, 8))
+    blocks[0, :3] = 10.0
+    blocks[0, 3:5] = np.nan, 25.0
+
+    def streams(blocks):
+        return [iter([b.copy()]) for b in blocks]
+
+    for kind in ("ex-cusum", "sr", "cusum"):
+        want = [run_detector(kind, model, b, 5.0, 8) for b in blocks]
+        assert [r.tau for r in want] == [1, None, None]
+        assert run_detector_batch(kind, model, streams(blocks), 5.0, 8).tolist() == [1, 0, 0]
+        # a live run's bad value still raises, at its step
+        bad = blocks.copy()
+        bad[2, 6] = 25.0
+        with pytest.raises(ValueError, match="outside support"):
+            run_detector_batch(kind, model, streams(bad), 5.0, 8)
+        bad[1, 5] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            run_detector_batch(kind, model, streams(bad), 5.0, 8)
+
+
 def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
     # an exact trial on arctan holds up to horizon sums, so its reruns take
     # _CHUNK_ELEMENTS // horizon trials at a time, not the bounded chunk

@@ -125,11 +125,12 @@ def test_gaussian_closed_forms_agree_with_the_density_model_defaults(schedule):
     np.testing.assert_allclose(
         fast.llr_prefix(200, 0.7, np.empty(256)), generic.llr_prefix(200, 0.7, np.empty(256)), rtol=0, atol=1e-12
     )
-    col = np.array([[-2.5], [0.0], [3.25]])
-    got = fast.llr_prefix(150, col, np.empty((3, 160)))
-    want = generic.llr_prefix(150, col, np.empty((3, 160)))
-    assert got.shape == (3, 150)
+    row = np.array([-2.5, 0.0, 3.25])
+    got = fast.llr_prefix(150, row, np.empty((160, 3)))
+    want = generic.llr_prefix(150, row, np.empty((160, 3)))
+    assert got.shape == (150, 3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, fast.log_ratio(idx[:150, None], row), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("schedule", EVERY_KIND + [MeanSchedule.geometric_approach(1000.0, 0.999999)])
@@ -157,13 +158,29 @@ def test_llr_envelope_stops_where_the_means_reach_two():
     assert model.llr_envelope(32, 20_000) is None
 
 
+def test_llr_envelope_scans_its_range_without_growing_the_cache():
+    # the range's extremes come from pieces of the cache's formula, so a
+    # horizon of 10**7 leaves the cache at its first size, with the same bits
+    schedule = MeanSchedule.arctangent()
+    model = gaussian_model(schedule)
+    assert model.llr_envelope(32, 10**7) is not None
+    assert schedule._cache.get("mu") is None or schedule._cache["mu"][0].size < 2**16
+    for stop in (2000, 2**15 + 40, 3 * 2**15):
+        lo, hi = model.llr_envelope(32, stop).args
+        vals = schedule.means(stop)[32:]
+        assert (lo, hi) == (vals.min(), vals.max())
+        assert schedule._evaluate(32, stop).tobytes() == vals.tobytes()
+    for other in EVERY_KIND:
+        assert other._evaluate(3, 5000).tobytes() == other.means(5000)[3:].tobytes()
+
+
 @pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
 def test_a_zero_width_llr_envelope_is_the_ratio_bit_for_bit(schedule):
     model = gaussian_model(schedule)
-    xs = np.concatenate([np.linspace(-6.0, 6.0, 1201), schedule.means(8)])[:, None]
-    prefix = model.llr_prefix(8, xs, np.empty((xs.size, 8)))
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 1201), schedule.means(8)])
+    prefix = model.llr_prefix(8, xs, np.empty((8, xs.size)))
     for j in range(8):
-        assert model.llr_envelope(j, j + 1)(xs).tobytes() == prefix[:, j : j + 1].tobytes()
+        assert model.llr_envelope(j, j + 1)(xs).tobytes() == prefix[j].tobytes()
     assert plain(model).llr_envelope(0, 8) is None
 
 
@@ -419,9 +436,9 @@ def test_unpickled_gaussian_model_gives_the_same_numbers(schedule):
     twin = _round_trip(model)
     assert type(twin) is GaussianModel and twin.schedule == schedule
     assert twin.llr_prefix(70, 0.7, np.empty(80)).tobytes() == model.llr_prefix(70, 0.7, np.empty(80)).tobytes()
-    col = np.array([[-2.5], [0.0], [3.25]])
-    got = twin.llr_prefix(70, col, np.empty((3, 80)))
-    assert got.tobytes() == model.llr_prefix(70, col, np.empty((3, 80))).tobytes()
+    row = np.array([-2.5, 0.0, 3.25])
+    got = twin.llr_prefix(70, row, np.empty((80, 3)))
+    assert got.tobytes() == model.llr_prefix(70, row, np.empty((80, 3))).tobytes()
     idx, xs = np.arange(70), np.linspace(-3.0, 5.0, 70)
     assert twin.log_ratio(idx, xs).tobytes() == model.log_ratio(idx, xs).tobytes()
     assert twin.pre_change_log_density(xs).tobytes() == model.pre_change_log_density(xs).tobytes()
