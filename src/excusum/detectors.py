@@ -35,7 +35,12 @@ folded or bounded, and SR's tail weight.
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
 makes threshold exp(A) give a mean time to false alarm of at least exp(A).
-All accumulation is in the log domain, with log-sum-exp for R_n.
+All accumulation is in the log domain, with log-sum-exp for R_n.  A folded
+SR run keeps L + 1 sums, so log R_n is at most m + log(L + s), m their max
+and s the tail's scale: run_detector_batch's folded SR steps compute the
+log-sum-exp only on the steps, and then only for the runs, where that bound
+plus _SR_MARGIN reaches the threshold, each run's sum taken as the full step
+takes it, so the stopping times stay exact.
 
 The DETECTORS table is the one list of detector kinds: each kind names its
 state class, its crossing rule (strict > for ex-cusum and SR, >= for the
@@ -87,6 +92,21 @@ _X_BOUND = 32.0
 #: over 2**24 steps, cannot close either.  That leaves (a) + (b) below
 #: 2**-44 + 2**-39 per step, under 2**-14 over 2**24 steps.
 _TAIL_MARGIN = 2.0**-12
+
+#: how far _sr_bound lies above m + log(C - 1 + s), for a folded SR row of C
+#: columns with max m and tail scale s, so that it is at least the statistic
+#: logsumexp_rows computes for that row.  With u = 2**-53 that statistic is
+#: fl(m + log S), S the pairwise sum of C terms: exp(v - m) <= 1 each (a
+#: rounded v - m <= 0, and exp is faithful), the last times s, at most s.  So
+#: S <= (C - 1 + s)(1 + Cu), and log S exceeds log(C - 1 + s) by less than
+#: 2**-32 for C <= 2**20.  The merge adds at most 1 to s per step, so for
+#: horizons up to 2**24 C - 1 + s < 2**26, each log is below 2**5 and within
+#: 2**-44 (16 ulp) of the real one, and fl(C - 1 + s) moves it by 2**-52.
+#: Only rows whose statistic reaches a threshold in (-2**11, 2**11) matter
+#: (_sr_bounded takes no others): where m >= 2**11 the bound is at least m
+#: and reaches it too, and otherwise |m| < 2**11 + 2**5, so each of the three
+#: adds rounds by at most 2**-41.  The errors sum to less than 2**-31.
+_SR_MARGIN = 2.0**-24
 
 
 class _CandidateBuffer:
@@ -162,9 +182,10 @@ class _CandidateBuffer:
 
     def push(self, x, model: DensityModel, merge, bound=None) -> np.ndarray:
         """Register an observation (a float, or a (rows,) row), fold the old
-        tail into the candidate reaching age index L with ``merge(candidate,
-        tail)`` (views of one column), update the newest `active` candidates
-        (a folded tail by ``bound`` if given), and return their sums' view."""
+        tail into the candidate reaching age index L with ``merge(pair)``, a
+        view of that candidate's column and the tail's after it, update the
+        newest `active` candidates (a folded tail by ``bound`` if given), and
+        return their sums' view."""
         self.n += 1
         active = self.active
         folding = self.fold and self.n > self.limit
@@ -174,7 +195,7 @@ class _CandidateBuffer:
         self._pos -= 1
         if folding:
             at = self._pos + self.limit - 1
-            merge(self._buf[at, ...], self._buf[at + 1, ...])
+            merge(self._buf[at : at + 2])
         view = self._buf[self._pos : self._pos + active]
         ratios = (self._prefix or model.llr_prefix)(active, x, self._tmp)
         if bound is not None and folding:
@@ -214,10 +235,11 @@ class _SumsState:
         return np.maximum.reduce(self._cands.push(x, model, self._merge), axis=0)
 
     @staticmethod
-    def _merge(candidate: np.ndarray, tail: np.ndarray) -> None:
+    def _merge(pair: np.ndarray) -> None:
         # IEEE addition is monotone, so max(a, b) + z == max(a + z, b + z):
         # the tail is the max of its candidates' sums exactly
-        np.maximum(tail, candidate, out=candidate)
+        candidate = pair[0, ...]
+        np.maximum(pair[1, ...], candidate, out=candidate)
 
 
 class ExCusumState(_SumsState):
@@ -282,18 +304,22 @@ class SrState(_SumsState):
         # _tmp's contents are dead once push() has folded them into the sums
         return logsumexp_rows(view, cands._tmp.reshape(-1), cands.scale)
 
-    def _merge(self, candidate: np.ndarray, tail: np.ndarray) -> None:
+    def _merge(self, pair: np.ndarray) -> None:
         # the tail keeps a shift and a scale rather than one np.logaddexp
         # column because the scale sums equal candidates exactly: on a zero
         # schedule R_n = n, and a logaddexp tail rounds it, which moves SR's
         # crossing of an exact threshold such as log 20.
         # Shift by the larger of the two; fmin maps the NaN of -inf - (-inf)
-        # to 0, where the tail's mass stays exp(-inf) = 0 whatever its scale
+        # to 0, where the tail's mass stays exp(-inf) = 0 whatever its scale.
+        # Both terms are exponentiated in one call.  The new scale is
+        # scale * exp(tail - top) + exp(candidate - top), whose two roundings
+        # do not depend on the order of the operands
         cands = self._cands
-        top = np.maximum(tail, candidate)
-        scale = 1.0 if cands.scale is None else cands.scale
-        cands.scale = scale * np.exp(np.fmin(tail - top, 0.0)) + np.exp(np.fmin(candidate - top, 0.0))
-        candidate[...] = top
+        top = np.maximum(pair[1], pair[0])
+        terms = pair - top
+        np.exp(np.fmin(terms, 0.0, out=terms), out=terms)
+        cands.scale = terms[0] + (terms[1] if cands.scale is None else terms[1] * cands.scale)
+        pair[0] = top
 
 
 def sr_step(state: SrState, x: float, model: DensityModel) -> SrState:
@@ -504,11 +530,61 @@ def run_detector_batch(
     only; when several runs fail, the error names the earliest failing step.
     """
     state, spec = _start(kind, window, model, horizon, threshold, len(streams))
+    cands = state._cands
+    if _sr_bounded(kind, cands, threshold, horizon):
+        return _lockstep(kind, model, streams, threshold, horizon, cands, *_folded_sr_steps(state, model))
+
     def step(xs, bounds, j, at):
         stat = state._advance(xs, model)
         return float(np.maximum.reduce(stat)), stat
 
-    return _lockstep(kind, model, streams, threshold, horizon, state._cands, step, lambda stat: (stat, None))
+    return _lockstep(kind, model, streams, threshold, horizon, cands, step, lambda stat, calm: (stat, None))
+
+
+def _sr_bounded(kind: str, cands: _CandidateBuffer, threshold: float, horizon: int) -> bool:
+    """Whether run_detector_batch takes _folded_sr_steps: SR folded at a
+    saturation index, within the ranges _SR_MARGIN covers."""
+    return (
+        kind == "sr" and cands.fold and cands.limit <= 2**20 and -(2.0**11) < threshold < 2.0**11 and horizon <= 2**24
+    )
+
+
+def _sr_bound(m, columns: int, scale):
+    """At least the folded SR statistic logsumexp_rows computes from a row's
+    ``columns`` sums, given their max ``m`` and the tail's scale (1.0 before
+    the first merge), elementwise (see _SR_MARGIN).  It is +inf or NaN where
+    m or the scale is, so such a row always takes the exact path."""
+    return m + (np.log(columns - 1 + scale) + _SR_MARGIN)
+
+
+def _folded_sr_steps(state: SrState, model: DensityModel):
+    """The step and settle of folded SR runs that compute the statistic only
+    where it may reach the loop's calm ceiling: a step settles nothing while
+    _sr_bound of its largest sum and largest scale stays below calm.
+    Otherwise settle reads each row's max, and the rows whose own bound
+    reaches calm (all rows when those are not a minority) take
+    logsumexp_rows with those maxima, while the others keep their bound, so
+    every statistic it computes is exact."""
+    cands = state._cands
+
+    def step(xs, bounds, j, at):
+        sums = cands.push(xs, model, state._merge)
+        scale = 1.0 if cands.scale is None else np.maximum.reduce(cands.scale)
+        return float(_sr_bound(np.maximum.reduce(sums, axis=None), sums.shape[0], scale)), sums
+
+    def settle(sums, calm):
+        m = np.maximum.reduce(sums, axis=0)
+        scale = cands.scale
+        stat = _sr_bound(m, sums.shape[0], 1.0 if scale is None else scale)
+        reach = np.flatnonzero(~(stat < calm))
+        scratch = cands._tmp.reshape(-1)
+        if 2 * reach.size >= m.size:
+            return logsumexp_rows(sums, scratch, scale, m), None
+        if reach.size:
+            stat[reach] = logsumexp_rows(sums[:, reach], scratch, None if scale is None else scale[reach], m[reach])
+        return stat, None
+
+    return step, settle
 
 
 def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: int, envelope) -> np.ndarray:
@@ -527,7 +603,7 @@ def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: i
         sums = cands.push(xs, model, _SumsState._merge, bounds[j, at])
         return float(np.maximum.reduce(sums, axis=None)), sums
 
-    def settle(sums):
+    def settle(sums, calm):
         return np.maximum.reduce(sums[:_HEAD], axis=0), sums[_HEAD] if cands.n > _HEAD else None
 
     return _lockstep("ex-cusum", model, streams, threshold, horizon, cands, step, settle, envelope)
@@ -536,8 +612,10 @@ def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: i
 def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, cands, step, settle, envelope=None):
     """The one step loop of run_detector_batch and _bounded_lockstep: ``step(xs,
     bounds, j, at)`` advances the live runs on xs, step j of the block's columns
-    ``at``, returning their largest value and what ``settle`` turns into their
-    statistics and tails (None if exact).  ``envelope`` and the check run per block."""
+    ``at``, returning their largest value (or a bound of it) and what
+    ``settle(values, calm)`` turns into their statistics and tails (None if
+    exact), where calm is the ceiling below which nothing settles.
+    ``envelope`` and the check run per block."""
     spec = DETECTORS[kind]
     # below calm no statistic crosses or is +inf or NaN, and no tail passes the ceiling
     ceiling = threshold if envelope is None else threshold - _TAIL_MARGIN
@@ -566,7 +644,7 @@ def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, cands
         j += 1
         if top < calm:
             continue
-        stat, tail = settle(values)
+        stat, tail = settle(values, calm)
         top = float(np.maximum.reduce(stat))  # NaN and +inf propagate into the max
         if not top < math.inf:
             r = int(np.argmax(~(stat < math.inf)))

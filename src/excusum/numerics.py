@@ -55,21 +55,23 @@ def logsumexp(values: np.ndarray) -> float:
     return float(logsumexp_rows(values))
 
 
-def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None, tail_scale=None):
+def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None, tail_scale=None, m=None):
     """log(sum(exp(values))) over the first axis, which must be nonempty.
 
     A 1-d array gives a scalar; a 2-d array of (columns, rows) one value per
     row, summed pairwise in a row-major (rows, columns) scratch as a 1-d array
     is.  Each row is shifted by its max, so a row whose max is not finite
     returns that max (all -inf collapses to -inf; +inf and NaN propagate).
-    ``scratch`` may supply a reusable contiguous 1-d buffer of values.size.
-    ``tail_scale`` (a float, or one per row) multiplies the last column's
-    term: that column is then the shift m of a folded tail whose mass is
-    tail_scale * exp(m).  The log is ``math.log`` per row rather than numpy's
-    vectorized log, which can differ from it in the last bit; that keeps
-    every row bit-identical to a scalar computation.
+    ``m`` may supply those maxes, np.maximum.reduce(values, axis=0), when the
+    caller has them.  ``scratch`` may supply a reusable contiguous 1-d buffer
+    of values.size.  ``tail_scale`` (a float, or one per row) multiplies the
+    last column's term: that column is then the shift m of a folded tail
+    whose mass is tail_scale * exp(m).  The log is ``math.log`` per row
+    rather than numpy's vectorized log, which can differ from it in the last
+    bit; that keeps every row bit-identical to a scalar computation.
     """
-    m = np.maximum.reduce(values, axis=0)
+    if m is None:
+        m = np.maximum.reduce(values, axis=0)
     if values.ndim == 1:
         if not math.isfinite(m):
             return m
@@ -80,7 +82,7 @@ def logsumexp_rows(values: np.ndarray, scratch: np.ndarray | None = None, tail_s
         finite = np.isfinite(out)
         if finite.any():
             scale = None if tail_scale is None else tail_scale[finite]
-            out[finite] = logsumexp_rows(values[:, finite], None, scale)
+            out[finite] = logsumexp_rows(values[:, finite], None, scale, m[finite])
         return out
     else:
         out = (np.empty(values.size) if scratch is None else scratch[: values.size]).reshape(values.shape[::-1])

@@ -27,6 +27,7 @@ from excusum import (
 )
 from excusum import detectors
 from excusum.detectors import ex_cusum_brute, ex_cusum_brute_all
+from excusum.numerics import logsumexp_rows
 from excusum.process import NO_CHANGE, derive_seed
 
 from conftest import constant_model
@@ -317,6 +318,60 @@ def test_folded_buffer_keeps_the_head_and_one_tail(monkeypatch):
     # a buffer that never fills keeps every sum where it was written
     monkeypatch.setattr(detectors, "_MIN_CAPACITY", xs.size)
     assert np.array_equal(statistic_trace("ex-cusum", model, xs), trace)
+
+
+def assert_sr_bound_reaches_every_row(sums, scale):
+    # the folded SR lockstep step computes logsumexp_rows only on the rows
+    # whose _sr_bound reaches the loop's ceiling, and takes its step-level
+    # bound from the largest max and scale
+    columns = sums.shape[0]
+    m = np.maximum.reduce(sums, axis=0)
+    exact = logsumexp_rows(sums, None, None if scale is None else scale, m)
+    assert exact.tobytes() == logsumexp_rows(sums, None, scale).tobytes()
+    weight = np.ones(sums.shape[1]) if scale is None else scale
+    bound = detectors._sr_bound(m, columns, weight)
+    assert np.all(bound >= exact), (bound - exact).min()
+    top = detectors._sr_bound(np.maximum.reduce(m), columns, np.maximum.reduce(weight))
+    assert top >= exact.max()
+
+
+@hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sr_bound_is_at_least_every_rows_log_sum_exp(seed):
+    rng = np.random.default_rng(seed)
+    columns, rows = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+    sums = rng.normal(float(rng.normal(0.0, 200.0)), float(rng.choice([1e-9, 0.1, 3.0, 100.0])), (columns, rows))
+    # whole -inf columns, and -inf entries (all of a row, sometimes)
+    sums[rng.random(columns) < 0.1] = -math.inf
+    sums[rng.random(sums.shape) < float(rng.choice([0.0, 0.3, 0.97]))] = -math.inf
+    for scale in (None, 1.0 + rng.random(rows) * float(rng.choice([1.0, 1e3, 2.0**24]))):
+        assert_sr_bound_reaches_every_row(sums, scale)
+
+
+@pytest.mark.parametrize("columns, last", [(1, 2**17), (2, 2**17), (11, 2**17), (129, 2**12), (2**12, 2**12 + 300)])
+def test_sr_bound_holds_where_every_candidate_is_equal(columns, last):
+    # the zero schedule: every sum is 0 and the tail scale counts the folded
+    # candidates, so R_n = n exactly, at every n to `last` and at 2**20 and
+    # 2**24; the step bound's numpy log rounds below math.log at some n
+    n = np.concatenate([np.arange(columns, last), [2**20, 2**24 - 1, 2**24]])
+    scale = (n - columns + 1).astype(np.float64)
+    assert_sr_bound_reaches_every_row(np.zeros((columns, n.size)), scale)
+    assert_sr_bound_reaches_every_row(np.full((columns, n.size), -7.25), scale)
+    assert_sr_bound_reaches_every_row(np.zeros((columns, 1)), None)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_sr_bound_of_an_infinite_or_nan_row_reaches_any_ceiling():
+    # such a row must always take the exact path, which raises on it
+    sums = np.zeros((5, 6))
+    sums[2, 0], sums[4, 1], sums[0, 2] = math.inf, math.inf, math.nan
+    sums[:, 3] = -math.inf
+    scale = np.array([1.0, 2.0, 1.0, 3.0, math.inf, math.nan])
+    m = np.maximum.reduce(sums, axis=0)
+    bound = detectors._sr_bound(m, 5, scale)
+    assert not np.any(bound[[0, 1, 2, 4, 5]] < math.inf)
+    assert bound[3] == -math.inf
+    assert not detectors._sr_bound(np.maximum.reduce(m), 5, np.maximum.reduce(scale)) < math.inf
+    assert not detectors._sr_bound(np.maximum.reduce(m[:3]), 5, np.maximum.reduce(scale[:3])) < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monte Carlo estimators: ARL, conditional delay, delay scan, tradeoff rows."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -272,6 +273,27 @@ def test_certified_tail_applies_to_bounded_ex_cusum_runs_only():
         assert detectors._certified_tail(kind, window, model, threshold, horizon) is None, (kind, threshold, horizon)
 
 
+def test_sr_bound_applies_to_folded_sr_runs_in_range_only():
+    saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
+    arctan = gaussian_model(MeanSchedule.arctangent())
+
+    def bounded(kind, model, threshold, horizon):
+        return detectors._sr_bounded(kind, detectors._make_state(kind, None, model, 3)._cands, threshold, horizon)
+
+    assert bounded("sr", saturating, 4.0, 2**24)
+    assert bounded("sr", saturating, -(2.0**11) + 1.0, 100)
+    for kind, model, threshold, horizon in (
+        ("ex-cusum", saturating, 4.0, 100),
+        ("cusum", saturating, 4.0, 100),
+        ("sr", arctan, 4.0, 100),  # unfolded: the full step
+        ("sr", saturating, 2.0**11, 100),  # past the margin's thresholds
+        ("sr", saturating, -(2.0**11), 100),
+        ("sr", saturating, math.inf, 100),
+        ("sr", saturating, 4.0, 2**24 + 1),  # past its horizons
+    ):
+        assert not bounded(kind, model, threshold, horizon), (kind, threshold, horizon)
+
+
 def test_lockstep_chunks_of_bounded_trials_equal_chunks_of_one(monkeypatch):
     # with sample blocks of 7 a folded trial holds 7 + 11 values, so 400
     # elements make chunks of 22 trials where the horizon alone gave 1
@@ -338,6 +360,36 @@ def test_lockstep_crossing_rule_at_exact_threshold():
         assert simulate_trials(model, kind, threshold, NO_CHANGE, 10, 5, 67) == want
 
 
+def test_folded_sr_trials_at_the_benchmark_settings_equal_per_trial_runs(monkeypatch):
+    # the sr-saturating workload's settings: most steps settle nothing, and a
+    # step that may cross computes the statistic of the few rows in reach
+    model = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
+    threshold, horizon, trials = math.log(300.0), 6000, 40
+    live, computed = [], []
+    push, logsumexp_rows = detectors._CandidateBuffer.push, detectors.logsumexp_rows
+
+    def counted_push(self, *args):
+        view = push(self, *args)
+        live.append(view.shape[1])
+        return view
+
+    def counted_logsumexp_rows(values, *args):
+        computed.append((len(live), values.shape[1]))
+        return logsumexp_rows(values, *args)
+
+    monkeypatch.setattr(detectors._CandidateBuffer, "push", counted_push)
+    monkeypatch.setattr(detectors, "logsumexp_rows", counted_logsumexp_rows)
+    got = metrics._stopping_times(model, "sr", threshold, NO_CHANGE, horizon, trials, 17, None)
+    steps = {step for step, _ in computed}
+    assert len(steps) < len(live) / 2  # most steps skip the log-sum-exp
+    assert any(rows < live[step - 1] for step, rows in computed)  # the row subset
+    assert any(rows == live[step - 1] > 1 for step, rows in computed)  # every row
+    monkeypatch.undo()
+    want = per_trial_outcomes(model, "sr", threshold, NO_CHANGE, horizon, trials, 17)
+    assert all(o.tau for o in want)
+    assert np.array_equal(got, [o.tau for o in want])
+
+
 def test_lockstep_gate_covers_every_outcome_kind():
     # the gate's thresholds give false alarms, censoring and detections
     model = gaussian_model(MeanSchedule.arctangent())
@@ -357,17 +409,23 @@ def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
         sampler_post=lambda n, rng, size=None: rng.normal(0.0, 1.0, size),
         support=(-math.inf, math.inf),
     )
-    steps = []
-    for i in range(12):
-        spec = ChangeSpec(nu=NO_CHANGE, horizon=60, seed=derive_seed(5, i))
-        with pytest.raises(NumericError) as err:
-            run_detector("ex-cusum", spiky, path_stream(spiky, spec), 100.0, 60)
-        steps.append(int(re.search(r"step (\d+)", str(err.value)).group(1)))
-    assert len(set(steps)) > 1
-    for chunk in (1, 5, 12):
-        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * 60)
-        with pytest.raises(NumericError, match=f"step {min(steps[:chunk])}:"):
-            simulate_trials(spiky, "ex-cusum", 100.0, NO_CHANGE, 60, 12, 5)
+    # the same +inf ratio at every age, so the family may also fold at age 2,
+    # which sends SR through run_detector_batch's bounded folded step
+    folded = type("FoldedSpiky", (DensityModel,), {"saturation_index": lambda self: 2})(
+        **{f.name: getattr(spiky, f.name) for f in dataclasses.fields(spiky)}
+    )
+    for model, kind in itertools.product((spiky, folded), ("ex-cusum", "sr", "cusum")):
+        steps = []
+        for i in range(12):
+            spec = ChangeSpec(nu=NO_CHANGE, horizon=60, seed=derive_seed(5, i))
+            with pytest.raises(NumericError) as err:
+                run_detector(kind, model, path_stream(model, spec), 100.0, 60)
+            steps.append(int(re.search(r"step (\d+)", str(err.value)).group(1)))
+        assert len(set(steps)) > 1
+        for chunk in (1, 5, 12):
+            monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * 60)
+            with pytest.raises(NumericError, match=f"{kind} statistic non-finite at step {min(steps[:chunk])}:"):
+                simulate_trials(model, kind, 100.0, NO_CHANGE, 60, 12, 5)
 
     def nan_at_step_4(rng, size=None):
         xs = rng.normal(0.0, 1.0, size)
