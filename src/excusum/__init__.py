@@ -35,7 +35,6 @@ from .metrics import (
     CaddEstimate,
     EstimationError,
     TradeoffRow,
-    TrialOutcome,
     estimate_arl2fa,
     estimate_cadd,
     simulate_trials,
@@ -57,7 +56,7 @@ from .models import (
     verify_mlr,
     verify_stochastic_dominance,
 )
-from .process import NO_CHANGE, ChangeSpec, Path, derive_seed, generate_path, path_stream
+from .process import NO_CHANGE, ChangeSpec, Path, derive_seed, generate_path
 
 __version__ = "0.1.0"
 
@@ -80,7 +79,6 @@ __all__ = [
     "SrState",
     "StopResult",
     "TradeoffRow",
-    "TrialOutcome",
     "cesaro_kl_average",
     "cusum_step",
     "default_grid",
@@ -94,7 +92,6 @@ __all__ = [
     "generate_path",
     "kl_divergence",
     "llr",
-    "path_stream",
     "run_detector",
     "sample_post",
     "sample_pre",

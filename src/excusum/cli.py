@@ -184,25 +184,26 @@ def cmd_tradeoff(cfg: ExperimentConfig, model: GaussianModel) -> Result:
 
 
 def cmd_simulate(cfg: ExperimentConfig, model: GaussianModel) -> Result:
-    threshold = cfg.detector.threshold_value
-    outcomes = metrics.simulate_trials(
+    run = cfg.run
+    taus = metrics.simulate_trials(
         model,
         cfg.detector.kind,
-        threshold,
-        cfg.run.nu,
-        cfg.run.horizon,
-        cfg.run.trials,
-        cfg.run.seed,
+        cfg.detector.threshold_value,
+        run.nu,
+        run.horizon,
+        run.trials,
+        run.seed,
         window=cfg.detector.window,
-    )
+    ).tolist()
+    # tau 0 is a censored trial, 0 < tau < nu a false alarm, and tau >= nu a detection
     rows = [
-        (i, o.tau, o.censored_at, int(o.false_alarm), o.delay)
-        for i, o in enumerate(outcomes)
+        (i, t or None, None if t else run.horizon, int(0 < t < run.nu), t - run.nu if t >= run.nu else None)
+        for i, t in enumerate(taus)
     ]
     header = ["trial", "tau", "censored_at", "false_alarm", "delay"]
-    stopped = sum(o.tau is not None for o in outcomes)
-    false_alarms = sum(o.false_alarm for o in outcomes)
-    detail = f"trials={len(outcomes)} stopped={stopped} censored={len(outcomes) - stopped} false_alarms={false_alarms}"
+    censored = taus.count(0)
+    false_alarms = sum(row[3] for row in rows)
+    detail = f"trials={len(taus)} stopped={len(taus) - censored} censored={censored} false_alarms={false_alarms}"
     return True, detail, {"outcomes.csv": (header, rows)}
 
 

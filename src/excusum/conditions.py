@@ -198,7 +198,7 @@ def slln_empirical(
     ages = np.arange(n)
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))
-    rngs = trial_generators(derive_seed(seed, _SLLN_STREAMS), 0, trials)
+    rngs = trial_generators(derive_seed(seed, _SLLN_STREAMS), np.arange(trials))
     rows = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, trials, rows):
         x = np.array([model.sampler_post(ages, rng, None) for rng in islice(rngs, rows)], dtype=np.float64)

@@ -239,7 +239,3 @@ DEFAULT_CONFIG: dict = {
     "run": {"nu": 80, "horizon": 200, "seed": 20220914, "trials": 1000},
     "output": {"directory": "out"},
 }
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(json.dumps(DEFAULT_CONFIG)))

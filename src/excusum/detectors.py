@@ -63,7 +63,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .models import DensityModel, llr, _validate_x
+from .models import DensityModel, _validate_x
 from .numerics import NumericError, logsumexp_rows
 
 _MIN_CAPACITY = 64
@@ -203,9 +203,6 @@ class _CandidateBuffer:
         view += ratios
         return view
 
-    def view(self) -> np.ndarray:
-        return self._buf[self._pos : self._pos + self.active]
-
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop the rows whose entry in the boolean mask ``keep`` is False."""
         idx = np.flatnonzero(keep)
@@ -243,31 +240,15 @@ class _SumsState:
 
 
 class ExCusumState(_SumsState):
-    """Incremental state of the growing-family CUSUM statistic.
-
-    ``candidate_sums`` lists the retained candidates' running sums in
-    candidate order (oldest hypothesis first); without a window there are n
-    of them, with window M only the newest min(n, M).
-    """
+    """Incremental state of the growing-family CUSUM statistic: one running
+    sum per candidate, n of them without a window, with window M only the
+    newest min(n, M)."""
 
     def __init__(self, window: int | None = None) -> None:
         if window is not None and (type(window) is not int or window < 1):
             raise ValueError(f"window must be a positive integer or None, got {window!r}")
         self.statistic = -math.inf
         self._cands = _CandidateBuffer(limit=window)
-
-    @property
-    def active_count(self) -> int:
-        return self._cands.active
-
-    @property
-    def candidate_sums(self) -> np.ndarray:
-        return self._cands.view()[::-1].copy()
-
-    @property
-    def argmax_candidate(self) -> int:
-        """The change-point hypothesis k achieving the current statistic."""
-        return self.n - int(np.argmax(self._cands.view()))
 
 
 def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusumState:
@@ -283,20 +264,13 @@ def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusum
 
 
 class SrState(_SumsState):
-    """Incremental state of the Shiryaev-Roberts statistic (log domain).
-
-    ``log_candidate_products`` holds, for each candidate k = 1..n, the log of
-    the product of per-sample likelihood ratios since k; ``log_statistic`` is
-    log R_n via log-sum-exp over them.
-    """
+    """Incremental state of the Shiryaev-Roberts statistic (log domain): for
+    each candidate k = 1..n the log of the product of per-sample likelihood
+    ratios since k, and ``log_statistic``, log R_n, their log-sum-exp."""
 
     def __init__(self) -> None:
         self.log_statistic = -math.inf
         self._cands = _CandidateBuffer()
-
-    @property
-    def log_candidate_products(self) -> np.ndarray:
-        return self._cands.view()[::-1].copy()
 
     def _advance(self, x, model: DensityModel):
         cands = self._cands
@@ -375,39 +349,6 @@ def _step(state, x: float, model: DensityModel) -> float:
     return float(state._advance(_validate_x(model, x), model))
 
 
-def ex_cusum_brute(samples, model: DensityModel, n: int) -> float:
-    """Literal O(n^2) recomputation of W_n by the double loop over k and i.
-
-    The correctness oracle for the incremental state: scalar arithmetic, no
-    shared code with the per-step update.
-    """
-    if n < 1 or n > len(samples):
-        raise ValueError(f"n must be in 1..{len(samples)}, got {n}")
-    best = -math.inf
-    for k in range(1, n + 1):
-        s = 0.0
-        for i in range(k, n + 1):
-            s += llr(model, i - k, float(samples[i - 1]))
-        best = max(best, s)
-    return best
-
-
-def ex_cusum_brute_all(samples, model: DensityModel) -> np.ndarray:
-    """W_n for every n <= len(samples), one cumulative-sum row per candidate.
-
-    Same double loop over (k, i) as ex_cusum_brute with the inner loop
-    vectorized; structurally independent of the incremental update.
-    """
-    xs = np.asarray(samples, dtype=np.float64)
-    n_max = xs.size
-    stats = np.full(n_max, -math.inf)
-    for k in range(1, n_max + 1):
-        ages = np.arange(n_max - k + 1)
-        terms = llr(model, ages, xs[k - 1 :])
-        np.maximum(stats[k - 1 :], np.cumsum(terms), out=stats[k - 1 :])
-    return stats
-
-
 @dataclass(frozen=True)
 class StopResult:
     """Outcome of running a detector to its first alarm (tau) or to the
@@ -419,10 +360,6 @@ class StopResult:
     def __post_init__(self) -> None:
         if (self.tau is None) == (self.censored_at is None):
             raise ValueError("a result carries exactly one of tau and censored_at")
-
-    @property
-    def stopped(self) -> bool:
-        return self.tau is not None
 
 
 def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
@@ -437,8 +374,7 @@ def _start(kind: str, window: int | None, model: DensityModel, horizon: int, thr
 def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None):
     """A fresh state for runs on ``model``: of one stream or, with ``rows``, of
     that many streams in lockstep.  Without a window it folds at the model's
-    saturation index (CUSUM always folds at 0).  The folded and lockstep
-    forms serve the runs only; the public views do not apply to them."""
+    saturation index (CUSUM always folds at 0)."""
     spec = DETECTORS.get(kind)
     if spec is None:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")

@@ -34,7 +34,7 @@ import numpy as np
 from . import process
 from .detectors import StopResult, _bounded_lockstep, _certified_tail, _retained_columns, run_detector_batch
 from .models import DensityModel
-from .process import NO_CHANGE, ChangeSpec, _generators, _sample_blocks, _trial_seeds, derive_seed
+from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed, trial_generators
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
 Z95 = 1.6448536269514722
@@ -85,14 +85,8 @@ class TrialOutcome:
             return None
         return int(self.tau - self.nu)
 
-    @property
-    def kind(self) -> str:
-        if self.censored_at is not None:
-            return "censored"
-        return "false-alarm" if self.false_alarm else "detection"
 
-
-def _stopping_times(
+def simulate_trials(
     model: DensityModel,
     detector: str,
     threshold: float,
@@ -100,14 +94,24 @@ def _stopping_times(
     horizon: int,
     trials: int,
     seed: int,
-    window: int | None,
+    *,
+    window: int | None = None,
 ) -> np.ndarray:
-    """The int64 stopping times of simulate_trials' trials, 0 for a censored one.
+    """Run independently seeded detector trials and return their int64
+    stopping times, 0 for a censored trial; results are order-independent.
+
+    Trial i runs on the path drawn from derive_seed(seed, i), and its stopping
+    time equals that of run_detector on that path.  Trials run in lockstep
+    chunks; each trial draws its path block by block, as generate_path does,
+    and no further once it stops.  A bad observation or a NaN or +inf
+    statistic raises as in run_detector; when several trials of a chunk fail,
+    the error names the earliest failing step among them.
 
     Where detectors._certified_tail gives an envelope, the trials first run
     with a bounded tail, and the few it leaves unsettled (tau -1) run again
     on the exact state, in chunks sized for what an exact trial holds, so
-    every tau is the exact run's."""
+    every tau is the exact run's.
+    """
     if isinstance(trials, bool) or trials < 1:
         raise EstimationError("at least one trial is required")
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
@@ -120,8 +124,7 @@ def _stopping_times(
         chunk = max(1, _CHUNK_ELEMENTS // per_trial)
         for k in range(0, ids.size, chunk):
             part = ids[k : k + chunk]
-            rngs = _generators(_trial_seeds(seed, part.astype(np.uint64)))
-            streams = [_sample_blocks(model, nu, horizon, rng) for rng in rngs]
+            streams = [_sample_blocks(model, nu, horizon, rng) for rng in trial_generators(seed, part)]
             if bounded:
                 taus[part] = _bounded_lockstep(model, streams, threshold, horizon, envelope)
             else:
@@ -130,30 +133,6 @@ def _stopping_times(
     run(np.arange(trials), envelope is not None)
     run(np.flatnonzero(taus < 0), False)
     return taus
-
-
-def simulate_trials(
-    model: DensityModel,
-    detector: str,
-    threshold: float,
-    nu: int | float,
-    horizon: int,
-    trials: int,
-    seed: int,
-    *,
-    window: int | None = None,
-) -> list[TrialOutcome]:
-    """Run independently seeded detector trials; results are order-independent.
-
-    Trial i runs on the path drawn from derive_seed(seed, i), and its outcome
-    equals that of run_detector on that path.  Trials run in lockstep chunks;
-    each trial draws its path block by block, as path_stream does, and no
-    further once it stops.  A bad observation or a NaN or +inf statistic
-    raises as in run_detector; when several trials of a chunk fail, the error
-    names the earliest failing step among them.
-    """
-    taus = _stopping_times(model, detector, threshold, nu, horizon, trials, seed, window)
-    return [TrialOutcome(tau=t or None, censored_at=None if t else horizon, nu=nu) for t in taus.tolist()]
 
 
 @dataclass(frozen=True)
@@ -191,7 +170,7 @@ def estimate_arl2fa(
             UserWarning,
             stacklevel=2,
         )
-    stops = _stopping_times(model, detector, threshold, NO_CHANGE, horizon, trials, seed, window)
+    stops = simulate_trials(model, detector, threshold, NO_CHANGE, horizon, trials, seed, window=window)
     censored = int(np.count_nonzero(stops == 0))
     taus = np.where(stops == 0, horizon, stops).astype(np.float64)
     mean = float(taus.mean())
@@ -251,7 +230,7 @@ def estimate_cadd(
         raise ValueError("estimate_cadd needs a finite change point nu >= 1")
     if horizon is None:
         horizon = default_delay_horizon(nu, threshold, model.information_number())
-    taus = _stopping_times(model, detector, threshold, nu, horizon, trials, seed, window)
+    taus = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
     delays = (taus[taus >= nu] - nu).astype(np.float64)
     censored = int(np.count_nonzero(taus == 0))
     false_alarms = trials - delays.size - censored

@@ -435,11 +435,11 @@ def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
 def _validate_x(model: DensityModel, x):
     # scalar fast path: this sits inside every detector step
     if type(x) is float:
-        lo, hi = model.support
-        if not (lo <= x <= hi):  # also catches NaN
-            raise ValueError(f"observation {x!r} outside support [{lo}, {hi}]")
         if not math.isfinite(x):
             raise ValueError("observation must be finite")
+        lo, hi = model.support
+        if not lo <= x <= hi:
+            raise ValueError(f"observation {x!r} outside support [{lo}, {hi}]")
         return x
     xs = np.asarray(x, dtype=np.float64)
     if xs.size:

@@ -116,11 +116,12 @@ def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words.T.copy())
 
 
-def trial_generators(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """The generators of trials [start, stop), in order: trial i's draws equal
-    those of default_rng(derive_seed(seed, i)).  The range is seeded in one
-    vectorized pass; a generator costs memory only once it is taken."""
-    return _generators(_trial_seeds(seed, np.arange(start, stop, dtype=np.uint64)))
+def trial_generators(seed: int, indices: np.ndarray) -> Iterator[np.random.Generator]:
+    """The generators of the trials of a nonnegative integer index array, in
+    its order: trial i's draws equal those of default_rng(derive_seed(seed,
+    i)).  The indices are seeded in one vectorized pass; a generator costs
+    memory only once it is taken."""
+    return _generators(_trial_seeds(seed, indices.astype(np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def _sample_blocks(
     model: DensityModel, nu: int | float, horizon: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Draw a path with change point nu in chunks from ``rng``; the single
-    code path behind both generators and the lockstep trials.  It calls the
+    code path behind generate_path and the lockstep trials.  It calls the
     model's samplers directly: its ages, counted from 0, pass sample_post's
     index check."""
     n_pre = horizon if nu == NO_CHANGE else min(int(nu) - 1, horizon)
@@ -192,9 +193,3 @@ def generate_path(model: DensityModel, spec: ChangeSpec) -> Path:
     samples = np.concatenate(blocks) if blocks else np.empty(0)
     samples.setflags(write=False)
     return Path(samples=samples, spec=spec)
-
-
-def path_stream(model: DensityModel, spec: ChangeSpec) -> Iterator[float]:
-    """Yield the path one observation at a time (identical values to generate_path)."""
-    for block in _sample_blocks(model, spec.nu, spec.horizon, np.random.default_rng(spec.seed)):
-        yield from block

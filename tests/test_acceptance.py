@@ -30,9 +30,9 @@ from excusum import (
     statistic_trace,
     sum_dominance_check,
 )
-from excusum.detectors import ex_cusum_brute_all
 from excusum.process import derive_seed
 
+from brute_force import ex_cusum_brute_all
 from conftest import plain
 
 I_ARCTAN = math.pi**2 / 8

@@ -9,7 +9,7 @@ import pytest
 
 from excusum import metrics
 from excusum.cli import _fmt, main
-from excusum.config import ConfigError, ExperimentConfig, default_config
+from excusum.config import DEFAULT_CONFIG, ConfigError, ExperimentConfig
 from excusum.detectors import DETECTORS
 
 
@@ -38,7 +38,7 @@ def base_config(outdir, **run_overrides):
 
 
 def test_default_config_is_valid():
-    cfg = default_config()
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(DEFAULT_CONFIG)))
     assert cfg.run.nu == 80 and cfg.run.horizon == 200
     assert cfg.detector.threshold_value == math.log(1000.0)
     assert cfg.detector.gamma_value == 1000.0
@@ -527,6 +527,80 @@ def test_simulate_command(tmp_path, capsys):
     # the occasional pre-change false alarm is expected; detections dominate
     assert detections >= 20
     assert f" false_alarms={25 - detections} -> " in capsys.readouterr().out
+
+
+#: outcomes.csv of test_simulate_command_bytes: a false alarm (trial 0),
+#: censored trials (1, 4 and 5) and detections (2 and 3)
+SIMULATE_CSV = """trial,tau,censored_at,false_alarm,delay
+0,12,,1,
+1,,26,0,
+2,25,,0,5
+3,23,,0,3
+4,,26,0,
+5,,26,0,
+"""
+
+
+#: its --format json mirror, outcomes.json
+SIMULATE_JSON = """[
+  {
+    "censored_at": null,
+    "delay": null,
+    "false_alarm": 1,
+    "tau": 12,
+    "trial": 0
+  },
+  {
+    "censored_at": 26,
+    "delay": null,
+    "false_alarm": 0,
+    "tau": null,
+    "trial": 1
+  },
+  {
+    "censored_at": null,
+    "delay": 5,
+    "false_alarm": 0,
+    "tau": 25,
+    "trial": 2
+  },
+  {
+    "censored_at": null,
+    "delay": 3,
+    "false_alarm": 0,
+    "tau": 23,
+    "trial": 3
+  },
+  {
+    "censored_at": 26,
+    "delay": null,
+    "false_alarm": 0,
+    "tau": null,
+    "trial": 4
+  },
+  {
+    "censored_at": 26,
+    "delay": null,
+    "false_alarm": 0,
+    "tau": null,
+    "trial": 5
+  }
+]
+"""
+
+
+def test_simulate_command_bytes(tmp_path, capsys):
+    # gamma 100 on 26 steps with the change at 20 gives every kind of outcome
+    obj = base_config(tmp_path / "out", nu=20, horizon=26, seed=15, trials=6)
+    obj["detector"]["gamma"] = 100.0
+    cfg = write_config(tmp_path, obj)
+    assert main(["simulate", "--config", cfg, "--format", "json"]) == 0
+    out = tmp_path / "out"
+    assert (out / "outcomes.csv").read_bytes() == SIMULATE_CSV.encode()
+    assert (out / "outcomes.json").read_bytes() == SIMULATE_JSON.encode()
+    assert capsys.readouterr().out == (
+        f"simulate: PASS trials=6 stopped=3 censored=3 false_alarms=1 -> {out}/outcomes.csv\n"
+    )
 
 
 def test_chunk_size_does_not_change_simulate_output(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Detector state machines against hand values, the brute-force oracle, and
 the structural inequalities between the three statistics."""
 
+import dataclasses
 import math
 
 import hypothesis
@@ -20,16 +21,15 @@ from excusum import (
     gaussian_model,
     generate_path,
     llr,
-    path_stream,
     run_detector,
     sr_step,
     statistic_trace,
 )
 from excusum import detectors
-from excusum.detectors import ex_cusum_brute, ex_cusum_brute_all
 from excusum.numerics import logsumexp_rows
 from excusum.process import NO_CHANGE, derive_seed
 
+from brute_force import ex_cusum_brute, ex_cusum_brute_all
 from conftest import constant_model
 
 
@@ -40,6 +40,12 @@ def evolve(model, xs, window=None):
         ex_cusum_step(state, float(x), model)
         stats.append(state.statistic)
     return np.array(stats), state
+
+
+def retained_sums(state):
+    """The running sums a state reads, newest candidate first, off its buffer."""
+    cands = state._cands
+    return cands._buf[cands._pos : cands._pos + cands.active]
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +61,7 @@ def test_hand_worked_two_step_example():
     stats, state = evolve(model, [1.0, 2.0])
     assert stats[0] == pytest.approx(0.375, abs=1e-15)
     assert stats[1] == pytest.approx(1.59375, abs=1e-15)
-    assert state.candidate_sums == pytest.approx([1.59375, 0.875], abs=1e-15)
-    assert state.argmax_candidate == 1
+    assert retained_sums(state) == pytest.approx([0.875, 1.59375], abs=1e-15)
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
@@ -81,7 +86,7 @@ def test_fresh_candidate_floor(arctan_model):
         ex_cusum_step(state, float(x), arctan_model)
         assert state.statistic >= llr(arctan_model, 0, float(x)) - 1e-12
     assert state.n == 120
-    assert len(state.candidate_sums) == 120  # no window: one candidate per step
+    assert retained_sums(state).size == 120  # no window: one candidate per step
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +159,7 @@ def test_sr_log_statistic_dominates_max(arctan_model):
         ex_cusum_step(ex, float(x), arctan_model)
         sr_step(sr, float(x), arctan_model)
         assert sr.log_statistic >= ex.statistic  # sum of positives >= max
-    assert len(sr.log_candidate_products) == 150
+    assert retained_sums(sr).size == 150
 
 
 def test_sr_stops_no_later_than_ex_cusum(arctan_model):
@@ -164,8 +169,8 @@ def test_sr_stops_no_later_than_ex_cusum(arctan_model):
         a = 5.0
         r_sr = run_detector("sr", arctan_model, path, a, 300)
         r_ex = run_detector("ex-cusum", arctan_model, path, a, 300)
-        tau_sr = r_sr.tau if r_sr.stopped else math.inf
-        tau_ex = r_ex.tau if r_ex.stopped else math.inf
+        tau_sr = math.inf if r_sr.tau is None else r_sr.tau
+        tau_ex = math.inf if r_ex.tau is None else r_ex.tau
         assert tau_sr <= tau_ex
 
 
@@ -216,10 +221,10 @@ def test_window_at_least_horizon_changes_nothing(arctan_model):
 def test_window_drops_old_candidates(arctan_model):
     xs = generate_path(arctan_model, ChangeSpec(nu=1, horizon=50, seed=43)).samples
     _, state = evolve(arctan_model, xs, window=8)
-    assert len(state.candidate_sums) == 8
-    assert state.active_count == 8
+    full, full_state = evolve(arctan_model, xs)
+    # the window keeps the newest 8 candidates, whose sums the full state shares
+    assert np.array_equal(retained_sums(state), retained_sums(full_state)[:8])
     # windowed statistic is a max over a subset, so it can never exceed the full one
-    full, _ = evolve(arctan_model, xs)
     windowed, _ = evolve(arctan_model, xs, window=8)
     assert np.all(windowed <= full + 1e-12)
 
@@ -230,8 +235,8 @@ def test_windowed_stop_is_never_earlier(arctan_model):
         path = generate_path(arctan_model, spec)
         full = run_detector("ex-cusum", arctan_model, path, 6.0, 250)
         small = run_detector("ex-cusum", arctan_model, path, 6.0, 250, window=6)
-        tau_full = full.tau if full.stopped else math.inf
-        tau_small = small.tau if small.stopped else math.inf
+        tau_full = math.inf if full.tau is None else full.tau
+        tau_small = math.inf if small.tau is None else small.tau
         assert tau_small >= tau_full
 
 
@@ -386,7 +391,7 @@ def test_stopping_time_is_monotone_in_threshold(seed):
     taus = []
     for a in (1.0, 3.0, 6.0):
         res = run_detector("ex-cusum", model, path, a, 150)
-        taus.append(res.tau if res.stopped else math.inf)
+        taus.append(math.inf if res.tau is None else res.tau)
     assert taus[0] <= taus[1] <= taus[2]
 
 
@@ -397,14 +402,13 @@ def test_stopping_time_is_monotone_in_threshold(seed):
 def test_threshold_below_floor_stops_immediately(arctan_model):
     path = generate_path(arctan_model, ChangeSpec(nu=1, horizon=10, seed=53))
     res = run_detector("ex-cusum", arctan_model, path, -1.0, 10)
-    assert res.stopped and res.tau == 1
+    assert res.tau == 1
 
 
 def test_infinite_threshold_censors(arctan_model):
     path = generate_path(arctan_model, ChangeSpec(nu=1, horizon=25, seed=59))
     res = run_detector("ex-cusum", arctan_model, path, math.inf, 25)
-    assert not res.stopped and res.censored_at == 25
-    assert res.tau is None
+    assert res.tau is None and res.censored_at == 25
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
@@ -413,9 +417,9 @@ def test_strict_versus_weak_crossing_at_exact_threshold():
     # threshold 0, the baseline's weak rule fires at once
     model = constant_model(0.0)
     xs = np.random.default_rng(61).normal(size=20)
-    assert not run_detector("ex-cusum", model, xs, 0.0, 20).stopped
+    assert run_detector("ex-cusum", model, xs, 0.0, 20).tau is None
     assert run_detector("cusum", model, xs, 0.0, 20).tau == 1
-    assert not run_detector("sr", model, xs, math.log(20.0), 20).stopped  # R_n = n < 20 until the end
+    assert run_detector("sr", model, xs, math.log(20.0), 20).tau is None  # R_n = n < 20 until the end
 
 
 def test_run_detector_validates_inputs(arctan_model):
@@ -452,13 +456,26 @@ def test_non_finite_statistic_aborts_with_diagnostics():
         run_detector("ex-cusum", weird, [0.0, 2.0, 0.0], 10.0, 3)
 
 
+@pytest.mark.parametrize("support", [(-math.inf, math.inf), (-20.0, 20.0)], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_both_runners_report_a_non_finite_observation_alike(support, bad):
+    model = dataclasses.replace(constant_model(1.0), support=support)
+    xs = np.array([0.5, bad, 0.5])
+    for kind in detectors.DETECTORS:
+        with pytest.raises(ValueError) as single:
+            run_detector(kind, model, xs, 10.0, 3)
+        with pytest.raises(ValueError) as batch:
+            detectors.run_detector_batch(kind, model, [iter([xs.copy()])], 10.0, 3)
+        assert str(single.value) == str(batch.value) == "observation must be finite", kind
+
+
 def test_median_stopping_time_after_immediate_change(arctan_model):
     taus = []
     a = math.log(1000.0)
     for t in range(10_000):
         spec = ChangeSpec(nu=1, horizon=80, seed=derive_seed(883, t))
-        res = run_detector("ex-cusum", arctan_model, path_stream(arctan_model, spec), a, 80)
-        assert res.stopped
+        res = run_detector("ex-cusum", arctan_model, generate_path(arctan_model, spec), a, 80)
+        assert res.tau is not None
         taus.append(res.tau)
     med = float(np.median(taus))
     assert 4 <= med <= 10

@@ -18,7 +18,7 @@ from excusum import (
     estimate_arl2fa,
     estimate_cadd,
     gaussian_model,
-    path_stream,
+    generate_path,
     run_detector,
     simulate_trials,
     tradeoff_curve,
@@ -40,21 +40,20 @@ I_ARCTAN = math.pi**2 / 8
 
 def test_trial_outcome_classification():
     det = TrialOutcome.from_stop(StopResult(12, None), nu=10)
-    assert det.kind == "detection" and det.delay == 2 and not det.false_alarm
+    assert det.delay == 2 and not det.false_alarm
 
     fa = TrialOutcome.from_stop(StopResult(4, None), nu=10)
-    assert fa.kind == "false-alarm" and fa.delay is None and fa.false_alarm
+    assert fa.delay is None and fa.false_alarm
 
     cen = TrialOutcome.from_stop(StopResult(None, 50), nu=10)
-    assert cen.kind == "censored" and cen.tau is None and cen.censored_at == 50
+    assert cen.delay is None and not cen.false_alarm and cen.tau is None and cen.censored_at == 50
 
     always_fa = TrialOutcome.from_stop(StopResult(99, None), nu=NO_CHANGE)
-    assert always_fa.kind == "false-alarm"
+    assert always_fa.false_alarm and always_fa.delay is None
 
     at_change = TrialOutcome.from_stop(StopResult(10, None), nu=10)
-    assert at_change.kind == "detection" and at_change.delay == 0
+    assert not at_change.false_alarm and at_change.delay == 0
 
-    assert StopResult(12, None).stopped and not StopResult(None, 50).stopped
     for both_or_neither in ((12, 50), (None, None)):
         with pytest.raises(ValueError, match="exactly one"):
             StopResult(*both_or_neither)
@@ -70,13 +69,16 @@ def test_z95_is_the_one_sided_normal_quantile():
 # lockstep trials against the per-trial loop
 
 
-def per_trial_outcomes(model, kind, threshold, nu, horizon, trials, seed, window=None):
-    """The reference: every trial alone through run_detector on its own stream."""
-    out = []
+def per_trial_taus(model, kind, threshold, nu, horizon, trials, seed, window=None):
+    """The reference: every trial alone through run_detector on its own path,
+    read as a stream that draws each block of generate_path's as it is
+    reached, with the stopping times as simulate_trials reports them (0 for a
+    censored trial)."""
+    out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        spec = ChangeSpec(nu=nu, horizon=horizon, seed=derive_seed(seed, i))
-        res = run_detector(kind, model, path_stream(model, spec), threshold, horizon, window=window)
-        out.append(TrialOutcome.from_stop(res, nu))
+        blocks = process._sample_blocks(model, nu, horizon, np.random.default_rng(derive_seed(seed, i)))
+        stream = itertools.chain.from_iterable(blocks)
+        out[i] = run_detector(kind, model, stream, threshold, horizon, window=window).tau or 0
     return out
 
 
@@ -101,13 +103,13 @@ def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, model
         # paths drawn in blocks of 7 break at 7, 14, 21, 28, and at nu - 1 = 24
         monkeypatch.setattr(process, "_CHUNK", sample_block)
     model = GATE_MODELS[model_name]()
-    want = per_trial_outcomes(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window)
+    want = per_trial_taus(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window)
     if threshold == -5.0:
-        assert all(o.tau == 1 for o in want)
+        assert np.all(want == 1)
     for chunk in (1, 7, GATE_TRIALS):
         monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * GATE_HORIZON)
         got = simulate_trials(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window=window)
-        assert got == want, f"chunk size {chunk}"
+        assert got.dtype == np.int64 and np.array_equal(got, want), f"chunk size {chunk}"
 
 
 def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
@@ -139,13 +141,13 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
 
 def exact_taus(model, threshold, nu, horizon, trials, seed):
     """The exact kernel: every trial's own stream through run_detector_batch."""
-    rngs = process.trial_generators(seed, 0, trials)
+    rngs = process.trial_generators(seed, np.arange(trials))
     streams = [process._sample_blocks(model, nu, horizon, rng) for rng in rngs]
     return run_detector_batch("ex-cusum", model, streams, threshold, horizon)
 
 
 def count_reruns(monkeypatch) -> list:
-    """Record the trial count of every exact rerun _stopping_times makes."""
+    """Record the trial count of every exact rerun simulate_trials makes."""
     reruns = []
 
     def counted(kind, model, streams, *args, **kwargs):
@@ -165,7 +167,7 @@ def test_certified_tail_runs_equal_the_exact_kernel(threshold, nu, horizon, tria
     model = gaussian_model(MeanSchedule.arctangent())
     assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon) is not None
     reruns = count_reruns(monkeypatch)
-    got = metrics._stopping_times(model, "ex-cusum", threshold, nu, horizon, trials, 17, None)
+    got = simulate_trials(model, "ex-cusum", threshold, nu, horizon, trials, 17)
     assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, trials, 17))
     assert sum(reruns) < trials // 10
 
@@ -186,7 +188,7 @@ def test_uncertified_trials_rerun_to_the_exact_stopping_times(schedule, threshol
     monkeypatch.setattr(detectors, "_HEAD", 1)
     assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon) is not None
     reruns = count_reruns(monkeypatch)
-    got = metrics._stopping_times(model, "ex-cusum", threshold, nu, horizon, 60, 5, None)
+    got = simulate_trials(model, "ex-cusum", threshold, nu, horizon, 60, 5)
     assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, 60, 5))
     assert sum(reruns) >= 1
 
@@ -197,7 +199,7 @@ def test_runs_whose_block_leaves_the_x_bound_rerun_exactly(monkeypatch):
     model = gaussian_model(MeanSchedule.arctangent())
     monkeypatch.setattr(detectors, "_X_BOUND", 1.5)
     reruns = count_reruns(monkeypatch)
-    got = metrics._stopping_times(model, "ex-cusum", 4.0, NO_CHANGE, 600, 40, 9, None)
+    got = simulate_trials(model, "ex-cusum", 4.0, NO_CHANGE, 600, 40, 9)
     assert np.array_equal(got, exact_taus(model, 4.0, NO_CHANGE, 600, 40, 9))
     assert sum(reruns) == 40
 
@@ -209,9 +211,9 @@ def test_bounded_runs_check_a_narrower_support_like_run_detector():
     assert detectors._certified_tail("ex-cusum", None, model, 50.0, 2000) is not None
     spec = ChangeSpec(nu=NO_CHANGE, horizon=2000, seed=derive_seed(9, 0))
     with pytest.raises(ValueError, match=r"outside support \[-3.0, 3.0\]"):
-        run_detector("ex-cusum", model, path_stream(model, spec), 50.0, 2000)
+        run_detector("ex-cusum", model, generate_path(model, spec), 50.0, 2000)
     with pytest.raises(ValueError, match=r"outside support \[-3.0, 3.0\]"):
-        metrics._stopping_times(model, "ex-cusum", 50.0, NO_CHANGE, 2000, 8, 9, None)
+        simulate_trials(model, "ex-cusum", 50.0, NO_CHANGE, 2000, 8, 9)
 
 
 def test_a_bad_value_only_a_stopped_run_would_read_is_never_checked():
@@ -247,7 +249,7 @@ def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
     horizon = 2**14
     monkeypatch.setattr(metrics, "_bounded_lockstep", lambda model, streams, *rest: np.full(len(streams), -1))
     reruns = count_reruns(monkeypatch)
-    got = metrics._stopping_times(model, "ex-cusum", 2.0, 1, horizon, 40, 3, None)
+    got = simulate_trials(model, "ex-cusum", 2.0, 1, horizon, 40, 3)
     assert np.array_equal(got, exact_taus(model, 2.0, 1, horizon, 40, 3))
     assert metrics._CHUNK_ELEMENTS // horizon == 16 and reruns == [16, 16, 8]
 
@@ -302,9 +304,9 @@ def test_lockstep_chunks_of_bounded_trials_equal_chunks_of_one(monkeypatch):
     for kind in ("ex-cusum", "sr"):
         monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 1)
         want = simulate_trials(model, kind, 6.0, NO_CHANGE, 400, 30, 73)
-        assert any(o.kind == "censored" for o in want) and any(o.tau for o in want)
+        assert np.any(want == 0) and np.any(want > 0)
         monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 400)
-        assert simulate_trials(model, kind, 6.0, NO_CHANGE, 400, 30, 73) == want
+        assert np.array_equal(simulate_trials(model, kind, 6.0, NO_CHANGE, 400, 30, 73), want)
 
 
 def test_lockstep_trials_run_past_one_sample_block():
@@ -314,16 +316,16 @@ def test_lockstep_trials_run_past_one_sample_block():
         ("cusum", None, constant_model(0.5), 5.0),
         ("ex-cusum", 3, gaussian_model(MeanSchedule.arctangent()), 3.0),
     ):
-        want = per_trial_outcomes(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window)
-        assert any(o.kind == "censored" for o in want)
-        assert simulate_trials(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window=window) == want
-        taus += [o.tau for o in want if o.tau is not None]
+        want = per_trial_taus(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window)
+        assert np.any(want == 0)
+        assert np.array_equal(simulate_trials(model, kind, threshold, NO_CHANGE, horizon, 12, 71, window=window), want)
+        taus += want[want > 0].tolist()
     assert max(taus) > process._CHUNK
 
 
 def test_lockstep_trials_draw_only_what_they_read(monkeypatch):
     # a trial draws its path block by block and stops drawing when it stops,
-    # exactly as run_detector on path_stream does
+    # exactly as the per-trial stream does
     monkeypatch.setattr(process, "_CHUNK", 7)
     base = generic_gaussian_model(MeanSchedule.arctangent())
     drawn = []
@@ -340,7 +342,7 @@ def test_lockstep_trials_draw_only_what_they_read(monkeypatch):
     for nu in (25, NO_CHANGE):
         for threshold in (-5.0, 3.0, 8.0):
             drawn.clear()
-            per_trial_outcomes(model, "ex-cusum", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
+            per_trial_taus(model, "ex-cusum", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
             want = sum(drawn)
             drawn.clear()
             simulate_trials(model, "ex-cusum", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
@@ -354,10 +356,10 @@ def test_lockstep_crossing_rule_at_exact_threshold():
     # zero schedule: ex-cusum sits exactly at 0 and SR at log(n), so only the
     # crossing rule decides (strict for ex-cusum and SR, weak for cusum)
     model = constant_model(0.0)
-    for kind, threshold, tau in (("ex-cusum", 0.0, None), ("cusum", 0.0, 1), ("sr", math.log(3.0), 4)):
-        want = per_trial_outcomes(model, kind, threshold, NO_CHANGE, 10, 5, 67)
-        assert all(o.tau == tau for o in want)
-        assert simulate_trials(model, kind, threshold, NO_CHANGE, 10, 5, 67) == want
+    for kind, threshold, tau in (("ex-cusum", 0.0, 0), ("cusum", 0.0, 1), ("sr", math.log(3.0), 4)):
+        want = per_trial_taus(model, kind, threshold, NO_CHANGE, 10, 5, 67)
+        assert np.all(want == tau)
+        assert np.array_equal(simulate_trials(model, kind, threshold, NO_CHANGE, 10, 5, 67), want)
 
 
 def test_folded_sr_trials_at_the_benchmark_settings_equal_per_trial_runs(monkeypatch):
@@ -379,26 +381,27 @@ def test_folded_sr_trials_at_the_benchmark_settings_equal_per_trial_runs(monkeyp
 
     monkeypatch.setattr(detectors._CandidateBuffer, "push", counted_push)
     monkeypatch.setattr(detectors, "logsumexp_rows", counted_logsumexp_rows)
-    got = metrics._stopping_times(model, "sr", threshold, NO_CHANGE, horizon, trials, 17, None)
+    got = simulate_trials(model, "sr", threshold, NO_CHANGE, horizon, trials, 17)
     steps = {step for step, _ in computed}
     assert len(steps) < len(live) / 2  # most steps skip the log-sum-exp
     assert any(rows < live[step - 1] for step, rows in computed)  # the row subset
     assert any(rows == live[step - 1] > 1 for step, rows in computed)  # every row
     monkeypatch.undo()
-    want = per_trial_outcomes(model, "sr", threshold, NO_CHANGE, horizon, trials, 17)
-    assert all(o.tau for o in want)
-    assert np.array_equal(got, [o.tau for o in want])
+    want = per_trial_taus(model, "sr", threshold, NO_CHANGE, horizon, trials, 17)
+    assert np.all(want > 0)
+    assert np.array_equal(got, want)
 
 
 def test_lockstep_gate_covers_every_outcome_kind():
     # the gate's thresholds give false alarms, censoring and detections
     model = gaussian_model(MeanSchedule.arctangent())
-    kinds = {
-        o.kind
+    taus = [
+        (nu, per_trial_taus(model, "ex-cusum", a, nu, GATE_HORIZON, GATE_TRIALS, 61))
         for nu, a in ((25, 3.0), (25, 8.0), (1, 8.0))
-        for o in per_trial_outcomes(model, "ex-cusum", a, nu, GATE_HORIZON, GATE_TRIALS, 61)
-    }
-    assert kinds == {"false-alarm", "censored", "detection"}
+    ]
+    assert any(np.any((0 < t) & (t < nu)) for nu, t in taus)  # false alarms
+    assert any(np.any(t == 0) for _, t in taus)  # censored
+    assert any(np.any(t >= nu) for nu, t in taus)  # detections
 
 
 def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
@@ -419,7 +422,7 @@ def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
         for i in range(12):
             spec = ChangeSpec(nu=NO_CHANGE, horizon=60, seed=derive_seed(5, i))
             with pytest.raises(NumericError) as err:
-                run_detector(kind, model, path_stream(model, spec), 100.0, 60)
+                run_detector(kind, model, generate_path(model, spec), 100.0, 60)
             steps.append(int(re.search(r"step (\d+)", str(err.value)).group(1)))
         assert len(set(steps)) > 1
         for chunk in (1, 5, 12):
@@ -440,12 +443,12 @@ def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
         support=(-math.inf, math.inf),
     )
     with pytest.raises(ValueError):
-        per_trial_outcomes(holey, "sr", 100.0, NO_CHANGE, 10, 3, 5)
+        per_trial_taus(holey, "sr", 100.0, NO_CHANGE, 10, 3, 5)
     with pytest.raises(ValueError, match="finite"):
         simulate_trials(holey, "sr", 100.0, NO_CHANGE, 10, 3, 5)
     # a run that stops before the bad observation never reads it
-    assert simulate_trials(holey, "sr", -5.0, NO_CHANGE, 10, 3, 5) == per_trial_outcomes(
-        holey, "sr", -5.0, NO_CHANGE, 10, 3, 5
+    assert np.array_equal(
+        simulate_trials(holey, "sr", -5.0, NO_CHANGE, 10, 3, 5), per_trial_taus(holey, "sr", -5.0, NO_CHANGE, 10, 3, 5)
     )
     with pytest.raises(ValueError, match="window"):
         simulate_trials(gaussian_model(MeanSchedule.arctangent()), "sr", 1.0, 1, 10, 3, 5, window=3)
@@ -706,4 +709,4 @@ def test_constant_schedule_outcomes_identical_for_ex_cusum_and_cusum():
     cu = simulate_trials(model, "cusum", a, nu=20, horizon=200, trials=100, seed=59)
     # crossing rules differ only on exact threshold hits, which have
     # probability zero for continuous statistics
-    assert ex == cu
+    assert np.array_equal(ex, cu)

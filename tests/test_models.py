@@ -465,9 +465,9 @@ def test_unpickled_gaussian_model_gives_the_same_numbers(schedule):
 )
 def test_unpickled_gaussian_model_stops_at_the_same_times(detector, schedule):
     model = gaussian_model(schedule)
-    args = (detector, math.log(50.0), 20, 150, 24, 5, None)
-    want = metrics._stopping_times(model, *args)
-    assert np.array_equal(metrics._stopping_times(_round_trip(model), *args), want)
+    args = (detector, math.log(50.0), 20, 150, 24, 5)
+    want = metrics.simulate_trials(model, *args)
+    assert np.array_equal(metrics.simulate_trials(_round_trip(model), *args), want)
 
 
 # ---------------------------------------------------------------------------

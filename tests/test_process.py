@@ -15,9 +15,8 @@ from excusum import (
     derive_seed,
     gaussian_model,
     generate_path,
-    path_stream,
 )
-from excusum.process import _generators, _trial_seeds, trial_generators
+from excusum.process import _generators, _sample_blocks, _trial_seeds, trial_generators
 
 #: base seeds whose words SeedSequence reads as one word (below 2**32) and as two
 SEED_BASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D2B7E151)
@@ -115,10 +114,12 @@ def test_generation_is_bit_deterministic(arctan_model):
 
 
 def test_stream_equals_materialized_path(arctan_model):
-    # also exercises the chunk boundary at 8192
-    spec = ChangeSpec(nu=9000, horizon=9003, seed=31337)
+    # a lockstep trial reads the blocks of its trial_generators generator,
+    # across many block boundaries and the change point; they are generate_path's
+    spec = ChangeSpec(nu=9000, horizon=9003, seed=derive_seed(31337, 5))
     path = generate_path(arctan_model, spec)
-    streamed = np.fromiter(path_stream(arctan_model, spec), dtype=np.float64, count=spec.horizon)
+    (rng,) = trial_generators(31337, np.array([5]))
+    streamed = np.concatenate(list(_sample_blocks(arctan_model, spec.nu, spec.horizon, rng)))
     assert np.array_equal(path.samples, streamed)
 
 
@@ -164,14 +165,9 @@ def test_sample_at_change_point_is_first_family_member(arctan_model):
 
 
 def test_long_no_change_stream_is_total(arctan_model):
-    spec = ChangeSpec(nu=NO_CHANGE, horizon=1_000_000, seed=2)
-    total = 0
-    for i, x in enumerate(path_stream(arctan_model, spec), start=1):
-        total += 1
-        assert math.isfinite(x)
-        if i == 1_000_000:
-            break
-    assert total == 1_000_000
+    path = generate_path(arctan_model, ChangeSpec(nu=NO_CHANGE, horizon=1_000_000, seed=2))
+    assert len(path) == 1_000_000
+    assert np.all(np.isfinite(path.samples))
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -207,7 +203,8 @@ def test_generators_draw_what_default_rng_draws():
         ref = np.random.default_rng(seed)
         assert np.array_equal(rng.integers(0, 2**40, 300), ref.integers(0, 2**40, 300))
     for base in SEED_BASES:
-        for i, rng in zip(range(2**32 - 3, 2**32 + 3), trial_generators(base, 2**32 - 3, 2**32 + 3), strict=True):
+        indices = np.arange(2**32 - 3, 2**32 + 3)
+        for i, rng in zip(indices.tolist(), trial_generators(base, indices), strict=True):
             ref = np.random.default_rng(derive_seed(base, i))
             assert np.array_equal(rng.standard_normal(300), ref.standard_normal(300))
             assert np.array_equal(rng.normal(0.5, 2.0, 300), ref.normal(0.5, 2.0, 300))
@@ -215,19 +212,24 @@ def test_generators_draw_what_default_rng_draws():
 
 
 def test_trial_generators_do_not_depend_on_the_range():
-    whole = list(trial_generators(7, 0, 40))
-    parts = [*trial_generators(7, 0, 13), *trial_generators(7, 13, 40)]
-    assert list(trial_generators(7, 5, 5)) == []
+    whole = list(trial_generators(7, np.arange(40)))
+    parts = [*trial_generators(7, np.arange(13)), *trial_generators(7, np.arange(13, 40))]
+    assert list(trial_generators(7, np.arange(5, 5))) == []
     bad_seeds = (
         lambda: derive_seed(-1, 0),
-        lambda: trial_generators(-1, 0, 1),
-        lambda: trial_generators(2**64, 0, 1),  # ChangeSpec's range: seeds lie in [0, 2**64)
+        lambda: trial_generators(-1, np.arange(1)),
+        lambda: trial_generators(2**64, np.arange(1)),  # ChangeSpec's range: seeds lie in [0, 2**64)
     )
     for bad in bad_seeds:
         with pytest.raises(ValueError, match="non-negative"):
             bad()
     for a, b in zip(whole, parts, strict=True):
         assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+    # the reruns pass the indices of the unsettled trials: any order, with gaps
+    indices = np.array([7, 3, 2**32 + 5, 0], dtype=np.int64)
+    for i, rng in zip(indices.tolist(), trial_generators(7, indices), strict=True):
+        ref = np.random.default_rng(derive_seed(7, i))
+        assert np.array_equal(rng.standard_normal(50), ref.standard_normal(50))
 
 
 @pytest.mark.parametrize("size", [None, 1, 300])

@@ -11,7 +11,7 @@ no run crosses, so every row stays live for every step:
 The paths are drawn before the clock starts, so sampling is not timed.  Each
 figure is the best of 3 runs, divided by the horizon.  The folded SR row
 never crosses, so it times the steps that settle nothing; a last line times
-``metrics._stopping_times`` on the ``sr-saturating`` benchmark settings (220
+``metrics.simulate_trials`` on the ``sr-saturating`` benchmark settings (220
 trials of SR on ``linear-saturating(0.1, 1)``, threshold log 300, horizon
 6000), sampling and crossings included, in ms, best of 3.
 
@@ -40,7 +40,7 @@ REPEATS = 3
 
 
 def best_us_per_step(run, model, rows: int) -> float:
-    paths = [list(_sample_blocks(model, NO_CHANGE, HORIZON, rng)) for rng in trial_generators(7, 0, rows)]
+    paths = [list(_sample_blocks(model, NO_CHANGE, HORIZON, rng)) for rng in trial_generators(7, np.arange(rows))]
     best = float("inf")
     for _ in range(REPEATS):
         streams = [iter(blocks) for blocks in paths]
@@ -80,8 +80,8 @@ def main() -> int:
     print(f"{'kernel':<38}" + "".join(f"{f'{r} rows':>11}" for r in ROWS))
     for name, model, run in kernels:
         print(f"{name:<38}" + "".join(f"{best_us_per_step(run, model, r):>11.1f}" for r in ROWS))
-    sr_arl = best_ms(lambda: metrics._stopping_times(saturating, "sr", math.log(300.0), NO_CHANGE, 6000, 220, 7, None))
-    print(f"sr-saturating _stopping_times, 220 trials: {sr_arl:.1f} ms, best of {REPEATS}")
+    sr_arl = best_ms(lambda: metrics.simulate_trials(saturating, "sr", math.log(300.0), NO_CHANGE, 6000, 220, 7))
+    print(f"sr-saturating simulate_trials, 220 trials: {sr_arl:.1f} ms, best of {REPEATS}")
     return 0
 
 
