@@ -35,12 +35,9 @@ folded or bounded, and SR's tail weight.
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
 makes threshold exp(A) give a mean time to false alarm of at least exp(A).
-All accumulation is in the log domain, with log-sum-exp for R_n.  A folded
-SR run keeps L + 1 sums, so log R_n is at most m + log(L + s), m their max
-and s the tail's scale: run_detector_batch's folded SR steps compute the
-log-sum-exp only on the steps, and then only for the runs, where that bound
-plus _SR_MARGIN reaches the threshold, each run's sum taken as the full step
-takes it, so the stopping times stay exact.
+All accumulation is in the log domain, with log-sum-exp for R_n, which a
+lockstep step computes only for the runs whose _sr_bound, m + log(C - 1 + s)
+plus _SR_MARGIN for C sums of max m and tail scale s, reaches the threshold.
 
 The DETECTORS table is the one list of detector kinds: each kind names its
 state class, its crossing rule (strict > for ex-cusum and SR, >= for the
@@ -50,9 +47,9 @@ Every per-sample ratio comes from the model's llr_prefix hook.
 
 States are single-owner: mutate them only from their owning run.  A state
 holds one stream (a 1-d array of running sums); run_detector_batch builds
-private states of one candidate-major row per run, advancing in lockstep
-through the same update, fold and reductions, and drops each finished row.
-The public ExCusumState and SrState never fold, and serve as the reference.
+private states of one candidate-major row per run, which take one lockstep
+step for every kind (_lockstep) and drop each finished row.  The public
+ExCusumState and SrState never fold, and serve as the reference.
 """
 
 from __future__ import annotations
@@ -93,19 +90,21 @@ _X_BOUND = 32.0
 #: 2**-44 + 2**-39 per step, under 2**-14 over 2**24 steps.
 _TAIL_MARGIN = 2.0**-12
 
-#: how far _sr_bound lies above m + log(C - 1 + s), for a folded SR row of C
-#: columns with max m and tail scale s, so that it is at least the statistic
-#: logsumexp_rows computes for that row.  With u = 2**-53 that statistic is
-#: fl(m + log S), S the pairwise sum of C terms: exp(v - m) <= 1 each (a
-#: rounded v - m <= 0, and exp is faithful), the last times s, at most s.  So
-#: S <= (C - 1 + s)(1 + Cu), and log S exceeds log(C - 1 + s) by less than
-#: 2**-32 for C <= 2**20.  The merge adds at most 1 to s per step, so for
-#: horizons up to 2**24 C - 1 + s < 2**26, each log is below 2**5 and within
+#: how far _sr_bound lies above m + log(C - 1 + s), for an SR row of C
+#: columns with max m and tail scale s (1 for an unfolded row, whose last
+#: column is a candidate like the others), so that it is at least the
+#: statistic logsumexp_rows computes for that row.  With u = 2**-53 that
+#: statistic is fl(m + log S), S the pairwise sum of C terms: exp(v - m) <= 1
+#: each (a rounded v - m <= 0, and exp is faithful), the last times s, at most
+#: s.  So S <= (C - 1 + s)(1 + Cu), and as C <= n <= horizon <= 2**24, log S
+#: exceeds log(C - 1 + s) by less than Cu <= 2**-29.  The merge adds at most 1
+#: to s per step, so C - 1 + s < 2**26, each log is below 2**5 and within
 #: 2**-44 (16 ulp) of the real one, and fl(C - 1 + s) moves it by 2**-52.
 #: Only rows whose statistic reaches a threshold in (-2**11, 2**11) matter
-#: (_sr_bounded takes no others): where m >= 2**11 the bound is at least m
-#: and reaches it too, and otherwise |m| < 2**11 + 2**5, so each of the three
-#: adds rounds by at most 2**-41.  The errors sum to less than 2**-31.
+#: (outside these ranges _lockstep settles every step): where m >= 2**11 the
+#: bound is at least m and reaches it too, and otherwise |m| < 2**11 + 2**5,
+#: so each of the three adds rounds by at most 2**-41.  The errors sum to
+#: less than 2**-28.
 _SR_MARGIN = 2.0**-24
 
 
@@ -220,9 +219,11 @@ class _CandidateBuffer:
 
 class _SumsState:
     """What the three states share: the candidate sums, and the max
-    reduction and its merge (ex-cusum and CUSUM)."""
+    reduction, its lockstep _settle and its merge (ex-cusum and CUSUM)."""
 
     _cands: _CandidateBuffer
+    #: whether the last column bounds the older candidates (_bounded_lockstep)
+    _bounded = False
 
     @property
     def n(self) -> int:
@@ -230,6 +231,17 @@ class _SumsState:
 
     def _advance(self, x, model: DensityModel):
         return np.maximum.reduce(self._cands.push(x, model, self._merge), axis=0)
+
+    def _settle(self, sums: np.ndarray, calm: float):
+        """(None, None) where the largest sum, a bounded tail's too, stays
+        below ``calm``; else each row's statistic, the max of its sums (of its
+        head if bounded), and a bounded run's tail, None while every sum is
+        exact."""
+        if np.maximum.reduce(sums, axis=None) < calm:
+            return None, None
+        if not self._bounded:
+            return np.maximum.reduce(sums, axis=0), None
+        return np.maximum.reduce(sums[:_HEAD], axis=0), sums[_HEAD] if self._cands.n > _HEAD else None
 
     @staticmethod
     def _merge(pair: np.ndarray) -> None:
@@ -245,10 +257,8 @@ class ExCusumState(_SumsState):
     newest min(n, M)."""
 
     def __init__(self, window: int | None = None) -> None:
-        if window is not None and (type(window) is not int or window < 1):
-            raise ValueError(f"window must be a positive integer or None, got {window!r}")
         self.statistic = -math.inf
-        self._cands = _CandidateBuffer(limit=window)
+        self._cands = _CandidateBuffer(limit=_layout("ex-cusum", window, None)[0])
 
 
 def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusumState:
@@ -277,6 +287,26 @@ class SrState(_SumsState):
         view = cands.push(x, model, self._merge)
         # _tmp's contents are dead once push() has folded them into the sums
         return logsumexp_rows(view, cands._tmp.reshape(-1), cands.scale)
+
+    def _settle(self, sums: np.ndarray, calm: float):
+        """(None, None) where _sr_bound of the largest sum and scale, which
+        bounds every row's, stays below ``calm``; else each row's _sr_bound,
+        and where it reaches calm its statistic as _advance computes it (on
+        every row when those are not a minority), and no tail."""
+        scale = self._cands.scale
+        top_scale = 1.0 if scale is None else np.maximum.reduce(scale)
+        if _sr_bound(np.maximum.reduce(sums, axis=None), sums.shape[0], top_scale) < calm:
+            return None, None
+        m = np.maximum.reduce(sums, axis=0)
+        stat = _sr_bound(m, sums.shape[0], 1.0 if scale is None else scale)
+        reach = ~(stat < calm)
+        count = np.count_nonzero(reach)
+        scratch = self._cands._tmp.reshape(-1)
+        if 2 * count >= m.size:
+            return logsumexp_rows(sums, scratch, scale, m), None
+        if count:
+            stat[reach] = logsumexp_rows(sums[:, reach], scratch, None if scale is None else scale[reach], m[reach])
+        return stat, None
 
     def _merge(self, pair: np.ndarray) -> None:
         # the tail keeps a shift and a scale rather than one np.logaddexp
@@ -362,41 +392,50 @@ class StopResult:
             raise ValueError("a result carries exactly one of tau and censored_at")
 
 
-def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows: int | None):
+def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows, bounded=False):
     """Validate a run and return its fresh state and its kind's DETECTORS row."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, model, rows), DETECTORS[kind]
+    return _make_state(kind, window, model, rows, bounded), DETECTORS[kind]
 
 
-def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None):
+def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None, bounded: bool = False):
     """A fresh state for runs on ``model``: of one stream or, with ``rows``, of
-    that many streams in lockstep.  Without a window it folds at the model's
-    saturation index (CUSUM always folds at 0)."""
+    that many streams in lockstep, its buffer laid out by _layout."""
+    limit, fold = _layout(kind, window, model, bounded)
+    # the kind's reductions on the run's buffer; the public statistic is unset
+    state = object.__new__(DETECTORS[kind].state)
+    state._cands, state._bounded = _CandidateBuffer(rows, limit, fold, model), bounded
+    return state
+
+
+def _layout(kind: str, window: int | None, model: DensityModel | None, bounded: bool = False):
+    """(limit, fold) of a state's candidate buffer: a window keeps the newest
+    ``window`` sums, a ``bounded`` run (_bounded_lockstep) _HEAD and its tail;
+    otherwise CUSUM folds at 0 and the other kinds at the saturation index of
+    ``model`` (None for a public state, which never folds), or keep every sum
+    where there is none."""
     spec = DETECTORS.get(kind)
     if spec is None:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")
-    if spec.windowed:
-        state = spec.state(window=window)
-    elif window is not None:
-        raise ValueError(f"the {kind!r} detector takes no window")
-    else:
-        state = spec.state()
-    limit, fold = state._cands.limit, state._cands.fold
-    if limit is None:
-        saturation = model.saturation_index()
-        if saturation is not None:
-            limit, fold = saturation + 1, True
-    state._cands = _CandidateBuffer(rows, limit, fold, model)
-    return state
+    if window is not None:
+        if not spec.windowed:
+            raise ValueError(f"the {kind!r} detector takes no window")
+        if type(window) is not int or window < 1:
+            raise ValueError(f"window must be a positive integer or None, got {window!r}")
+        return window, False
+    if bounded:
+        return _HEAD + 1, True
+    saturation = 0 if kind == "cusum" else None if model is None else model.saturation_index()
+    return (None, False) if saturation is None else (saturation + 1, True)
 
 
 def _retained_columns(kind: str, window: int | None, model: DensityModel, bounded: bool = False) -> int | None:
     """Most candidate sums a run keeps per stream, or None when they grow with
     n.  A ``bounded`` run (_bounded_lockstep) keeps _HEAD and its tail."""
-    return _HEAD + 1 if bounded else _make_state(kind, window, model)._cands.limit
+    return _layout(kind, window, model, bounded)[0]
 
 
 def _certified_tail(kind: str, window: int | None, model: DensityModel, threshold: float, horizon: int):
@@ -465,62 +504,21 @@ def run_detector_batch(
     its run is live.  The checks are run_detector's, applied to live runs
     only; when several runs fail, the error names the earliest failing step.
     """
-    state, spec = _start(kind, window, model, horizon, threshold, len(streams))
-    cands = state._cands
-    if _sr_bounded(kind, cands, threshold, horizon):
-        return _lockstep(kind, model, streams, threshold, horizon, cands, *_folded_sr_steps(state, model))
-
-    def step(xs, bounds, j, at):
-        stat = state._advance(xs, model)
-        return float(np.maximum.reduce(stat)), stat
-
-    return _lockstep(kind, model, streams, threshold, horizon, cands, step, lambda stat, calm: (stat, None))
-
-
-def _sr_bounded(kind: str, cands: _CandidateBuffer, threshold: float, horizon: int) -> bool:
-    """Whether run_detector_batch takes _folded_sr_steps: SR folded at a
-    saturation index, within the ranges _SR_MARGIN covers."""
-    return (
-        kind == "sr" and cands.fold and cands.limit <= 2**20 and -(2.0**11) < threshold < 2.0**11 and horizon <= 2**24
-    )
+    return _lockstep(kind, model, streams, threshold, horizon, window)
 
 
 def _sr_bound(m, columns: int, scale):
-    """At least the folded SR statistic logsumexp_rows computes from a row's
-    ``columns`` sums, given their max ``m`` and the tail's scale (1.0 before
-    the first merge), elementwise (see _SR_MARGIN).  It is +inf or NaN where
-    m or the scale is, so such a row always takes the exact path."""
+    """At least the SR statistic logsumexp_rows computes from a row's
+    ``columns`` sums, given their max ``m`` and the tail's scale (1 for an
+    unfolded row), elementwise (see _SR_MARGIN).  It is +inf or NaN where m
+    or the scale is, so such a row always settles."""
     return m + (np.log(columns - 1 + scale) + _SR_MARGIN)
 
 
-def _folded_sr_steps(state: SrState, model: DensityModel):
-    """The step and settle of folded SR runs that compute the statistic only
-    where it may reach the loop's calm ceiling: a step settles nothing while
-    _sr_bound of its largest sum and largest scale stays below calm.
-    Otherwise settle reads each row's max, and the rows whose own bound
-    reaches calm (all rows when those are not a minority) take
-    logsumexp_rows with those maxima, while the others keep their bound, so
-    every statistic it computes is exact."""
-    cands = state._cands
-
-    def step(xs, bounds, j, at):
-        sums = cands.push(xs, model, state._merge)
-        scale = 1.0 if cands.scale is None else np.maximum.reduce(cands.scale)
-        return float(_sr_bound(np.maximum.reduce(sums, axis=None), sums.shape[0], scale)), sums
-
-    def settle(sums, calm):
-        m = np.maximum.reduce(sums, axis=0)
-        scale = cands.scale
-        stat = _sr_bound(m, sums.shape[0], 1.0 if scale is None else scale)
-        reach = np.flatnonzero(~(stat < calm))
-        scratch = cands._tmp.reshape(-1)
-        if 2 * reach.size >= m.size:
-            return logsumexp_rows(sums, scratch, scale, m), None
-        if reach.size:
-            stat[reach] = logsumexp_rows(sums[:, reach], scratch, None if scale is None else scale[reach], m[reach])
-        return stat, None
-
-    return step, settle
+def _sr_bound_holds(threshold: float, horizon: int) -> bool:
+    """Whether _sr_bound may rule a step of an SR run out: a threshold and a
+    horizon within the ranges _SR_MARGIN covers."""
+    return -(2.0**11) < threshold < 2.0**11 and horizon <= 2**24
 
 
 def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: int, envelope) -> np.ndarray:
@@ -533,29 +531,23 @@ def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: i
     or where its next block holds an |x| of _X_BOUND or more (NaN too), it
     leaves with tau -1, to be rerun on the exact state; every other tau is
     run_detector_batch's."""
-    cands = _CandidateBuffer(len(streams), _HEAD + 1, True, model)
-
-    def step(xs, bounds, j, at):
-        sums = cands.push(xs, model, _SumsState._merge, bounds[j, at])
-        return float(np.maximum.reduce(sums, axis=None)), sums
-
-    def settle(sums, calm):
-        return np.maximum.reduce(sums[:_HEAD], axis=0), sums[_HEAD] if cands.n > _HEAD else None
-
-    return _lockstep("ex-cusum", model, streams, threshold, horizon, cands, step, settle, envelope)
+    return _lockstep("ex-cusum", model, streams, threshold, horizon, None, envelope)
 
 
-def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, cands, step, settle, envelope=None):
-    """The one step loop of run_detector_batch and _bounded_lockstep: ``step(xs,
-    bounds, j, at)`` advances the live runs on xs, step j of the block's columns
-    ``at``, returning their largest value (or a bound of it) and what
-    ``settle(values, calm)`` turns into their statistics and tails (None if
-    exact), where calm is the ceiling below which nothing settles.
-    ``envelope`` and the check run per block."""
-    spec = DETECTORS[kind]
+def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, window, envelope=None):
+    """The one step loop of run_detector_batch and _bounded_lockstep, one step
+    for every kind: push the live runs' observations (a bounded run's with
+    the envelope's tail bound), then the state's _settle, which reads one
+    upper bound of the step's largest statistic and works out each run's
+    statistic and tail only where that bound reaches calm, the ceiling below
+    which nothing settles.  ``envelope`` and the observations' check run per
+    block."""
+    state, spec = _start(kind, window, model, horizon, threshold, len(streams), envelope is not None)
     # below calm no statistic crosses or is +inf or NaN, and no tail passes the ceiling
     ceiling = threshold if envelope is None else threshold - _TAIL_MARGIN
     calm = float(np.nextafter(ceiling, math.inf)) if spec.strict else ceiling
+    if kind == "sr" and not _sr_bound_holds(threshold, horizon):
+        calm = -math.inf  # every step settles, through logsumexp_rows
     taus = np.zeros(len(streams), dtype=np.int64)
     live = np.arange(len(streams))
     block = bounds = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
@@ -576,11 +568,11 @@ def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, cands
         xs = block[j, at]
         if not checked:
             _validate_x(model, xs)
-        top, values = step(xs, bounds, j, at)
+        sums = state._cands.push(xs, model, state._merge, None if bounds is None else bounds[j, at])
         j += 1
-        if top < calm:
+        stat, tail = state._settle(sums, calm)
+        if stat is None:
             continue
-        stat, tail = settle(values, calm)
         top = float(np.maximum.reduce(stat))  # NaN and +inf propagate into the max
         if not top < math.inf:
             r = int(np.argmax(~(stat < math.inf)))
@@ -599,7 +591,7 @@ def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, cands
             if live.size == 0:
                 break
             at = at[keep]
-            cands.keep_rows(keep)
+            state._cands.keep_rows(keep)
     return taus
 
 

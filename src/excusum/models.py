@@ -449,7 +449,8 @@ def _validate_x(model: DensityModel, x):
             raise ValueError("observation must be finite")
         lo, hi = model.support
         if first < lo or last > hi:
-            raise ValueError(f"observation outside support [{lo}, {hi}]")
+            bad = float(xs.flat[np.argmax((xs < lo) | (xs > hi))])  # the first, as the scalar branch names it
+            raise ValueError(f"observation {bad!r} outside support [{lo}, {hi}]")
     return xs
 
 

@@ -121,6 +121,8 @@ def trial_generators(seed: int, indices: np.ndarray) -> Iterator[np.random.Gener
     its order: trial i's draws equal those of default_rng(derive_seed(seed,
     i)).  The indices are seeded in one vectorized pass; a generator costs
     memory only once it is taken."""
+    if indices.min(initial=0) < 0:  # astype would wrap it
+        raise ValueError(f"trial index must be a non-negative integer, got {indices.min()}")
     return _generators(_trial_seeds(seed, indices.astype(np.uint64)))
 
 

@@ -326,14 +326,15 @@ def test_folded_buffer_keeps_the_head_and_one_tail(monkeypatch):
 
 
 def assert_sr_bound_reaches_every_row(sums, scale):
-    # the folded SR lockstep step computes logsumexp_rows only on the rows
-    # whose _sr_bound reaches the loop's ceiling, and takes its step-level
-    # bound from the largest max and scale
+    # an SR lockstep step computes logsumexp_rows only on the rows whose
+    # _sr_bound reaches the loop's ceiling, and takes its step-level bound
+    # from the largest max and scale; an unfolded row (no scale) weighs its
+    # last column by 1, which leaves its statistic's bits as they are
     columns = sums.shape[0]
     m = np.maximum.reduce(sums, axis=0)
-    exact = logsumexp_rows(sums, None, None if scale is None else scale, m)
-    assert exact.tobytes() == logsumexp_rows(sums, None, scale).tobytes()
     weight = np.ones(sums.shape[1]) if scale is None else scale
+    exact = logsumexp_rows(sums, None, weight, m)
+    assert exact.tobytes() == logsumexp_rows(sums, None, scale).tobytes()
     bound = detectors._sr_bound(m, columns, weight)
     assert np.all(bound >= exact), (bound - exact).min()
     top = detectors._sr_bound(np.maximum.reduce(m), columns, np.maximum.reduce(weight))
@@ -343,12 +344,15 @@ def assert_sr_bound_reaches_every_row(sums, scale):
 @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_sr_bound_is_at_least_every_rows_log_sum_exp(seed):
     rng = np.random.default_rng(seed)
-    columns, rows = int(rng.integers(1, 300)), int(rng.integers(1, 40))
-    sums = rng.normal(float(rng.normal(0.0, 200.0)), float(rng.choice([1e-9, 0.1, 3.0, 100.0])), (columns, rows))
-    # whole -inf columns, and -inf entries (all of a row, sometimes)
-    sums[rng.random(columns) < 0.1] = -math.inf
-    sums[rng.random(sums.shape) < float(rng.choice([0.0, 0.3, 0.97]))] = -math.inf
-    for scale in (None, 1.0 + rng.random(rows) * float(rng.choice([1.0, 1e3, 2.0**24]))):
+    rows = int(rng.integers(1, 40))
+    folded = 1.0 + rng.random(rows) * float(rng.choice([1.0, 1e3, 2.0**24]))
+    # a folded row keeps a few hundred sums at most, an unfolded one up to the horizon
+    for top, scale in ((300, None), (300, folded), (2**13, None)):
+        columns = int(rng.integers(1, top))
+        sums = rng.normal(float(rng.normal(0.0, 200.0)), float(rng.choice([1e-9, 0.1, 3.0, 100.0])), (columns, rows))
+        # whole -inf columns, and -inf entries (all of a row, sometimes)
+        sums[rng.random(columns) < 0.1] = -math.inf
+        sums[rng.random(sums.shape) < float(rng.choice([0.0, 0.3, 0.97]))] = -math.inf
         assert_sr_bound_reaches_every_row(sums, scale)
 
 
@@ -457,16 +461,24 @@ def test_non_finite_statistic_aborts_with_diagnostics():
 
 
 @pytest.mark.parametrize("support", [(-math.inf, math.inf), (-20.0, 20.0)], ids=["unbounded", "bounded"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 25.0], ids=["nan", "inf", "-inf", "outside"])
 def test_both_runners_report_a_non_finite_observation_alike(support, bad):
     model = dataclasses.replace(constant_model(1.0), support=support)
     xs = np.array([0.5, bad, 0.5])
+    # a second run reads a value outside the bounded support at the same step
+    other = np.array([0.5, -30.0, 0.5])
+    if math.isfinite(bad) and support[1] == math.inf:
+        for kind in detectors.DETECTORS:
+            want = [run_detector(kind, model, x, 10.0, 3).tau or 0 for x in (xs, other)]
+            assert detectors.run_detector_batch(kind, model, [iter([xs]), iter([other])], 10.0, 3).tolist() == want
+        return
+    message = "observation 25.0 outside support [-20.0, 20.0]" if math.isfinite(bad) else "observation must be finite"
     for kind in detectors.DETECTORS:
         with pytest.raises(ValueError) as single:
             run_detector(kind, model, xs, 10.0, 3)
         with pytest.raises(ValueError) as batch:
-            detectors.run_detector_batch(kind, model, [iter([xs.copy()])], 10.0, 3)
-        assert str(single.value) == str(batch.value) == "observation must be finite", kind
+            detectors.run_detector_batch(kind, model, [iter([xs.copy()]), iter([other.copy()])], 10.0, 3)
+        assert str(single.value) == str(batch.value) == message, kind
 
 
 def test_median_stopping_time_after_immediate_change(arctan_model):

@@ -275,25 +275,62 @@ def test_certified_tail_applies_to_bounded_ex_cusum_runs_only():
         assert detectors._certified_tail(kind, window, model, threshold, horizon) is None, (kind, threshold, horizon)
 
 
-def test_sr_bound_applies_to_folded_sr_runs_in_range_only():
-    saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
-    arctan = gaussian_model(MeanSchedule.arctangent())
+def count_settled_steps(monkeypatch) -> tuple[list, list]:
+    """Record the live rows of every lockstep step, and the (step, rows) of
+    every logsumexp_rows call the steps make, steps counted from 1."""
+    live, computed = [], []
+    push, logsumexp_rows = detectors._CandidateBuffer.push, detectors.logsumexp_rows
 
-    def bounded(kind, model, threshold, horizon):
-        return detectors._sr_bounded(kind, detectors._make_state(kind, None, model, 3)._cands, threshold, horizon)
+    def counted_push(self, *args):
+        view = push(self, *args)
+        live.append(view.shape[1])
+        return view
 
-    assert bounded("sr", saturating, 4.0, 2**24)
-    assert bounded("sr", saturating, -(2.0**11) + 1.0, 100)
-    for kind, model, threshold, horizon in (
-        ("ex-cusum", saturating, 4.0, 100),
-        ("cusum", saturating, 4.0, 100),
-        ("sr", arctan, 4.0, 100),  # unfolded: the full step
-        ("sr", saturating, 2.0**11, 100),  # past the margin's thresholds
-        ("sr", saturating, -(2.0**11), 100),
-        ("sr", saturating, math.inf, 100),
-        ("sr", saturating, 4.0, 2**24 + 1),  # past its horizons
-    ):
-        assert not bounded(kind, model, threshold, horizon), (kind, threshold, horizon)
+    def counted_logsumexp_rows(values, *args):
+        computed.append((len(live), values.shape[1]))
+        return logsumexp_rows(values, *args)
+
+    monkeypatch.setattr(detectors._CandidateBuffer, "push", counted_push)
+    monkeypatch.setattr(detectors, "logsumexp_rows", counted_logsumexp_rows)
+    return live, computed
+
+
+def test_sr_bound_applies_to_sr_runs_in_range_only(monkeypatch):
+    # folded or not, an SR run in range whose statistic stays far below the
+    # threshold computes no log-sum-exp; out of range every step computes one
+    assert detectors._sr_bound_holds(4.0, 2**24)
+    assert detectors._sr_bound_holds(-(2.0**11) + 1.0, 100)
+    assert detectors._sr_bound_holds(2.0**11 - 1.0, 100)
+    for threshold, horizon in ((2.0**11, 100), (-(2.0**11), 100), (math.inf, 100), (4.0, 2**24 + 1)):
+        assert not detectors._sr_bound_holds(threshold, horizon), (threshold, horizon)
+    live, computed = count_settled_steps(monkeypatch)
+    for schedule in (MeanSchedule.linear_saturating(0.1, 1.0), MeanSchedule.arctangent()):
+        model = gaussian_model(schedule)
+        live.clear()
+        assert not simulate_trials(model, "sr", 50.0, NO_CHANGE, 300, 4, 3).any()
+        assert len(live) == 300 and computed == []
+        live.clear()
+        # with no RuntimeWarning, which the test configuration makes an error
+        assert not simulate_trials(model, "sr", 2.0**11, NO_CHANGE, 300, 4, 3).any()
+        assert computed == [(t, 4) for t in range(1, 301)]
+        computed.clear()
+
+
+@pytest.mark.parametrize("nu", [1, 25, NO_CHANGE])
+def test_sr_trials_at_the_edges_of_the_bound_ranges_equal_per_trial_runs(nu):
+    # at thresholds of +-2**11 every step settles through logsumexp_rows, one
+    # below them the bound rules steps out; on a constant mean of 64 a
+    # post-change step adds about 2**11, so the runs cross near those thresholds
+    models = (
+        gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)),
+        gaussian_model(MeanSchedule.arctangent()),
+        constant_model(64.0),
+    )
+    for model in models:
+        for threshold in (-(2.0**11), -(2.0**11) + 1.0, 2.0**11 - 1.0, 2.0**11):
+            want = per_trial_taus(model, "sr", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
+            got = simulate_trials(model, "sr", threshold, nu, GATE_HORIZON, GATE_TRIALS, 61)
+            assert np.array_equal(got, want), (model.schedule.kind, threshold)
 
 
 def test_lockstep_chunks_of_bounded_trials_equal_chunks_of_one(monkeypatch):
@@ -367,20 +404,7 @@ def test_folded_sr_trials_at_the_benchmark_settings_equal_per_trial_runs(monkeyp
     # step that may cross computes the statistic of the few rows in reach
     model = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
     threshold, horizon, trials = math.log(300.0), 6000, 40
-    live, computed = [], []
-    push, logsumexp_rows = detectors._CandidateBuffer.push, detectors.logsumexp_rows
-
-    def counted_push(self, *args):
-        view = push(self, *args)
-        live.append(view.shape[1])
-        return view
-
-    def counted_logsumexp_rows(values, *args):
-        computed.append((len(live), values.shape[1]))
-        return logsumexp_rows(values, *args)
-
-    monkeypatch.setattr(detectors._CandidateBuffer, "push", counted_push)
-    monkeypatch.setattr(detectors, "logsumexp_rows", counted_logsumexp_rows)
+    live, computed = count_settled_steps(monkeypatch)
     got = simulate_trials(model, "sr", threshold, NO_CHANGE, horizon, trials, 17)
     steps = {step for step, _ in computed}
     assert len(steps) < len(live) / 2  # most steps skip the log-sum-exp

@@ -219,6 +219,8 @@ def test_trial_generators_do_not_depend_on_the_range():
         lambda: derive_seed(-1, 0),
         lambda: trial_generators(-1, np.arange(1)),
         lambda: trial_generators(2**64, np.arange(1)),  # ChangeSpec's range: seeds lie in [0, 2**64)
+        lambda: derive_seed(7, -1),
+        lambda: trial_generators(7, np.array([3, -1])),  # an index, too, is refused rather than wrapped
     )
     for bad in bad_seeds:
         with pytest.raises(ValueError, match="non-negative"):

@@ -1,16 +1,19 @@
 """Print what one lockstep step costs, in µs, at 1, 64 and 907 live rows.
 
-Two kernels, each at horizon 2000 on pre-change paths with a threshold that
+Three kernels, each at horizon 2000 on pre-change paths with a threshold that
 no run crosses, so every row stays live for every step:
 
 - bounded ex-cusum on the arctangent schedule (``detectors._bounded_lockstep``
   with the envelope of ``detectors._certified_tail``);
 - folded Shiryaev-Roberts on ``linear-saturating(0.1, 1)``
+  (``detectors.run_detector_batch``);
+- unfolded Shiryaev-Roberts on the arctangent schedule, which never
+  saturates, so each row keeps one sum per step taken, up to 2000
   (``detectors.run_detector_batch``).
 
 The paths are drawn before the clock starts, so sampling is not timed.  Each
-figure is the best of 3 runs, divided by the horizon.  The folded SR row
-never crosses, so it times the steps that settle nothing; a last line times
+figure is the best of 3 runs, divided by the horizon.  The SR rows never
+cross, so they time the steps that settle nothing; a last line times
 ``metrics.simulate_trials`` on the ``sr-saturating`` benchmark settings (220
 trials of SR on ``linear-saturating(0.1, 1)``, threshold log 300, horizon
 6000), sampling and crossings included, in ms, best of 3.
@@ -73,6 +76,11 @@ def main() -> int:
         (
             "folded sr, linear-saturating(0.1, 1)",
             saturating,
+            lambda model, streams: run_detector_batch("sr", model, streams, THRESHOLD, HORIZON),
+        ),
+        (
+            "sr, arctangent (unfolded)",
+            arctan,
             lambda model, streams: run_detector_batch("sr", model, streams, THRESHOLD, HORIZON),
         ),
     )
