@@ -190,10 +190,10 @@ class TradeoffConfig:
         if (
             not isinstance(gammas, list)
             or not gammas
-            or any(isinstance(g, bool) or not isinstance(g, (int, float)) or g <= 1.0 for g in gammas)
+            or any(isinstance(g, bool) or not isinstance(g, (int, float)) or not 1.0 < g < math.inf for g in gammas)
             or any(b <= a for a, b in zip(gammas, gammas[1:]))
         ):
-            raise ConfigError(f"{path}.gammas", "expected an increasing list of numbers > 1")
+            raise ConfigError(f"{path}.gammas", "expected an increasing list of finite numbers > 1")
         arl_trials = _integer(obj, path, "arl_trials", minimum=1) if "arl_trials" in obj else None
         return cls(gammas=tuple(float(g) for g in gammas), arl_trials=arl_trials)
 

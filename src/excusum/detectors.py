@@ -20,15 +20,16 @@ built-in schedule but arctangent has one (geometric-approach from where
 1 - ratio**n rounds to 1).  The classic CUSUM is this engine folded at
 L = 0 on the age-0 ratio.  For families that never saturate (arctangent)
 no constant-memory recursion of the exact statistic exists, but the Monte
-Carlo runs of ex-cusum still need only O(_HEAD) per step: _bounded_lockstep
-keeps the newest _HEAD candidates exact and folds the older ones into one
-tail that gains the model's llr_envelope, an upper bound of their ratios,
-so the tail bounds them from above.  A run whose head crosses stops
-exactly; one whose tail comes within _TAIL_MARGIN of the threshold leaves,
-for its caller to rerun on the exact state, so every stopping time is the
-exact run's.  run_detector, statistic_trace and run_detector_batch stay
-exact; an optional window caps the candidate count of any run at the price
-of an uncharacterized approximation.  The candidate buffer owns all of
+Carlo runs of ex-cusum still need only O(_HEAD) per step: given the
+envelope of _certified_tail, _lockstep keeps the newest _HEAD candidates
+exact and folds the older ones into one tail that gains the model's
+llr_envelope, an upper bound of their ratios, so the tail bounds them from
+above.  A run whose head crosses stops exactly; one whose tail comes within
+_TAIL_MARGIN of the threshold leaves, for its caller to rerun without the
+envelope, so every stopping time is the exact run's.  run_detector,
+statistic_trace and _lockstep without an envelope stay exact; an optional
+window caps the candidate count of any run at the price of an
+uncharacterized approximation.  The candidate buffer owns all of
 this: how many columns are read, whether older candidates are dropped,
 folded or bounded, and SR's tail weight.
 
@@ -46,17 +47,18 @@ one test of a statistic against a threshold, for every stop decision.
 Every per-sample ratio comes from the model's llr_prefix hook.
 
 States are single-owner: mutate them only from their owning run.  A state
-holds one stream (a 1-d array of running sums); run_detector_batch builds
-private states of one candidate-major row per run, which take one lockstep
-step for every kind (_lockstep) and drop each finished row.  The public
-ExCusumState and SrState never fold, and serve as the reference.
+holds one stream (a 1-d array of running sums) or, built by _lockstep, one
+candidate-major row per run, and drops each finished row.  Either way a step
+is the buffer's push and the kind's one reduction, _reduce: the max for
+ex-cusum and CUSUM, the log-sum-exp for SR.  The public ExCusumState and
+SrState never fold, and serve as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,10 +113,10 @@ _SR_MARGIN = 2.0**-24
 class _CandidateBuffer:
     """Right-aligned running sums of the candidate change points.
 
-    The sums of one stream form a 1-d array of columns; run_detector_batch
-    stacks one row per run into a candidate-major array of (columns, rows),
-    and every operation below acts on axis 0, so both shapes go through the
-    same arithmetic.  The candidates occupy buf[pos:], newest first: column
+    The sums of one stream form a 1-d array of columns; _lockstep stacks one
+    row per run into a candidate-major array of (columns, rows), and every
+    operation below acts on axis 0, so both shapes go through the same
+    arithmetic.  The candidates occupy buf[pos:], newest first: column
     pos + j holds the candidate of age j, whose increment at the next
     observation is the log-likelihood ratio at age index j.  That makes every
     per-step update one contiguous block.  When at most ``limit`` columns are
@@ -127,10 +129,11 @@ class _CandidateBuffer:
     L = limit - 1, every candidate of age index >= L gains the same
     increment, so they share one tail column at age index L, and each step
     the candidate that reaches it takes the old tail in through the state's
-    merge.  With a ``bound`` per row (_bounded_lockstep) the fold bounds
-    rather than sums: the tail column gains bound, at least the ratio of
-    every age it holds, so it stays at or above each of its candidates' sums
-    (to rounding, see _TAIL_MARGIN) while the newest limit - 1 stay exact.
+    merge.  With a ``bound`` per row (_lockstep given an envelope) the fold
+    bounds rather than sums: the tail column gains bound, at least the ratio
+    of every age it holds, so it stays at or above each of its candidates'
+    sums (to rounding, see _TAIL_MARGIN) while the newest limit - 1 stay
+    exact.
     The buffer also keeps SR's tail weight, ``scale``.
     """
 
@@ -218,11 +221,13 @@ class _CandidateBuffer:
 
 
 class _SumsState:
-    """What the three states share: the candidate sums, and the max
-    reduction, its lockstep _settle and its merge (ex-cusum and CUSUM)."""
+    """What the three states share: the candidate sums and the one-stream
+    step, and the max reduction, its lockstep _settle and its merge (ex-cusum
+    and CUSUM)."""
 
     _cands: _CandidateBuffer
-    #: whether the last column bounds the older candidates (_bounded_lockstep)
+    #: whether the last column bounds the older candidates (_lockstep given
+    #: an envelope)
     _bounded = False
 
     @property
@@ -230,7 +235,11 @@ class _SumsState:
         return self._cands.n
 
     def _advance(self, x, model: DensityModel):
-        return np.maximum.reduce(self._cands.push(x, model, self._merge), axis=0)
+        return self._reduce(self._cands.push(x, model, self._merge))
+
+    def _reduce(self, sums: np.ndarray, m=None):
+        """The statistic of each stream from its sums (axis 0)."""
+        return np.maximum.reduce(sums, axis=0)
 
     def _settle(self, sums: np.ndarray, calm: float):
         """(None, None) where the largest sum, a bounded tail's too, stays
@@ -240,8 +249,8 @@ class _SumsState:
         if np.maximum.reduce(sums, axis=None) < calm:
             return None, None
         if not self._bounded:
-            return np.maximum.reduce(sums, axis=0), None
-        return np.maximum.reduce(sums[:_HEAD], axis=0), sums[_HEAD] if self._cands.n > _HEAD else None
+            return self._reduce(sums), None
+        return self._reduce(sums[:_HEAD]), sums[_HEAD] if self._cands.n > _HEAD else None
 
     @staticmethod
     def _merge(pair: np.ndarray) -> None:
@@ -258,7 +267,7 @@ class ExCusumState(_SumsState):
 
     def __init__(self, window: int | None = None) -> None:
         self.statistic = -math.inf
-        self._cands = _CandidateBuffer(limit=_layout("ex-cusum", window, None)[0])
+        self._cands = _CandidateBuffer(None, *_layout("ex-cusum", window, None))
 
 
 def ex_cusum_step(state: ExCusumState, x: float, model: DensityModel) -> ExCusumState:
@@ -280,18 +289,17 @@ class SrState(_SumsState):
 
     def __init__(self) -> None:
         self.log_statistic = -math.inf
-        self._cands = _CandidateBuffer()
+        self._cands = _CandidateBuffer(None, *_layout("sr", None, None))
 
-    def _advance(self, x, model: DensityModel):
-        cands = self._cands
-        view = cands.push(x, model, self._merge)
+    def _reduce(self, sums: np.ndarray, m=None):
         # _tmp's contents are dead once push() has folded them into the sums
-        return logsumexp_rows(view, cands._tmp.reshape(-1), cands.scale)
+        cands = self._cands
+        return logsumexp_rows(sums, cands._tmp.reshape(-1), cands.scale, m)
 
     def _settle(self, sums: np.ndarray, calm: float):
         """(None, None) where _sr_bound of the largest sum and scale, which
         bounds every row's, stays below ``calm``; else each row's _sr_bound,
-        and where it reaches calm its statistic as _advance computes it (on
+        and where it reaches calm its statistic as _reduce computes it (on
         every row when those are not a minority), and no tail."""
         scale = self._cands.scale
         top_scale = 1.0 if scale is None else np.maximum.reduce(scale)
@@ -301,10 +309,10 @@ class SrState(_SumsState):
         stat = _sr_bound(m, sums.shape[0], 1.0 if scale is None else scale)
         reach = ~(stat < calm)
         count = np.count_nonzero(reach)
-        scratch = self._cands._tmp.reshape(-1)
         if 2 * count >= m.size:
-            return logsumexp_rows(sums, scratch, scale, m), None
+            return self._reduce(sums, m), None
         if count:
+            scratch = self._cands._tmp.reshape(-1)
             stat[reach] = logsumexp_rows(sums[:, reach], scratch, None if scale is None else scale[reach], m[reach])
         return stat, None
 
@@ -343,7 +351,7 @@ class CusumState(_SumsState):
 
     def __init__(self) -> None:
         self.statistic = 0.0
-        self._cands = _CandidateBuffer(limit=1, fold=True)
+        self._cands = _CandidateBuffer(None, *_layout("cusum", None, None))
 
 
 def cusum_step(state: CusumState, x: float, model: DensityModel) -> CusumState:
@@ -413,10 +421,11 @@ def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | 
 
 def _layout(kind: str, window: int | None, model: DensityModel | None, bounded: bool = False):
     """(limit, fold) of a state's candidate buffer: a window keeps the newest
-    ``window`` sums, a ``bounded`` run (_bounded_lockstep) _HEAD and its tail;
-    otherwise CUSUM folds at 0 and the other kinds at the saturation index of
-    ``model`` (None for a public state, which never folds), or keep every sum
-    where there is none."""
+    ``window`` sums, a ``bounded`` run (_lockstep given an envelope) _HEAD
+    and its tail; otherwise CUSUM folds at 0 and the other kinds at the
+    saturation index of ``model`` (None for a public state, which never
+    folds), or keep every sum where there is none.  ``limit`` is the most
+    sums a run keeps per stream, None when they grow with n."""
     spec = DETECTORS.get(kind)
     if spec is None:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {list(DETECTORS)}")
@@ -432,14 +441,8 @@ def _layout(kind: str, window: int | None, model: DensityModel | None, bounded: 
     return (None, False) if saturation is None else (saturation + 1, True)
 
 
-def _retained_columns(kind: str, window: int | None, model: DensityModel, bounded: bool = False) -> int | None:
-    """Most candidate sums a run keeps per stream, or None when they grow with
-    n.  A ``bounded`` run (_bounded_lockstep) keeps _HEAD and its tail."""
-    return _layout(kind, window, model, bounded)[0]
-
-
 def _certified_tail(kind: str, window: int | None, model: DensityModel, threshold: float, horizon: int):
-    """The envelope with which _bounded_lockstep runs ex-cusum on a family
+    """The envelope with which _lockstep runs ex-cusum on a family
     that never saturates, or None where the runs keep the exact state:
     another kind, a window, a saturating family, one without an llr_envelope
     for the ages past _HEAD, a horizon by which no candidate gets there, or a
@@ -482,31 +485,6 @@ def run_detector(
     return StopResult(tau=None, censored_at=horizon)
 
 
-def run_detector_batch(
-    kind: str,
-    model: DensityModel,
-    streams: list[Iterator[np.ndarray]],
-    threshold: float,
-    horizon: int,
-    *,
-    window: int | None = None,
-) -> np.ndarray:
-    """Run one detector per stream in lockstep and return the stopping times.
-
-    Each stream yields a run's observations as 1-d blocks, and the k-th
-    blocks of all streams have one length (as process._sample_blocks gives
-    for paths with one change point and horizon).  The result is an int64
-    array holding run r's tau, or 0 where run r is censored at the horizon,
-    and it equals run_detector(kind, model, <stream r's observations>,
-    threshold, horizon, window=window) exactly: all live runs take each step
-    together, through the same update and reduction, and a run is dropped
-    once it crosses.  A stream is read one block at a time and only while
-    its run is live.  The checks are run_detector's, applied to live runs
-    only; when several runs fail, the error names the earliest failing step.
-    """
-    return _lockstep(kind, model, streams, threshold, horizon, window)
-
-
 def _sr_bound(m, columns: int, scale):
     """At least the SR statistic logsumexp_rows computes from a row's
     ``columns`` sums, given their max ``m`` and the tail's scale (1 for an
@@ -521,27 +499,35 @@ def _sr_bound_holds(threshold: float, horizon: int) -> bool:
     return -(2.0**11) < threshold < 2.0**11 and horizon <= 2**24
 
 
-def _bounded_lockstep(model: DensityModel, streams, threshold: float, horizon: int, envelope) -> np.ndarray:
-    """run_detector_batch for ex-cusum with a bounded tail, the ``envelope``
-    of _certified_tail: each run keeps its newest _HEAD candidates exact and
-    bounds the older ones by one tail column that gains envelope(x), so
-    max(head) <= W_n <= max(head, tail) with W_n the exact statistic (to
-    rounding, see _TAIL_MARGIN).  A run stops where its head crosses and
-    goes on where its tail is at most threshold - _TAIL_MARGIN.  Otherwise,
-    or where its next block holds an |x| of _X_BOUND or more (NaN too), it
-    leaves with tau -1, to be rerun on the exact state; every other tau is
-    run_detector_batch's."""
-    return _lockstep("ex-cusum", model, streams, threshold, horizon, None, envelope)
+def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, window, envelope) -> np.ndarray:
+    """Run one detector per stream in lockstep and return the int64 stopping
+    times: run r's tau, or 0 where run r is censored at the horizon.
 
+    Each stream yields a run's observations as 1-d blocks, and the k-th
+    blocks of all streams have one length (as process._sample_blocks gives
+    for paths with one change point and horizon).  A stream is read one
+    block at a time and only while its run is live.  With ``envelope`` None
+    each tau equals run_detector(kind, model, <stream r's observations>,
+    threshold, horizon, window=window) exactly: all live runs take each step
+    together, through the same update and reduction, and a run is dropped
+    once it crosses.  The checks are run_detector's, applied to live runs
+    only; when several runs fail, the error names the earliest failing step.
 
-def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, window, envelope=None):
-    """The one step loop of run_detector_batch and _bounded_lockstep, one step
-    for every kind: push the live runs' observations (a bounded run's with
-    the envelope's tail bound), then the state's _settle, which reads one
-    upper bound of the step's largest statistic and works out each run's
-    statistic and tail only where that bound reaches calm, the ceiling below
-    which nothing settles.  ``envelope`` and the observations' check run per
-    block."""
+    With the ``envelope`` of _certified_tail (ex-cusum, no window) each run
+    keeps its newest _HEAD candidates exact and bounds the older ones by one
+    tail column that gains envelope(x), so max(head) <= W_n <= max(head,
+    tail) with W_n the exact statistic (to rounding, see _TAIL_MARGIN).  A
+    run stops where its head crosses and goes on where its tail is at most
+    threshold - _TAIL_MARGIN.  Otherwise, or where its next block holds an
+    |x| of _X_BOUND or more (NaN too), it leaves with tau -1, to be rerun
+    with no envelope; every other tau is the exact run's.
+
+    Every kind takes one step: push the live runs' observations (a bounded
+    run's with the envelope's tail bound), then the state's _settle, which
+    reads one upper bound of the step's largest statistic and works out each
+    run's statistic and tail only where that bound reaches calm, the ceiling
+    below which nothing settles.  ``envelope`` and the observations' check
+    run per block."""
     state, spec = _start(kind, window, model, horizon, threshold, len(streams), envelope is not None)
     # below calm no statistic crosses or is +inf or NaN, and no tail passes the ceiling
     ceiling = threshold if envelope is None else threshold - _TAIL_MARGIN

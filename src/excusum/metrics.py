@@ -17,7 +17,7 @@ essential-supremum machinery.
 Trials are seeded individually (seed, trial index), making every estimate
 bit-reproducible and independent of trial order.  They run in chunks, all
 trials of a chunk advancing in lockstep through one detector step per time
-index (see run_detector_batch), so the per-step interpreter and numpy call
+index (see detectors._lockstep), so the per-step interpreter and numpy call
 overhead is paid once per chunk instead of once per trial; a trial's outcome
 does not depend on the chunk it runs in.
 """
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import process
-from .detectors import StopResult, _bounded_lockstep, _certified_tail, _retained_columns, run_detector_batch
+from .detectors import StopResult, _certified_tail, _layout, _lockstep
 from .models import DensityModel
 from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed, trial_generators
 
@@ -115,23 +115,19 @@ def simulate_trials(
     if isinstance(trials, bool) or trials < 1:
         raise EstimationError("at least one trial is required")
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
-    envelope = _certified_tail(detector, window, model, threshold, horizon)
     taus = np.empty(trials, dtype=np.int64)
 
-    def run(ids: np.ndarray, bounded: bool) -> None:
-        retained = _retained_columns(detector, window, model, bounded)
+    def run(ids: np.ndarray, envelope) -> None:
+        retained = _layout(detector, window, model, envelope is not None)[0]
         per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
         chunk = max(1, _CHUNK_ELEMENTS // per_trial)
         for k in range(0, ids.size, chunk):
             part = ids[k : k + chunk]
             streams = [_sample_blocks(model, nu, horizon, rng) for rng in trial_generators(seed, part)]
-            if bounded:
-                taus[part] = _bounded_lockstep(model, streams, threshold, horizon, envelope)
-            else:
-                taus[part] = run_detector_batch(detector, model, streams, threshold, horizon, window=window)
+            taus[part] = _lockstep(detector, model, streams, threshold, horizon, window, envelope)
 
-    run(np.arange(trials), envelope is not None)
-    run(np.flatnonzero(taus < 0), False)
+    run(np.arange(trials), _certified_tail(detector, window, model, threshold, horizon))
+    run(np.flatnonzero(taus < 0), None)
     return taus
 
 
@@ -353,8 +349,8 @@ def tradeoff_curve(
     horizon.  ``arl_trials`` can reduce the (much costlier) false-alarm side.
     """
     gs = [float(g) for g in gammas]
-    if not gs or any(g <= 1.0 for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
-        raise ValueError("gammas must be an increasing sequence of values > 1")
+    if not gs or any(not 1.0 < g < math.inf for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
+        raise ValueError("gammas must be an increasing sequence of finite values > 1")
     info = model.information_number()
     # a model without a delay horizon fails before any run, naming I
     default_delay_horizon(1, math.log(gs[0]), info)

@@ -476,10 +476,9 @@ def llr(model: DensityModel, post_index, x):
 
 
 def kl_divergence(model: DensityModel, n: int) -> float:
-    """D(f_n || g): the checked form of model.kl."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return float(model.kl(n))
+    """D(f_n || g): the checked form of model.kl.  Raises ValueError for a
+    negative or non-integer index, as llr does."""
+    return float(model.kl(_checked_index(n, "index")))
 
 
 class MlrCheck(NamedTuple):

@@ -5,6 +5,7 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from excusum import metrics
@@ -120,6 +121,9 @@ def test_every_detector_kind_is_accepted_and_windows_only_where_allowed():
             {"family": "gaussian", "schedule": {"kind": "linear-saturating", "mu": 1.0, "params": {"slope": -1}}},
             "model.schedule",
         ),
+        # a NaN gamma failed at its ARL horizon, and an infinite one never finished
+        ("tradeoff", {"gammas": [7.38, math.nan]}, "tradeoff.gammas"),
+        ("tradeoff", {"gammas": [7.38, math.inf]}, "tradeoff.gammas"),
     ],
 )
 def test_config_rejected_at_load_exits_2_before_running(tmp_path, capsys, section, value, path):
@@ -601,6 +605,114 @@ def test_simulate_command_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"simulate: PASS trials=6 stopped=3 censored=3 false_alarms=1 -> {out}/outcomes.csv\n"
     )
+
+
+#: arl.csv, arl.json and cadd.csv, cadd.json of test_lockstep_command_bytes
+ARL_BOUNDED_CSV = """gamma,A,trials,mean_tau,stderr,censored_frac,lcb95
+20,2.9957322735539909,8,75.5,22.884024371350666,0,37.859129513537972
+"""
+ARL_BOUNDED_JSON = """{
+  "A": 2.995732273553991,
+  "censored_frac": 0.0,
+  "gamma": 20.0,
+  "lcb95": 37.85912951353797,
+  "mean_tau": 75.5,
+  "stderr": 22.884024371350666,
+  "trials": 8
+}
+"""
+ARL_SR_CSV = """gamma,A,trials,mean_tau,stderr,censored_frac,lcb95
+20,2.9957322735539909,8,28.5,3.5707142142714248,0,22.62669777384847
+"""
+ARL_SR_JSON = """{
+  "A": 2.995732273553991,
+  "censored_frac": 0.0,
+  "gamma": 20.0,
+  "lcb95": 22.62669777384847,
+  "mean_tau": 28.5,
+  "stderr": 3.5707142142714248,
+  "trials": 8
+}
+"""
+CADD_RERUN_CSV = """gamma,A,nu,trials,accepted,mean_delay,stderr
+2.3538526683702e+17,40,1,8,8,34.375,1.870232032968866
+"""
+CADD_RERUN_JSON = """{
+  "A": 40.0,
+  "accepted": 8,
+  "gamma": 2.3538526683702e+17,
+  "mean_delay": 34.375,
+  "nu": 1,
+  "stderr": 1.870232032968866,
+  "trials": 8
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, schedule, detector, run, files, summary, bounded, reruns",
+    [
+        # bounded ex-cusum: every trial runs with the certified tail, none reruns
+        (
+            "arl",
+            {"kind": "arctangent"},
+            {"detector": "ex-cusum", "gamma": 20.0},
+            {"horizon": 400, "seed": 3},
+            (ARL_BOUNDED_CSV, ARL_BOUNDED_JSON),
+            "mean_tau=75.5 lcb95=37.8591 gamma=20 censored=0.000",
+            8,
+            0,
+        ),
+        # SR folded at the saturation index, exact with no envelope
+        (
+            "arl",
+            {"kind": "linear-saturating", "mu": 1.0, "params": {"slope": 0.1}},
+            {"detector": "sr", "gamma": 20.0},
+            {"horizon": 400, "seed": 4},
+            (ARL_SR_CSV, ARL_SR_JSON),
+            "mean_tau=28.5 lcb95=22.6267 gamma=20 censored=0.000",
+            0,
+            0,
+        ),
+        # at A = 40 most delays outrun the exact head, so most trials rerun
+        (
+            "cadd",
+            {"kind": "arctangent"},
+            {"detector": "ex-cusum", "threshold": 40.0},
+            {"nu": 1, "seed": 1},
+            (CADD_RERUN_CSV, CADD_RERUN_JSON),
+            "nu=1 mean_delay=34.375 stderr=1.87 accepted=8/8",
+            8,
+            6,
+        ),
+    ],
+    ids=["arl-bounded-ex-cusum", "arl-folded-sr", "cadd-reruns"],
+)
+def test_lockstep_command_bytes(
+    tmp_path, capsys, monkeypatch, command, schedule, detector, run, files, summary, bounded, reruns
+):
+    # the bytes of the lockstep paths' tables, recorded before the lockstep
+    # loop lost its wrappers; the trials that ran bounded and reran are counted
+    counts = {"bounded": 0, "reruns": 0}
+    lockstep = metrics._lockstep
+
+    def counted(*args):
+        taus = lockstep(*args)
+        if args[-1] is not None:
+            counts["bounded"] += taus.size
+            counts["reruns"] += int(np.count_nonzero(taus < 0))
+        return taus
+
+    monkeypatch.setattr(metrics, "_lockstep", counted)
+    obj = base_config(tmp_path / "out", trials=8, **run)
+    obj["model"]["schedule"] = schedule
+    obj["detector"] = detector
+    assert main([command, "--config", write_config(tmp_path, obj), "--format", "json"]) == 0
+    out = tmp_path / "out"
+    assert (out / f"{command}.csv").read_bytes() == files[0].encode()
+    assert (out / f"{command}.json").read_bytes() == files[1].encode()
+    assert capsys.readouterr() == (f"{command}: PASS {summary} -> {out}/{command}.csv\n", "")
+    assert counts == {"bounded": bounded, "reruns": reruns}
 
 
 def test_chunk_size_does_not_change_simulate_output(tmp_path, monkeypatch):

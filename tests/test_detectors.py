@@ -470,14 +470,14 @@ def test_both_runners_report_a_non_finite_observation_alike(support, bad):
     if math.isfinite(bad) and support[1] == math.inf:
         for kind in detectors.DETECTORS:
             want = [run_detector(kind, model, x, 10.0, 3).tau or 0 for x in (xs, other)]
-            assert detectors.run_detector_batch(kind, model, [iter([xs]), iter([other])], 10.0, 3).tolist() == want
+            assert detectors._lockstep(kind, model, [iter([xs]), iter([other])], 10.0, 3, None, None).tolist() == want
         return
     message = "observation 25.0 outside support [-20.0, 20.0]" if math.isfinite(bad) else "observation must be finite"
     for kind in detectors.DETECTORS:
         with pytest.raises(ValueError) as single:
             run_detector(kind, model, xs, 10.0, 3)
         with pytest.raises(ValueError) as batch:
-            detectors.run_detector_batch(kind, model, [iter([xs.copy()]), iter([other.copy()])], 10.0, 3)
+            detectors._lockstep(kind, model, [iter([xs.copy()]), iter([other.copy()])], 10.0, 3, None, None)
         assert str(single.value) == str(batch.value) == message, kind
 
 

@@ -26,7 +26,7 @@ from excusum import (
 )
 from excusum import detectors, metrics, process
 from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
-from excusum.detectors import StopResult, run_detector_batch
+from excusum.detectors import StopResult
 from excusum.process import derive_seed
 
 from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model, with_information_number
@@ -119,8 +119,7 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
         sizes.append(len(streams))
         return np.zeros(len(streams), np.int64)
 
-    monkeypatch.setattr(metrics, "run_detector_batch", lambda kind, model, streams, *rest, **kw: record(streams))
-    monkeypatch.setattr(metrics, "_bounded_lockstep", lambda model, streams, *rest: record(streams))
+    monkeypatch.setattr(metrics, "_lockstep", lambda kind, model, streams, *rest: record(streams))
     arctan = gaussian_model(MeanSchedule.arctangent())
     saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
     bounded = 2**18 // (process._CHUNK + detectors._HEAD + 1)  # a bounded tail: _HEAD exact sums and the tail
@@ -140,21 +139,27 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
 
 
 def exact_taus(model, threshold, nu, horizon, trials, seed):
-    """The exact kernel: every trial's own stream through run_detector_batch."""
+    """The exact kernel: every trial's own stream through _lockstep with no envelope."""
     rngs = process.trial_generators(seed, np.arange(trials))
     streams = [process._sample_blocks(model, nu, horizon, rng) for rng in rngs]
-    return run_detector_batch("ex-cusum", model, streams, threshold, horizon)
+    return detectors._lockstep("ex-cusum", model, streams, threshold, horizon, None, None)
 
 
-def count_reruns(monkeypatch) -> list:
-    """Record the trial count of every exact rerun simulate_trials makes."""
+def count_reruns(monkeypatch, bounded=None) -> list:
+    """Record the trial count of every exact lockstep chunk simulate_trials
+    runs (its reruns, on a bounded run); ``bounded``, if given, replaces the
+    bounded pass, a function of the chunk's streams."""
     reruns = []
+    lockstep = detectors._lockstep
 
-    def counted(kind, model, streams, *args, **kwargs):
-        reruns.append(len(streams))
-        return run_detector_batch(kind, model, streams, *args, **kwargs)
+    def counted(kind, model, streams, threshold, horizon, window, envelope):
+        if envelope is None:
+            reruns.append(len(streams))
+        elif bounded is not None:
+            return bounded(streams)
+        return lockstep(kind, model, streams, threshold, horizon, window, envelope)
 
-    monkeypatch.setattr(metrics, "run_detector_batch", counted)
+    monkeypatch.setattr(metrics, "_lockstep", counted)
     return reruns
 
 
@@ -231,15 +236,15 @@ def test_a_bad_value_only_a_stopped_run_would_read_is_never_checked():
     for kind in ("ex-cusum", "sr", "cusum"):
         want = [run_detector(kind, model, b, 5.0, 8) for b in blocks]
         assert [r.tau for r in want] == [1, None, None]
-        assert run_detector_batch(kind, model, streams(blocks), 5.0, 8).tolist() == [1, 0, 0]
+        assert detectors._lockstep(kind, model, streams(blocks), 5.0, 8, None, None).tolist() == [1, 0, 0]
         # a live run's bad value still raises, at its step
         bad = blocks.copy()
         bad[2, 6] = 25.0
         with pytest.raises(ValueError, match="outside support"):
-            run_detector_batch(kind, model, streams(bad), 5.0, 8)
+            detectors._lockstep(kind, model, streams(bad), 5.0, 8, None, None)
         bad[1, 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            run_detector_batch(kind, model, streams(bad), 5.0, 8)
+            detectors._lockstep(kind, model, streams(bad), 5.0, 8, None, None)
 
 
 def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
@@ -247,8 +252,7 @@ def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
     # _CHUNK_ELEMENTS // horizon trials at a time, not the bounded chunk
     model = gaussian_model(MeanSchedule.arctangent())
     horizon = 2**14
-    monkeypatch.setattr(metrics, "_bounded_lockstep", lambda model, streams, *rest: np.full(len(streams), -1))
-    reruns = count_reruns(monkeypatch)
+    reruns = count_reruns(monkeypatch, bounded=lambda streams: np.full(len(streams), -1))
     got = simulate_trials(model, "ex-cusum", 2.0, 1, horizon, 40, 3)
     assert np.array_equal(got, exact_taus(model, 2.0, 1, horizon, 40, 3))
     assert metrics._CHUNK_ELEMENTS // horizon == 16 and reruns == [16, 16, 8]
@@ -437,7 +441,7 @@ def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
         support=(-math.inf, math.inf),
     )
     # the same +inf ratio at every age, so the family may also fold at age 2,
-    # which sends SR through run_detector_batch's bounded folded step
+    # which sends SR through _lockstep's folded step
     folded = type("FoldedSpiky", (DensityModel,), {"saturation_index": lambda self: 2})(
         **{f.name: getattr(spiky, f.name) for f in dataclasses.fields(spiky)}
     )
@@ -572,11 +576,11 @@ def test_estimators_refuse_a_bool_trial_count(arctan_model):
 def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
     # with the detector replaced by fixed stopping times (0: censored), the
     # estimates are plain arithmetic with no Monte Carlo noise
-    def fixed(kind, model, streams, threshold, horizon, *, window=None):
-        assert len(streams) == 7
+    def fixed(kind, model, streams, threshold, horizon, window, envelope):
+        assert len(streams) == 7 and envelope is None
         return np.array([0, 3, 9, 10, 14, 0, 25], np.int64)
 
-    monkeypatch.setattr(metrics, "run_detector_batch", fixed)
+    monkeypatch.setattr(metrics, "_lockstep", fixed)
     arl = estimate_arl2fa(arctan_model, "ex-cusum", threshold=0.0, trials=7, horizon=30, seed=1)
     # censored runs count at the horizon: 30 + 3 + 9 + 10 + 14 + 30 + 25
     assert arl.mean_tau == 121 / 7
@@ -720,6 +724,10 @@ def test_tradeoff_validates_gammas(arctan_model):
         tradeoff_curve(arctan_model, (5.0, 2.0), trials=10, seed=1)
     with pytest.raises(ValueError):
         tradeoff_curve(arctan_model, (0.5, 2.0), trials=10, seed=1)
+    # non-finite gammas would give a NaN horizon or an endless exact run
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tradeoff_curve(arctan_model, (math.e**2, bad), trials=10, seed=1)
 
 
 # ---------------------------------------------------------------------------

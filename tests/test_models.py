@@ -222,6 +222,15 @@ def test_kl_hook_is_kl_divergence_bit_for_bit(n, arctan_model):
         assert got.tobytes() == np.array([kl_divergence(model, j) for j in range(n)]).tobytes()
 
 
+@pytest.mark.parametrize("n", [-1, 2.0, True], ids=["negative", "float", "bool"])
+def test_kl_divergence_checks_its_index_like_llr(n, arctan_model):
+    for model in (arctan_model, plain(arctan_model)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            kl_divergence(model, n)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            llr(model, n, 0.5)
+
+
 def test_kl_without_closed_form_is_quadrature():
     bare = DensityModel(
         pre_change_log_density=lambda x: normal_logpdf(np.asarray(x, float), 0.0),

@@ -1,15 +1,15 @@
 """Print what one lockstep step costs, in µs, at 1, 64 and 907 live rows.
 
-Three kernels, each at horizon 2000 on pre-change paths with a threshold that
-no run crosses, so every row stays live for every step:
+Three kernels of ``detectors._lockstep``, each at horizon 2000 on pre-change
+paths with a threshold that no run crosses, so every row stays live for every
+step:
 
-- bounded ex-cusum on the arctangent schedule (``detectors._bounded_lockstep``
-  with the envelope of ``detectors._certified_tail``);
-- folded Shiryaev-Roberts on ``linear-saturating(0.1, 1)``
-  (``detectors.run_detector_batch``);
+- bounded ex-cusum on the arctangent schedule, given the envelope of
+  ``detectors._certified_tail``;
+- folded Shiryaev-Roberts on ``linear-saturating(0.1, 1)``;
 - unfolded Shiryaev-Roberts on the arctangent schedule, which never
-  saturates, so each row keeps one sum per step taken, up to 2000
-  (``detectors.run_detector_batch``).
+  saturates, so each row keeps one sum per step taken, up to 2000.  It is
+  timed at 1 and 64 rows only: at 907 rows one run takes seconds.
 
 The paths are drawn before the clock starts, so sampling is not timed.  Each
 figure is the best of 3 runs, divided by the horizon.  The SR rows never
@@ -33,7 +33,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from excusum import MeanSchedule, gaussian_model, metrics  # noqa: E402
-from excusum.detectors import _bounded_lockstep, _certified_tail, run_detector_batch  # noqa: E402
+from excusum.detectors import _certified_tail, _lockstep  # noqa: E402
 from excusum.process import NO_CHANGE, _sample_blocks, trial_generators  # noqa: E402
 
 HORIZON = 2000
@@ -42,13 +42,13 @@ ROWS = (1, 64, 907)
 REPEATS = 3
 
 
-def best_us_per_step(run, model, rows: int) -> float:
+def best_us_per_step(kind: str, model, envelope, rows: int) -> float:
     paths = [list(_sample_blocks(model, NO_CHANGE, HORIZON, rng)) for rng in trial_generators(7, np.arange(rows))]
     best = float("inf")
     for _ in range(REPEATS):
         streams = [iter(blocks) for blocks in paths]
         start = time.perf_counter()
-        taus = run(model, streams)
+        taus = _lockstep(kind, model, streams, THRESHOLD, HORIZON, None, envelope)
         best = min(best, time.perf_counter() - start)
         assert not taus.any(), "a run stopped; the probe needs every row live"
     return best / HORIZON * 1e6
@@ -67,27 +67,17 @@ def main() -> int:
     arctan = gaussian_model(MeanSchedule.arctangent())
     saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
     envelope = _certified_tail("ex-cusum", None, arctan, THRESHOLD, HORIZON)
+    # (name, kind, model, envelope, rows timed)
     kernels = (
-        (
-            "bounded ex-cusum, arctangent",
-            arctan,
-            lambda model, streams: _bounded_lockstep(model, streams, THRESHOLD, HORIZON, envelope),
-        ),
-        (
-            "folded sr, linear-saturating(0.1, 1)",
-            saturating,
-            lambda model, streams: run_detector_batch("sr", model, streams, THRESHOLD, HORIZON),
-        ),
-        (
-            "sr, arctangent (unfolded)",
-            arctan,
-            lambda model, streams: run_detector_batch("sr", model, streams, THRESHOLD, HORIZON),
-        ),
+        ("bounded ex-cusum, arctangent", "ex-cusum", arctan, envelope, ROWS),
+        ("folded sr, linear-saturating(0.1, 1)", "sr", saturating, None, ROWS),
+        ("sr, arctangent (unfolded)", "sr", arctan, None, ROWS[:2]),
     )
     print(f"µs per lockstep step, horizon {HORIZON}, best of {REPEATS}")
     print(f"{'kernel':<38}" + "".join(f"{f'{r} rows':>11}" for r in ROWS))
-    for name, model, run in kernels:
-        print(f"{name:<38}" + "".join(f"{best_us_per_step(run, model, r):>11.1f}" for r in ROWS))
+    for name, kind, model, tail, rows in kernels:
+        cells = [f"{best_us_per_step(kind, model, tail, r):>11.1f}" if r in rows else f"{'-':>11}" for r in ROWS]
+        print(f"{name:<38}" + "".join(cells))
     sr_arl = best_ms(lambda: metrics.simulate_trials(saturating, "sr", math.log(300.0), NO_CHANGE, 6000, 220, 7))
     print(f"sr-saturating simulate_trials, 220 trials: {sr_arl:.1f} ms, best of {REPEATS}")
     return 0
