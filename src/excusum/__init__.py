@@ -52,7 +52,6 @@ from .models import (
     kl_divergence,
     llr,
     sample_post,
-    sample_pre,
     verify_mlr,
     verify_stochastic_dominance,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "llr",
     "run_detector",
     "sample_post",
-    "sample_pre",
     "simulate_trials",
     "slln_empirical",
     "sr_step",

@@ -15,7 +15,7 @@ saturation_index), all candidates of age >= L gain the same increment, so
 the states built for runs fold them into one tail and keep L + 1 sums: the
 tail is their max for the CUSUM statistic, exactly, and a shift with a
 scaled sum for SR, to rounding.  For the Gaussian family L is read off the
-schedule's cached means, the very values llr_prefix adds, and every
+schedule's cached means, the very values the ratio hooks add, and every
 built-in schedule but arctangent has one (geometric-approach from where
 1 - ratio**n rounds to 1).  The classic CUSUM is this engine folded at
 L = 0 on the age-0 ratio.  For families that never saturate (arctangent)
@@ -44,7 +44,8 @@ The DETECTORS table is the one list of detector kinds: each kind names its
 state class, its crossing rule (strict > for ex-cusum and SR, >= for the
 classic CUSUM) and whether it takes a window.  DetectorKind.crossed is the
 one test of a statistic against a threshold, for every stop decision.
-Every per-sample ratio comes from the model's llr_prefix hook.
+Every per-sample ratio comes from a model hook, which the candidate buffer
+picks by its shape: llr_prefix for one stream, llr_columns for lockstep rows.
 
 States are single-owner: mutate them only from their owning run.  A state
 holds one stream (a 1-d array of running sums) or, built by _lockstep, one
@@ -221,9 +222,8 @@ class _CandidateBuffer:
 
 
 class _SumsState:
-    """What the three states share: the candidate sums and the one-stream
-    step, and the max reduction, its lockstep _settle and its merge (ex-cusum
-    and CUSUM)."""
+    """What the three states share: the candidate sums, and the max
+    reduction, its lockstep _settle and its merge (ex-cusum and CUSUM)."""
 
     _cands: _CandidateBuffer
     #: whether the last column bounds the older candidates (_lockstep given
@@ -233,9 +233,6 @@ class _SumsState:
     @property
     def n(self) -> int:
         return self._cands.n
-
-    def _advance(self, x, model: DensityModel):
-        return self._reduce(self._cands.push(x, model, self._merge))
 
     def _reduce(self, sums: np.ndarray, m=None):
         """The statistic of each stream from its sums (axis 0)."""
@@ -383,8 +380,8 @@ DETECTORS = {
 
 
 def _step(state, x: float, model: DensityModel) -> float:
-    # one stream: a validated scalar observation through the state's update
-    return float(state._advance(_validate_x(model, x), model))
+    # one stream: a validated scalar observation through the buffer and the kind's reduction
+    return float(state._reduce(state._cands.push(_validate_x(model, x), model, state._merge)))
 
 
 @dataclass(frozen=True)

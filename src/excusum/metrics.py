@@ -86,6 +86,11 @@ class TrialOutcome:
         return int(self.tau - self.nu)
 
 
+def _check_trials(trials: int) -> None:
+    if isinstance(trials, bool) or trials < 1:
+        raise EstimationError("at least one trial is required")
+
+
 def simulate_trials(
     model: DensityModel,
     detector: str,
@@ -112,8 +117,7 @@ def simulate_trials(
     on the exact state, in chunks sized for what an exact trial holds, so
     every tau is the exact run's.
     """
-    if isinstance(trials, bool) or trials < 1:
-        raise EstimationError("at least one trial is required")
+    _check_trials(trials)
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
     taus = np.empty(trials, dtype=np.int64)
 
@@ -182,11 +186,13 @@ def estimate_arl2fa(
 
 
 def default_delay_horizon(nu: int, threshold: float, info: float | None) -> int:
-    """nu + 10 * ceil(A / I) steps; EstimationError when I is None or not positive."""
+    """nu + 10 * ceil(A / I) steps; EstimationError for no positive I, ValueError for A NaN or +inf."""
     if info is None:
         raise EstimationError("the model has no information number, so no delay horizon exists")
     if not info > 0.0:
         raise EstimationError(f"information number {info} is not positive, so no delay horizon exists")
+    if not threshold < math.inf:
+        raise ValueError(f"threshold {threshold} gives no delay horizon")
     return int(nu + DELAY_HORIZON_FACTOR * max(1, math.ceil(max(threshold, 0.0) / info)))
 
 
@@ -285,9 +291,9 @@ def worst_case_delay_scan(
     Statist. 42(6)) on a finite nu grid, averaging over pre-change histories
     where Lorden takes their essential supremum.  A nu with no accepted runs
     is flagged in its cell rather than silently dropped; the scan fails only
-    if every cell fails.  An information number that is not positive gives
-    no delay horizon, which fails the scan before any run, as does a grid
-    entry that is not an integer >= 1 (a bool included).
+    if every cell fails.  No delay horizon (I not positive, A NaN or +inf),
+    a grid entry that is not an integer >= 1 and a trial count below 1 (a
+    bool included) each fail the scan before any run.
 
     It is library-only: each cell is what ``excusum cadd`` estimates on a
     config whose run.nu is that nu, so a command would only add a nu-grid
@@ -297,6 +303,7 @@ def worst_case_delay_scan(
         raise ValueError("nu_grid must be nonempty")
     if any(isinstance(nu, bool) or not isinstance(nu, (int, np.integer)) or nu < 1 for nu in nu_grid):
         raise ValueError(f"nu_grid entries must be integers >= 1, got {list(nu_grid)}")
+    _check_trials(trials)  # every cell would fail on it, and the scan would hide why
     # fail on a model without a delay horizon before any run, naming I
     default_delay_horizon(1, threshold, model.information_number())
     cells = []

@@ -18,16 +18,17 @@ Carlo studies.  The schedule caches mu_n and mu_n**2 / 2 together.
 All detector and simulation code is written against the generic
 DensityModel interface, so custom families (including deliberately broken
 ones used as counterexamples in tests) plug in the same way.  The per-sample
-log-likelihood ratio has one hook, DensityModel.log_ratio, its prefix form
-llr_prefix (the detectors' hot path) and that form bound for a lockstep run,
-llr_columns; the defaults subtract the log densities, and GaussianModel
-overrides all three with the closed form.  The KL
-numbers have one hook too, DensityModel.kl: trapezoid quadrature by default,
-the schedule's mu_n**2 / 2 for the Gaussian family.
+log-likelihood ratio has one hook, DensityModel.log_ratio, and two forms of
+it for ages 0..n-1, one shape each: llr_prefix fills a 1-d array for one
+stream, and llr_columns, bound for a lockstep run, an (ages, rows) array.
+The defaults subtract the log densities; GaussianModel overrides all three
+with the closed form, through one kernel for both prefix forms.  The KL
+numbers have one hook too, DensityModel.kl: trapezoid quadrature by
+default, the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
 changing: for the Gaussian family, the index from which the schedule's
 cached means equal its limit bit for bit, scanned in the same array
-llr_prefix reads, so folding there is exact.  For a family that never
+the prefix forms read, so folding there is exact.  For a family that never
 saturates, llr_envelope(start, stop) bounds the ratio of every age in
 [start, stop) from above, which lets the Monte Carlo runs bound their old
 candidates by one tail.
@@ -270,24 +271,24 @@ class DensityModel:
         """log f_index(x) - log g(x), broadcast over index and x (no checks)."""
         return self.post_change_log_density(index, x) - self.pre_change_log_density(x)
 
-    def llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
-        """Write log_ratio(j, x) for j = 0..n-1 into out[:n] and return that view.
-
-        ``x`` is a float with a 1-d ``out``, or a (rows,) row with a 2-d,
-        candidate-major ``out`` whose [j, r] takes age index j at x[r].  Hot
-        path for the detectors: x must already be validated.  This default
-        sees one scalar observation per call of the densities.
-        """
-        block = out[:n]
-        idx = np.arange(n)
-        for col, xr in zip(block.reshape(n, -1).T, np.ravel(x).tolist()):
-            col[:] = self.log_ratio(idx, xr)
-        return block
+    def llr_prefix(self, n: int, x: float, out: np.ndarray) -> np.ndarray:
+        """Write log_ratio(j, x) for j = 0..n-1 into the 1-d out[:n] and return
+        that view; x is one stream's validated float (the detectors' hot path)."""
+        out[:n] = self.log_ratio(np.arange(n), x)
+        return out[:n]
 
     def llr_columns(self, size: int) -> Callable:
-        """llr_prefix's 2-d form for n <= size, with what it reads per age
-        fetched once, so lockstep steps do not ask again; llr_prefix here."""
-        return self.llr_prefix
+        """llr_prefix for lockstep rows, bound for n <= size so that a family
+        fetches what it reads per age once: (n, x, out) writes log_ratio(j,
+        x[r]) into the candidate-major out[j, r] for a validated (rows,) x."""
+
+        def columns(n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+            idx = np.arange(n)
+            for r, xr in enumerate(x.tolist()):
+                out[:n, r] = self.log_ratio(idx, xr)
+            return out[:n]
+
+        return columns
 
     def kl(self, index):
         """D(f_j || g) at every entry j of a nonnegative integer index (array),
@@ -331,11 +332,9 @@ class GaussianModel(DensityModel):
         m = self.schedule.at(index)
         return m * x - m * m / 2.0
 
-    def llr_prefix(self, n: int, x, out: np.ndarray) -> np.ndarray:
-        if out.ndim == 2:
-            return self.llr_columns(n)(n, x, out)
-        block = np.multiply(self.schedule.means(n), x, out=out[:n])
-        return np.subtract(block, self.schedule.half_squares(n), out=block)
+    def llr_prefix(self, n: int, x: float, out: np.ndarray) -> np.ndarray:
+        # one cache read for both arrays: means() and half_squares() each cost a call per step
+        return _gaussian_columns(*self.schedule._grown(n), n, x, out)
 
     def llr_columns(self, size: int) -> Callable:
         return partial(_gaussian_columns, self.schedule.means(size)[:, None], self.schedule.half_squares(size)[:, None])
@@ -477,7 +476,9 @@ def llr(model: DensityModel, post_index, x):
 
 def kl_divergence(model: DensityModel, n: int) -> float:
     """D(f_n || g): the checked form of model.kl.  Raises ValueError for a
-    negative or non-integer index, as llr does."""
+    negative or non-integer index, as llr does, and for an index array."""
+    if np.ndim(n):
+        raise ValueError(f"index must be one integer, got an array of shape {np.shape(n)}")
     return float(model.kl(_checked_index(n, "index")))
 
 
@@ -551,11 +552,6 @@ def verify_stochastic_dominance(model: DensityModel, n: int, grid) -> bool:
     tails_lower = _right_tails(lower, g, hi)
     tails_upper = _right_tails(upper, g, hi)
     return bool(np.all(tails_lower <= tails_upper + DOMINANCE_SLACK))
-
-
-def sample_pre(model: DensityModel, rng: np.random.Generator, size=None):
-    """Draw from the pre-change density g; deterministic given the rng state."""
-    return model.sampler_pre(rng, size)
 
 
 def sample_post(model: DensityModel, n, rng: np.random.Generator, size=None):

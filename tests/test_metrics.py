@@ -596,6 +596,7 @@ def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch
 def test_default_delay_horizon_is_overshoot_safe():
     assert default_delay_horizon(1, math.log(1000), I_ARCTAN) == 1 + 10 * 6
     assert default_delay_horizon(80, 4.0, I_ARCTAN) == 80 + 10 * 4
+    assert default_delay_horizon(7, -math.inf, I_ARCTAN) == 7 + 10
 
 
 @pytest.mark.parametrize("info", [0.0, -1.0, math.nan])
@@ -681,6 +682,31 @@ def test_scan_refuses_a_nu_that_is_not_a_positive_integer_before_any_run(bad, ar
     with pytest.raises(ValueError, match="integers"):
         worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, bad], trials=10, seed=1)
     assert runs == []
+
+
+@pytest.mark.parametrize("trials", [0, -3, True])
+def test_scan_refuses_a_bad_trial_count_before_any_run(trials, arctan_model, monkeypatch):
+    # refused before the cells, whose failures the scan reports only as a grid without accepted runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_trials was called")
+
+    monkeypatch.setattr(metrics, "simulate_trials", no_run)
+    with pytest.raises(EstimationError, match="at least one trial is required"):
+        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, 3], trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_a_nan_or_infinite_threshold_has_no_default_delay_horizon(threshold, arctan_model, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_trials was called")
+
+    monkeypatch.setattr(metrics, "simulate_trials", no_run)
+    with pytest.raises(ValueError, match=f"threshold {threshold} gives no delay horizon"):
+        default_delay_horizon(1, threshold, I_ARCTAN)
+    with pytest.raises(ValueError, match=f"threshold {threshold} gives no delay horizon"):
+        estimate_cadd(arctan_model, "ex-cusum", threshold, nu=1, trials=5, seed=1)
+    with pytest.raises(ValueError, match=f"threshold {threshold} gives no delay horizon"):
+        worst_case_delay_scan(arctan_model, "ex-cusum", threshold, [1, 3], trials=5, seed=1)
 
 
 def test_scan_takes_numpy_integers(arctan_model):

@@ -20,7 +20,6 @@ from excusum import (
     kl_divergence,
     llr,
     sample_post,
-    sample_pre,
     verify_mlr,
     verify_stochastic_dominance,
 )
@@ -126,8 +125,8 @@ def test_gaussian_closed_forms_agree_with_the_density_model_defaults(schedule):
         fast.llr_prefix(200, 0.7, np.empty(256)), generic.llr_prefix(200, 0.7, np.empty(256)), rtol=0, atol=1e-12
     )
     row = np.array([-2.5, 0.0, 3.25])
-    got = fast.llr_prefix(150, row, np.empty((160, 3)))
-    want = generic.llr_prefix(150, row, np.empty((160, 3)))
+    got = fast.llr_columns(160)(150, row, np.empty((160, 3)))
+    want = generic.llr_columns(160)(150, row, np.empty((160, 3)))
     assert got.shape == (150, 3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got, fast.log_ratio(idx[:150, None], row), rtol=0, atol=1e-12)
@@ -178,7 +177,7 @@ def test_llr_envelope_scans_its_range_without_growing_the_cache():
 def test_a_zero_width_llr_envelope_is_the_ratio_bit_for_bit(schedule):
     model = gaussian_model(schedule)
     xs = np.concatenate([np.linspace(-6.0, 6.0, 1201), schedule.means(8)])
-    prefix = model.llr_prefix(8, xs, np.empty((8, xs.size)))
+    prefix = model.llr_columns(8)(8, xs, np.empty((8, xs.size)))
     for j in range(8):
         assert model.llr_envelope(j, j + 1)(xs).tobytes() == prefix[j].tobytes()
     assert plain(model).llr_envelope(0, 8) is None
@@ -229,6 +228,15 @@ def test_kl_divergence_checks_its_index_like_llr(n, arctan_model):
             kl_divergence(model, n)
         with pytest.raises(ValueError, match="nonnegative integer"):
             llr(model, n, 0.5)
+
+
+@pytest.mark.parametrize("n", [[3], np.array([1, 2]), np.array([[0]])], ids=["list", "array", "2-d"])
+def test_kl_divergence_refuses_an_index_array(n, arctan_model):
+    # documented for one index; llr broadcasts over arrays, kl_divergence does not
+    for model in (arctan_model, plain(arctan_model)):
+        with pytest.raises(ValueError, match="one integer"):
+            kl_divergence(model, n)
+    assert kl_divergence(arctan_model, np.array(3)) == kl_divergence(arctan_model, 3)
 
 
 def test_kl_without_closed_form_is_quadrature():
@@ -385,8 +393,8 @@ def test_densities_normalize_to_one(n, arctan_model):
 
 
 def test_sampling_is_deterministic_given_seed(arctan_model):
-    a = sample_pre(arctan_model, np.random.default_rng(7), size=5)
-    b = sample_pre(arctan_model, np.random.default_rng(7), size=5)
+    a = arctan_model.sampler_pre(np.random.default_rng(7), 5)
+    b = arctan_model.sampler_pre(np.random.default_rng(7), 5)
     assert np.array_equal(a, b)
     c = sample_post(arctan_model, 3, np.random.default_rng(7), size=5)
     d = sample_post(arctan_model, 3, np.random.default_rng(7), size=5)
@@ -403,7 +411,7 @@ def test_zero_mean_post_change_matches_pre_change_in_distribution():
     # mu_0 = 0, so f_0 and g coincide in law
     model = gaussian_model(MeanSchedule.from_table([0.0, 1.0]))
     rng = np.random.default_rng(99)
-    pre = sample_pre(model, rng, size=100_000)
+    pre = model.sampler_pre(rng, 100_000)
     post = sample_post(model, 0, np.random.default_rng(100), size=100_000)
     assert abs(pre.mean() - post.mean()) < 0.02
 
@@ -446,8 +454,8 @@ def test_unpickled_gaussian_model_gives_the_same_numbers(schedule):
     assert type(twin) is GaussianModel and twin.schedule == schedule
     assert twin.llr_prefix(70, 0.7, np.empty(80)).tobytes() == model.llr_prefix(70, 0.7, np.empty(80)).tobytes()
     row = np.array([-2.5, 0.0, 3.25])
-    got = twin.llr_prefix(70, row, np.empty((80, 3)))
-    assert got.tobytes() == model.llr_prefix(70, row, np.empty((80, 3))).tobytes()
+    got = twin.llr_columns(80)(70, row, np.empty((80, 3)))
+    assert got.tobytes() == model.llr_columns(80)(70, row, np.empty((80, 3))).tobytes()
     idx, xs = np.arange(70), np.linspace(-3.0, 5.0, 70)
     assert twin.log_ratio(idx, xs).tobytes() == model.log_ratio(idx, xs).tobytes()
     assert twin.pre_change_log_density(xs).tobytes() == model.pre_change_log_density(xs).tobytes()
