@@ -20,13 +20,19 @@ Four pieces of evidence are produced for a model:
 
 ``full_condition_report`` composes these with the MLR structure check from
 the models module into a single pass/fail report.
+
+The SLLN and dominance checks draw their ratios through the model's
+llr_sampler hook into one reused block each, and each runs its two
+independent halves on two threads (the SLLN's two trial ranges, the two
+block starts): numpy's generator fills and ufunc loops release the
+interpreter lock, so the halves overlap on two cores.  Every trial and block
+start draws from a generator of its own, so the split does not change a bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -45,7 +51,8 @@ DOMINANCE_CONFIDENCE = 0.99
 SLLN_QUANTILE_LEVELS = (0.5, 0.9, 0.95)
 
 #: float64 elements of one (trials x ages) block of sampled paths (512 KiB),
-#: in slln_empirical and the dominance check alike
+#: in slln_empirical and the dominance check alike, and the points per chunk
+#: of the dominance check's CDF gap
 _BLOCK_ELEMENTS = 2**16
 
 #: stream keys: moment index k and SLLN trial t draw from
@@ -58,6 +65,17 @@ _SLLN_STREAMS = 2**64 - 2
 def dkw_slack(trials: int) -> float:
     """One-sided empirical-CDF comparison slack at DOMINANCE_CONFIDENCE."""
     return math.sqrt(math.log(2.0 / (1.0 - DOMINANCE_CONFIDENCE)) / (2.0 * trials))
+
+
+def _on_two_threads(job, first, second) -> tuple:
+    """(job(first), job(second)), run at once on two threads; an exception
+    of either re-raises here once both have ended."""
+    # imported here: at module level it adds about 0.8 MB to every command
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(job, arg) for arg in (first, second)]
+        return tuple(future.result() for future in futures)
 
 
 def _trace_indices(n_max: int) -> np.ndarray:
@@ -194,16 +212,24 @@ def slln_empirical(
     info = model.information_number()
     if info is None:
         info = cesaro_kl_average(model, n).information_number
-    ages = np.arange(n)
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))
-    rngs = trial_generators(derive_seed(seed, _SLLN_STREAMS), np.arange(trials))
+    fill = model.llr_sampler(np.arange(n), np.arange(n))
+    base = derive_seed(seed, _SLLN_STREAMS)
     rows = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, trials, rows):
-        x = np.array([model.sampler_post(ages, rng, None) for rng in islice(rngs, rows)], dtype=np.float64)
-        z = model.log_ratio(ages, x)
-        cs = np.cumsum(z, axis=-1)
-        avgs[start : start + len(x)] = cs[:, marks - 1] / marks
+
+    def averages(bounds: tuple[int, int]) -> None:
+        lo, hi = bounds
+        rngs = trial_generators(base, np.arange(lo, hi))
+        block = np.empty((min(rows, hi - lo), n))
+        for start in range(lo, hi, rows):
+            part = block[: min(rows, hi - start)]
+            for row, rng in zip(part, rngs):  # zip takes no rng past the last row
+                fill(rng, row)
+            np.cumsum(part, axis=-1, out=part)
+            avgs[start : start + len(part)] = part[:, marks - 1] / marks
+
+    _on_two_threads(averages, (0, trials // 2), (trials // 2, trials))
     dev = np.abs(avgs - info)
     quantiles = {q: np.quantile(dev, q, axis=0) for q in SLLN_QUANTILE_LEVELS}
     q95 = quantiles[0.95]
@@ -232,23 +258,23 @@ class DominanceCheck:
 
 
 def _block_averages(model: DensityModel, k: int, n: int, trials: int, seed: int) -> np.ndarray:
-    """(1/n) sum_{i=k}^{k+n} llr(i-k, X_i) with X_i ~ f_{i-1} (change at 1).
+    """(1/n) sum_{i=k}^{k+n} llr(i-k, X_i) with X_i ~ f_{i-1} (change at 1),
+    one per trial, sorted.
 
     The same (seed, k) always reproduces the same draws, so comparing a k
     against itself gives a gap of exactly zero.
     """
     rng = np.random.default_rng(derive_seed(seed, k))
-    data_ages = np.arange(k - 1, k + n)  # X_i ~ f_{i-1} for i = k..k+n
-    llr_ages = np.arange(n + 1)  # ratio index i-k
+    # X_i ~ f_{i-1} for i = k..k+n, at ratio index i-k
+    fill = model.llr_sampler(np.arange(k - 1, k + n), np.arange(n + 1))
     out = np.empty(trials)
     chunk = max(1, _BLOCK_ELEMENTS // (n + 1))
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        x = np.asarray(model.sampler_post(np.broadcast_to(data_ages, (take, n + 1)), rng, None))
-        z = model.log_ratio(llr_ages, x)
-        out[done : done + take] = z.sum(axis=1) / n
-        done += take
+    block = np.empty((min(chunk, trials), n + 1))
+    for done in range(0, trials, chunk):
+        part = fill(rng, block[: min(chunk, trials - done)])
+        np.sum(part, axis=1, out=out[done : done + len(part)])
+    out /= n
+    out.sort()
     return out
 
 
@@ -274,14 +300,14 @@ def sum_dominance_check(
         raise ValueError("block start indices must be >= 1")
     if n < 1 or trials < 2:
         raise ValueError("n must be >= 1 and trials >= 2")
-    a = np.sort(_block_averages(model, k_small, n, trials, seed))
-    b = np.sort(_block_averages(model, k_large, n, trials, seed))
-    pts = np.concatenate([a, b])
-    gap = (
-        np.searchsorted(b, pts, side="right") / trials
-        - np.searchsorted(a, pts, side="right") / trials
-    )
-    max_gap = float(gap.max())
+    a, b = _on_two_threads(lambda k: _block_averages(model, k, n, trials, seed), k_small, k_large)
+    # the CDF gap at every point of both samples, a chunk of points at a time
+    max_gap = -math.inf
+    for pts in (a, b):
+        for lo in range(0, trials, _BLOCK_ELEMENTS):
+            p = pts[lo : lo + _BLOCK_ELEMENTS]
+            gap = np.searchsorted(b, p, side="right") / trials - np.searchsorted(a, p, side="right") / trials
+            max_gap = max(max_gap, float(gap.max()))
     slack = dkw_slack(trials)
     return DominanceCheck(
         k_small=k_small,

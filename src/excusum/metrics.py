@@ -358,6 +358,9 @@ def tradeoff_curve(
     gs = [float(g) for g in gammas]
     if not gs or any(not 1.0 < g < math.inf for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
         raise ValueError("gammas must be an increasing sequence of finite values > 1")
+    arl_trials = trials if arl_trials is None else arl_trials
+    _check_trials(trials)  # both sides' counts, before the first run
+    _check_trials(arl_trials)
     info = model.information_number()
     # a model without a delay horizon fails before any run, naming I
     default_delay_horizon(1, math.log(gs[0]), info)
@@ -369,7 +372,7 @@ def tradeoff_curve(
             model,
             detector,
             threshold,
-            trials if arl_trials is None else arl_trials,
+            arl_trials,
             horizon,
             derive_seed(seed, 2 * j),
             window=window,

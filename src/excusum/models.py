@@ -21,8 +21,13 @@ ones used as counterexamples in tests) plug in the same way.  The per-sample
 log-likelihood ratio has one hook, DensityModel.log_ratio, and two forms of
 it for ages 0..n-1, one shape each: llr_prefix fills a 1-d array for one
 stream, and llr_columns, bound for a lockstep run, an (ages, rows) array.
-The defaults subtract the log densities; GaussianModel overrides all three
-with the closed form, through one kernel for both prefix forms.  The KL
+The condition checks' Monte Carlo ratios have a third bound form,
+llr_sampler, which draws into a block and overwrites it with the ratios.
+The defaults subtract the log densities (llr_sampler draws through
+sampler_post); GaussianModel overrides all four with the closed form,
+through one kernel for both prefix forms, and draws its llr_sampler blocks
+in place, so a GaussianModel whose sampler_post is replaced does not route
+the condition checks' draws through it.  The KL
 numbers have one hook too, DensityModel.kl: trapezoid quadrature by
 default, the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
@@ -290,6 +295,18 @@ class DensityModel:
 
         return columns
 
+    def llr_sampler(self, data_ages, llr_ages) -> Callable:
+        """The condition checks' draws, bound once per check: (rng, out) draws
+        X ~ f_{data_ages}, broadcast to out's shape, with sampler_post, then
+        overwrites out with log_ratio(llr_ages, X) and returns it."""
+
+        def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+            x = np.asarray(self.sampler_post(np.broadcast_to(data_ages, out.shape), rng, None), dtype=np.float64)
+            out[...] = self.log_ratio(llr_ages, x)
+            return out
+
+        return fill
+
     def kl(self, index):
         """D(f_j || g) at every entry j of a nonnegative integer index (array),
         one trapezoid quadrature over quadrature_window(j) per entry (no checks)."""
@@ -339,6 +356,11 @@ class GaussianModel(DensityModel):
     def llr_columns(self, size: int) -> Callable:
         return partial(_gaussian_columns, self.schedule.means(size)[:, None], self.schedule.half_squares(size)[:, None])
 
+    def llr_sampler(self, data_ages, llr_ages) -> Callable:
+        # draws in place, without sampler_post: a replaced one is not called
+        means = self.schedule.at(llr_ages)
+        return partial(_gaussian_llr_fill, self.schedule.at(data_ages), means, means * means / 2.0)
+
     def kl(self, index):
         # the same operations as the cached half_squares, so the same bits
         m = self.schedule.at(index)
@@ -371,6 +393,15 @@ def _kl_integrand(model: DensityModel, n: int, xs):
 def _gaussian_columns(means: np.ndarray, half: np.ndarray, n: int, x, out: np.ndarray) -> np.ndarray:
     block = np.multiply(means[:n], x, out=out[:n])
     return np.subtract(block, half[:n], out=block)
+
+
+def _gaussian_llr_fill(data_means, means, half, rng, out: np.ndarray) -> np.ndarray:
+    # the operations of _gaussian_draw_post and then log_ratio, so the same bits
+    rng.standard_normal(out=out)
+    out += data_means
+    out *= means
+    out -= half
+    return out
 
 
 def _gaussian_envelope(lo: float, hi: float, x):

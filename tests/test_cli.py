@@ -1,7 +1,9 @@
 """CLI surface: config validation, file outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -315,9 +317,11 @@ def test_importing_the_cli_loads_no_network_or_email_modules():
     import subprocess
     import sys
 
+    # nor the thread pool, which only verify's checks start
     code = (
         "import sys, excusum.cli; "
-        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') if m in sys.modules))"
+        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'concurrent.futures')"
+        " if m in sys.modules))"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -362,6 +366,19 @@ def test_json_format_mirrors_every_table(tmp_path, command, stems):
         header, *lines = plain[f"{stem}.csv"].decode().strip().splitlines()
         objs = json.loads(both[f"{stem}.json"])
         assert [",".join(_fmt(obj[h]) for h in header.split(",")) for obj in objs] == lines
+
+
+def test_verify_command_bytes(tmp_path, capsys):
+    # sha256 of verify's files and summary on the paper's demo config, recorded
+    # before the checks drew their ratios in place on two threads
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(CONFIGS / "demo.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in sorted(os.listdir(out))}
+    assert digests == {
+        "conditions_trace.csv": "86a55b4cdcb539ac7367e48b2a53cc57b71a09a31c54db32adbd9ee09810b6e2",
+        "report.json": "0f9abc8b828890c2f107e00a868a3dd9c01c1d3294eeeecc1c214b997bdb85fd",
+    }
+    assert capsys.readouterr() == (f"verify: PASS I=1.23351 -> {out}/report.json, conditions_trace.csv\n", "")
 
 
 def test_verify_fails_for_decreasing_table(tmp_path, capsys):

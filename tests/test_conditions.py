@@ -3,6 +3,7 @@ block-sum dominance, and the composed report."""
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import hypothesis
@@ -24,8 +25,15 @@ from excusum import (
 )
 from excusum import conditions, models
 from excusum.conditions import _block_averages, dkw_slack
+from excusum.process import derive_seed
 
-from conftest import constant_model, generic_gaussian_model, plain, windowed_gaussian_model
+from conftest import (
+    constant_model,
+    generic_gaussian_model,
+    plain,
+    windowed_gaussian_model,
+    with_information_number,
+)
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -192,6 +200,62 @@ def test_slln_variance_budget(arctan_model):
         assert var <= (limit**2 / n) * 1.25
 
 
+def serial_slln_averages(model, n, trials, seed, marks):
+    # one generator, sampler_post and log_ratio call per trial, in trial order
+    base = derive_seed(seed, conditions._SLLN_STREAMS)
+    rows = []
+    for i in range(trials):
+        rng = np.random.default_rng(derive_seed(base, i))
+        z = model.log_ratio(np.arange(n), model.sampler_post(np.arange(n), rng, None))
+        rows.append(np.cumsum(z)[marks - 1] / marks)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("trials", [2, 7, 400])
+@pytest.mark.parametrize("family", ["gaussian", "generic"])
+def test_slln_halves_equal_a_serial_reference(arctan_model, family, trials):
+    # n = 5000 takes 13 rows a block, so a half of 200 trials ends in a short one
+    model = arctan_model
+    if family == "generic":
+        model = with_information_number(generic_gaussian_model(arctan_model.schedule), I_ARCTAN)
+    n, seed = 5000, 41
+    check = slln_empirical(model, n, trials=trials, seed=seed)
+    avgs = serial_slln_averages(model, n, trials, seed, np.asarray(check.ns))
+    dev = np.abs(avgs - check.information_number)
+    for q, got in check.quantiles.items():
+        assert np.array_equal(got, np.quantile(dev, q, axis=0))
+    assert np.array_equal(check.variances, avgs.var(axis=0, ddof=1))
+
+
+def sampler_failing_at(model, start_state):
+    # a sampler_post that raises on the generator that starts at start_state
+    def draw_post(n, rng, size=None):
+        if rng.bit_generator.state == start_state:
+            raise ValueError("this generator fails")
+        return model.sampler_post(n, rng, size)
+
+    return dataclasses.replace(model, sampler_post=draw_post)
+
+
+@pytest.mark.parametrize("trial", [0, 9])
+def test_slln_reraises_a_failure_of_either_half(arctan_model, trial):
+    generic = with_information_number(generic_gaussian_model(arctan_model.schedule), I_ARCTAN)
+    start = np.random.default_rng(derive_seed(derive_seed(3, conditions._SLLN_STREAMS), trial)).bit_generator.state
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="this generator fails"):
+        slln_empirical(sampler_failing_at(generic, start), 64, trials=10, seed=3)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_dominance_reraises_a_failure_of_either_block(arctan_model, k):
+    start = np.random.default_rng(derive_seed(3, k)).bit_generator.state
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="this generator fails"):
+        sum_dominance_check(sampler_failing_at(generic_gaussian_model(arctan_model.schedule), start), 1, 5, 4, 50, 3)
+    assert threading.active_count() == threads
+
+
 # ---------------------------------------------------------------------------
 # block-sum dominance
 
@@ -200,6 +264,19 @@ def test_dominance_same_k_gap_is_exactly_zero(arctan_model):
     check = sum_dominance_check(arctan_model, 3, 3, 10, trials=500, seed=21)
     assert check.max_gap == 0.0
     assert check.passed
+
+
+@pytest.mark.parametrize("pair", [(1, 5), (5, 1), (3, 3)])
+def test_dominance_gap_equals_the_full_array_formula(arctan_model, pair):
+    # 70 000 trials take two chunks of points from each sample
+    n, trials, seed = 5, 70_000, 25
+    check = sum_dominance_check(arctan_model, *pair, n, trials=trials, seed=seed)
+    a, b = (_block_averages(arctan_model, k, n, trials, seed) for k in pair)
+    pts = np.concatenate([a, b])
+    gap = np.searchsorted(b, pts, side="right") / trials - np.searchsorted(a, pts, side="right") / trials
+    assert check.max_gap == float(gap.max())
+    # the gap is 0 at the largest point, so >= 0: positive only where the order fails
+    assert (check.max_gap > 0.0) == (pair == (5, 1))
 
 
 def test_dominance_constant_schedule_within_slack():
@@ -279,22 +356,26 @@ def small_budgets(seed=0):
 
 def test_checks_draw_from_streams_of_their_own(arctan_model):
     # the moment check, SLLN and the dominance blocks at the CLI budgets'
-    # indices each start from generator states no other check starts from
+    # indices each start from generator states no other check starts from.
+    # The Gaussian llr_sampler draws without sampler_post, so SLLN and the
+    # dominance blocks are recorded on the generic family, whose default
+    # llr_sampler calls it; the moment check takes the Gaussian family only
     b = ConditionBudgets()
     starts = {}
 
-    def recording(name):
+    def recording(name, model):
         def draw_post(n, rng, size=None):
             if all(rng is not r for r, _ in starts.setdefault(name, [])):
                 starts[name].append((rng, tuple(rng.bit_generator.state["state"].values())))
-            return arctan_model.sampler_post(n, rng, size)
+            return model.sampler_post(n, rng, size)
 
-        return dataclasses.replace(arctan_model, sampler_post=draw_post)
+        return dataclasses.replace(model, sampler_post=draw_post)
 
-    fourth_moment_check(recording("moment"), trials=2, seed=b.seed, ks=b.moment_ks)
-    slln_empirical(recording("slln"), 4, trials=b.slln_trials, seed=b.seed)
+    generic = with_information_number(generic_gaussian_model(arctan_model.schedule), arctan_model.information_number())
+    fourth_moment_check(recording("moment", arctan_model), trials=2, seed=b.seed, ks=b.moment_ks)
+    slln_empirical(recording("slln", generic), 4, trials=b.slln_trials, seed=b.seed)
     for k in b.dominance_pair:
-        sum_dominance_check(recording("dominance"), k, k, 1, trials=2, seed=b.seed)
+        sum_dominance_check(recording("dominance", generic), k, k, 1, trials=2, seed=b.seed)
     states = {name: {state for _, state in entries} for name, entries in starts.items()}
     assert [len(states[name]) for name in ("moment", "slln", "dominance")] == [
         len(b.moment_ks),

@@ -741,6 +741,18 @@ def test_custom_family_supplies_its_information_number_to_the_tradeoff():
     assert [r.cadd.accepted for r in rows] == [20, 20]
 
 
+@pytest.mark.parametrize("bad", [0, -3, True])
+@pytest.mark.parametrize("side", ["trials", "arl_trials"])
+def test_tradeoff_checks_both_trial_counts_before_any_run(arctan_model, monkeypatch, side, bad):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the counts were checked")
+
+    monkeypatch.setattr(metrics, "simulate_trials", no_run)
+    counts = {"trials": 10, "arl_trials": 200, side: bad}
+    with pytest.raises(EstimationError, match="at least one trial"):
+        tradeoff_curve(arctan_model, [20.0], seed=1, **counts)
+
+
 def test_tradeoff_validates_gammas(arctan_model):
     with pytest.raises(EstimationError, match="at least one trial"):
         tradeoff_curve(arctan_model, (math.e**2,), trials=10, seed=1, arl_trials=0)

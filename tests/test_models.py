@@ -132,6 +132,29 @@ def test_gaussian_closed_forms_agree_with_the_density_model_defaults(schedule):
     np.testing.assert_allclose(got, fast.log_ratio(idx[:150, None], row), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [MeanSchedule.arctangent(), MeanSchedule.linear_saturating(0.1, 1.0), MeanSchedule.from_table([0.2, 1.5, 0.7])],
+    ids=lambda s: s.kind,
+)
+@pytest.mark.parametrize("shape", [(300,), (7, 300)])
+@pytest.mark.parametrize("first_age", [0, 5])
+def test_gaussian_llr_sampler_draws_the_default_bits(schedule, shape, first_age):
+    # the in-place closed form against the default's sampler_post and
+    # log_ratio calls on the same model, over two fills of one block
+    model = gaussian_model(schedule)
+    data_ages, llr_ages = np.arange(first_age, first_age + shape[-1]), np.arange(shape[-1])
+    fill = model.llr_sampler(data_ages, llr_ages)
+    default = DensityModel.llr_sampler(model, data_ages, llr_ages)
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    block = np.full(shape, np.nan)
+    for _ in range(2):
+        want = default(reference, np.empty(shape))
+        assert fill(rng, block) is block
+        assert block.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("schedule", EVERY_KIND + [MeanSchedule.geometric_approach(1000.0, 0.999999)])
 @pytest.mark.parametrize("start, stop", [(0, 1), (0, 4), (3, 10), (32, 2000)])
 def test_llr_envelope_bounds_every_ratio_of_its_ages(schedule, start, stop):

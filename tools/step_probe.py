@@ -18,6 +18,12 @@ cross, so they time the steps that settle nothing; a last line times
 trials of SR on ``linear-saturating(0.1, 1)``, threshold log 300, horizon
 6000), sampling and crossings included, in ms, best of 3.
 
+The last line times the phases of the condition report that ``excusum
+verify`` runs, each through its public call at ``ConditionBudgets()`` on the
+arctangent schedule, in ms, best of 3: the MLR grid checks, the Cesaro
+average, the fourth-moment check, the SLLN check and the block-sum
+dominance check.  The schedule's cache is warm after the first run.
+
     python3 tools/step_probe.py
 
 Imports the package from ``src/`` next to this script; numpy only.
@@ -32,7 +38,18 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from excusum import MeanSchedule, gaussian_model, metrics  # noqa: E402
+from excusum import (  # noqa: E402
+    ConditionBudgets,
+    MeanSchedule,
+    cesaro_kl_average,
+    default_grid,
+    fourth_moment_check,
+    gaussian_model,
+    metrics,
+    slln_empirical,
+    sum_dominance_check,
+    verify_mlr,
+)
 from excusum.detectors import _certified_tail, _lockstep  # noqa: E402
 from excusum.process import NO_CHANGE, _sample_blocks, trial_generators  # noqa: E402
 
@@ -80,6 +97,16 @@ def main() -> int:
         print(f"{name:<38}" + "".join(cells))
     sr_arl = best_ms(lambda: metrics.simulate_trials(saturating, "sr", math.log(300.0), NO_CHANGE, 6000, 220, 7))
     print(f"sr-saturating simulate_trials, 220 trials: {sr_arl:.1f} ms, best of {REPEATS}")
+    b = ConditionBudgets()
+    phases = (
+        ("mlr", lambda: [verify_mlr(arctan, n, default_grid(arctan, max(n + 1, 0), b.mlr_points)) for n in b.mlr_ns]),
+        ("cesaro", lambda: cesaro_kl_average(arctan, b.cesaro_n_max)),
+        ("moment", lambda: fourth_moment_check(arctan, b.moment_trials, b.seed, ks=b.moment_ks)),
+        ("slln", lambda: slln_empirical(arctan, b.slln_n, b.slln_trials, b.seed)),
+        ("dominance", lambda: sum_dominance_check(arctan, *b.dominance_pair, b.dominance_n, b.dominance_trials, b.seed)),
+    )
+    cells = ", ".join(f"{name} {best_ms(run):.1f}" for name, run in phases)
+    print(f"verify phases at ConditionBudgets(), ms, best of {REPEATS}: {cells}")
     return 0
 
 
