@@ -46,6 +46,9 @@ classic CUSUM) and whether it takes a window.  DetectorKind.crossed is the
 one test of a statistic against a threshold, for every stop decision.
 Every per-sample ratio comes from a model hook, which the candidate buffer
 picks by its shape: llr_prefix for one stream, llr_columns for lockstep rows.
+Every observation comes from another, block_sampler: run_detector reads a
+path that generate_path drew through it, and _lockstep reads the blocks of
+a drawer, process._block_drawer for simulate_trials, which draws through it.
 
 States are single-owner: mutate them only from their owning run.  A state
 holds one stream (a 1-d array of running sums) or, built by _lockstep, one
@@ -496,19 +499,20 @@ def _sr_bound_holds(threshold: float, horizon: int) -> bool:
     return -(2.0**11) < threshold < 2.0**11 and horizon <= 2**24
 
 
-def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, window, envelope) -> np.ndarray:
-    """Run one detector per stream in lockstep and return the int64 stopping
+def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizon, window, envelope) -> np.ndarray:
+    """Run ``runs`` detectors in lockstep and return the int64 stopping
     times: run r's tau, or 0 where run r is censored at the horizon.
 
-    Each stream yields a run's observations as 1-d blocks, and the k-th
-    blocks of all streams have one length (as process._sample_blocks gives
-    for paths with one change point and horizon).  A stream is read one
-    block at a time and only while its run is live.  With ``envelope`` None
-    each tau equals run_detector(kind, model, <stream r's observations>,
-    threshold, horizon, window=window) exactly: all live runs take each step
-    together, through the same update and reduction, and a run is dropped
-    once it crosses.  The checks are run_detector's, applied to live runs
-    only; when several runs fail, the error names the earliest failing step.
+    draw(live, t) returns the observations of the runs ``live`` from step t
+    to the end of a block, one row per step and one column per run, as
+    process._block_drawer does; it is called at step 1 and again after each
+    block, with the runs still live, so a run reads no block once it has
+    stopped.  With ``envelope`` None each tau equals run_detector(kind, model,
+    <run r's observations>, threshold, horizon, window=window) exactly: all
+    live runs take each step together, through the same update and
+    reduction, and a run is dropped once it crosses.  The checks are
+    run_detector's, applied to live runs only; when several runs fail, the
+    error names the earliest failing step.
 
     With the ``envelope`` of _certified_tail (ex-cusum, no window) each run
     keeps its newest _HEAD candidates exact and bounds the older ones by one
@@ -525,21 +529,21 @@ def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, windo
     run's statistic and tail only where that bound reaches calm, the ceiling
     below which nothing settles.  ``envelope`` and the observations' check
     run per block."""
-    state, spec = _start(kind, window, model, horizon, threshold, len(streams), envelope is not None)
+    state, spec = _start(kind, window, model, horizon, threshold, runs, envelope is not None)
     # below calm no statistic crosses or is +inf or NaN, and no tail passes the ceiling
     ceiling = threshold if envelope is None else threshold - _TAIL_MARGIN
     calm = float(np.nextafter(ceiling, math.inf)) if spec.strict else ceiling
     if kind == "sr" and not _sr_bound_holds(threshold, horizon):
         calm = -math.inf  # every step settles, through logsumexp_rows
-    taus = np.zeros(len(streams), dtype=np.int64)
-    live = np.arange(len(streams))
+    taus = np.zeros(runs, dtype=np.int64)
+    live = np.arange(runs)
     block = bounds = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
     at = live  # column of each live run in block
     j = 0
     for t in range(1, horizon + 1):
         if j == block.shape[0]:
             del block, bounds  # free the old block before the next one is drawn
-            block, at, j = _next_blocks(streams, live, t, horizon), np.arange(live.size), 0
+            block, at, j = draw(live, t), np.arange(live.size), 0
             if envelope is not None and not float(np.abs(block).max()) < _X_BOUND:
                 taus[live] = -1
                 break
@@ -576,20 +580,6 @@ def _lockstep(kind: str, model: DensityModel, streams, threshold, horizon, windo
             at = at[keep]
             state._cands.keep_rows(keep)
     return taus
-
-
-def _next_blocks(streams, live: np.ndarray, t: int, horizon: int) -> np.ndarray:
-    """The next block of every live run, one row per step and one column per
-    run, copied in as it is drawn so that no run's block is held twice."""
-    block = None
-    for c, r in enumerate(live.tolist()):
-        part = next(streams[r], None)
-        if part is None:
-            raise ValueError(f"observation stream exhausted at step {t} before horizon {horizon}")
-        if block is None:
-            block = np.empty((part.size, live.size))
-        block[:, c] = part
-    return block
 
 
 def statistic_trace(

@@ -34,7 +34,7 @@ import numpy as np
 from . import process
 from .detectors import StopResult, _certified_tail, _layout, _lockstep
 from .models import DensityModel
-from .process import NO_CHANGE, ChangeSpec, _sample_blocks, derive_seed, trial_generators
+from .process import NO_CHANGE, ChangeSpec, _block_drawer, derive_seed, trial_generators
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
 Z95 = 1.6448536269514722
@@ -127,8 +127,8 @@ def simulate_trials(
         chunk = max(1, _CHUNK_ELEMENTS // per_trial)
         for k in range(0, ids.size, chunk):
             part = ids[k : k + chunk]
-            streams = [_sample_blocks(model, nu, horizon, rng) for rng in trial_generators(seed, part)]
-            taus[part] = _lockstep(detector, model, streams, threshold, horizon, window, envelope)
+            draw = _block_drawer(model, nu, horizon, list(trial_generators(seed, part)))
+            taus[part] = _lockstep(detector, model, draw, part.size, threshold, horizon, window, envelope)
 
     run(np.arange(trials), _certified_tail(detector, window, model, threshold, horizon))
     run(np.flatnonzero(taus < 0), None)

@@ -26,8 +26,14 @@ llr_sampler, which draws into a block and overwrites it with the ratios.
 The defaults subtract the log densities (llr_sampler draws through
 sampler_post); GaussianModel overrides all four with the closed form,
 through one kernel for both prefix forms, and draws its llr_sampler blocks
-in place, so a GaussianModel whose sampler_post is replaced does not route
-the condition checks' draws through it.  The KL
+in place.  Every path has one drawing hook, block_sampler, which fills one
+row per run of a block: by default with one sampler_pre or sampler_post call
+per row, for generate_path and the lockstep trials alike; GaussianModel
+draws each row in place and adds the block's means once.  So a
+GaussianModel whose samplers are replaced routes neither its paths nor the
+SLLN and dominance draws through them: of the library's draws, only
+fourth_moment_check (and the checked sample_post) calls its sampler_post.
+The KL
 numbers have one hook too, DensityModel.kl: trapezoid quadrature by
 default, the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
@@ -307,6 +313,25 @@ class DensityModel:
 
         return fill
 
+    def block_sampler(self, ages) -> Callable:
+        """The path draws, bound once per block: (rngs, out) fills row r of the
+        (rows, take) out from rngs[r] and returns out, drawing from g where
+        ``ages`` is None and else from f_{ages}, one draw per age.  By default
+        one sampler_pre(rng, take) or sampler_post(ages, rng, None) call per
+        row; a draw whose shape is not (take,) raises ValueError."""
+        name = "sampler_pre" if ages is None else "sampler_post"
+
+        def fill(rngs: list, out: np.ndarray) -> np.ndarray:
+            take = out.shape[1]
+            for row, rng in zip(out, rngs):
+                x = np.atleast_1d(self.sampler_pre(rng, take) if ages is None else self.sampler_post(ages, rng, None))
+                if x.shape != (take,):
+                    raise ValueError(f"{name} returned draws of shape {x.shape} for a block of {take} steps")
+                row[...] = x
+            return out
+
+        return fill
+
     def kl(self, index):
         """D(f_j || g) at every entry j of a nonnegative integer index (array),
         one trapezoid quadrature over quadrature_window(j) per entry (no checks)."""
@@ -361,6 +386,10 @@ class GaussianModel(DensityModel):
         means = self.schedule.at(llr_ages)
         return partial(_gaussian_llr_fill, self.schedule.at(data_ages), means, means * means / 2.0)
 
+    def block_sampler(self, ages) -> Callable:
+        # draws in place, without the samplers: a replaced one is not called
+        return partial(_gaussian_rows, None if ages is None else self.schedule.at(ages))
+
     def kl(self, index):
         # the same operations as the cached half_squares, so the same bits
         m = self.schedule.at(index)
@@ -401,6 +430,16 @@ def _gaussian_llr_fill(data_means, means, half, rng, out: np.ndarray) -> np.ndar
     out += data_means
     out *= means
     out -= half
+    return out
+
+
+def _gaussian_rows(means, rngs: list, out: np.ndarray) -> np.ndarray:
+    # each row the standard normals sampler_pre draws, then the means added
+    # once as _gaussian_draw_post adds them, so the same bits
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    if means is not None:
+        out += means
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it lazily; load it with the package
@@ -25,6 +25,11 @@ NO_CHANGE = math.inf
 #: it only trades per-block overhead against memory; a folded lockstep trial
 #: holds one block plus its retained columns, so it also sizes those chunks
 _CHUNK = 256
+
+#: runs a block drawer draws at a time, into a tile of at most (_TILE_ROWS,
+#: _CHUNK) that it then copies into the block's columns (128 KiB, so the copy
+#: stays in cache)
+_TILE_ROWS = 64
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -167,31 +172,45 @@ class Path:
         return len(self.samples)
 
 
-def _sample_blocks(
-    model: DensityModel, nu: int | float, horizon: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Draw a path with change point nu in chunks from ``rng``; the single
-    code path behind generate_path and the lockstep trials.  It calls the
-    model's samplers directly: its ages, counted from 0, pass sample_post's
-    index check."""
+def _block_drawer(model: DensityModel, nu: int | float, horizon: int, rngs: list) -> Callable:
+    """The block drawer of runs with change point nu: draw(live, t) returns
+    the observations of the runs ``live`` (indices into ``rngs``, run r
+    drawing from rngs[r]) from step t to the end of t's block, one row per
+    step and one column per run.  The one code path behind generate_path and
+    the lockstep trials.  Blocks hold at most _CHUNK steps and split at the
+    change point, so a run that reads its path block by block draws exactly
+    generate_path's samples, and none past the block it stops in.  Each
+    block is drawn through model.block_sampler, _TILE_ROWS runs at a time
+    into one tile, and copied into its columns."""
     n_pre = horizon if nu == NO_CHANGE else min(int(nu) - 1, horizon)
-    done = 0
-    while done < n_pre:
-        take = min(_CHUNK, n_pre - done)
-        yield np.atleast_1d(np.asarray(model.sampler_pre(rng, take), dtype=np.float64))
-        done += take
-    n_post = horizon - n_pre
-    age = 0
-    while age < n_post:
-        take = min(_CHUNK, n_post - age)
-        idx = np.arange(age, age + take)
-        yield np.atleast_1d(np.asarray(model.sampler_post(idx, rng, None), dtype=np.float64))
-        age += take
+
+    def draw(live: np.ndarray, t: int) -> np.ndarray:
+        done = t - 1
+        if done < n_pre:
+            take, ages = min(_CHUNK, n_pre - done), None
+        else:
+            take = min(_CHUNK, horizon - done)
+            ages = np.arange(done - n_pre, done - n_pre + take)
+        sample = model.block_sampler(ages)
+        block = np.empty((take, live.size))
+        # held only while the block is drawn, not beside the caller's work on it
+        tile = np.empty((min(_TILE_ROWS, live.size), take))
+        for c in range(0, live.size, _TILE_ROWS):
+            runs = live[c : c + _TILE_ROWS].tolist()
+            block[:, c : c + len(runs)] = sample([rngs[r] for r in runs], tile[: len(runs)]).T
+        return block
+
+    return draw
 
 
 def generate_path(model: DensityModel, spec: ChangeSpec) -> Path:
     """Materialize the full observation path for a change spec."""
-    blocks = list(_sample_blocks(model, spec.nu, spec.horizon, np.random.default_rng(spec.seed)))
-    samples = np.concatenate(blocks) if blocks else np.empty(0)
+    draw = _block_drawer(model, spec.nu, spec.horizon, [np.random.default_rng(spec.seed)])
+    samples, run = np.empty(spec.horizon), np.zeros(1, np.intp)
+    done = 0
+    while done < spec.horizon:
+        block = draw(run, done + 1)[:, 0]
+        samples[done : done + block.size] = block
+        done += block.size
     samples.setflags(write=False)
     return Path(samples=samples, spec=spec)

@@ -64,3 +64,10 @@ def windowed_gaussian_model(mu: float) -> DensityModel:
     quadrature and it gives no information number."""
     model = generic_gaussian_model(MeanSchedule.constant(mu))
     return dataclasses.replace(model, finite_window=lambda n=None: (-11.0, mu + 11.0))
+
+
+def array_drawer(paths):
+    """A lockstep block drawer over pre-made paths, one row per run: each call
+    returns the live runs' observations from step t to the horizon."""
+    paths = np.asarray(paths, dtype=np.float64)
+    return lambda live, t: paths[live, t - 1 :].T

@@ -30,7 +30,7 @@ from excusum.numerics import logsumexp_rows
 from excusum.process import NO_CHANGE, derive_seed
 
 from brute_force import ex_cusum_brute, ex_cusum_brute_all
-from conftest import constant_model
+from conftest import array_drawer, constant_model
 
 
 def evolve(model, xs, window=None):
@@ -470,14 +470,14 @@ def test_both_runners_report_a_non_finite_observation_alike(support, bad):
     if math.isfinite(bad) and support[1] == math.inf:
         for kind in detectors.DETECTORS:
             want = [run_detector(kind, model, x, 10.0, 3).tau or 0 for x in (xs, other)]
-            assert detectors._lockstep(kind, model, [iter([xs]), iter([other])], 10.0, 3, None, None).tolist() == want
+            assert detectors._lockstep(kind, model, array_drawer([xs, other]), 2, 10.0, 3, None, None).tolist() == want
         return
     message = "observation 25.0 outside support [-20.0, 20.0]" if math.isfinite(bad) else "observation must be finite"
     for kind in detectors.DETECTORS:
         with pytest.raises(ValueError) as single:
             run_detector(kind, model, xs, 10.0, 3)
         with pytest.raises(ValueError) as batch:
-            detectors._lockstep(kind, model, [iter([xs.copy()]), iter([other.copy()])], 10.0, 3, None, None)
+            detectors._lockstep(kind, model, array_drawer([xs, other]), 2, 10.0, 3, None, None)
         assert str(single.value) == str(batch.value) == message, kind
 
 

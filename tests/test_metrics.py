@@ -29,7 +29,7 @@ from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
 from excusum.detectors import StopResult
 from excusum.process import derive_seed
 
-from conftest import constant_model, generic_gaussian_model, windowed_gaussian_model, with_information_number
+from conftest import array_drawer, constant_model, generic_gaussian_model, windowed_gaussian_model, with_information_number
 
 I_ARCTAN = math.pi**2 / 8
 
@@ -76,10 +76,18 @@ def per_trial_taus(model, kind, threshold, nu, horizon, trials, seed, window=Non
     censored trial)."""
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        blocks = process._sample_blocks(model, nu, horizon, np.random.default_rng(derive_seed(seed, i)))
-        stream = itertools.chain.from_iterable(blocks)
-        out[i] = run_detector(kind, model, stream, threshold, horizon, window=window).tau or 0
+        draw = process._block_drawer(model, nu, horizon, [np.random.default_rng(derive_seed(seed, i))])
+        out[i] = run_detector(kind, model, lazy_path(draw, horizon), threshold, horizon, window=window).tau or 0
     return out
+
+
+def lazy_path(draw, horizon):
+    """One run's observations, each block drawn by ``draw`` once it is reached."""
+    t = 1
+    while t <= horizon:
+        block = draw(np.zeros(1, np.intp), t)[:, 0]
+        yield from block.tolist()
+        t += block.size
 
 
 GATE_HORIZON, GATE_TRIALS = 30, 23
@@ -112,14 +120,34 @@ def test_lockstep_trials_equal_per_trial_runs(kind, window, nu, threshold, model
         assert got.dtype == np.int64 and np.array_equal(got, want), f"chunk size {chunk}"
 
 
+@pytest.mark.parametrize("model_name", ["gaussian", "no-fast-path"])
+@pytest.mark.parametrize("nu", [1, 7, 8, 25, 40, NO_CHANGE])
+@pytest.mark.parametrize("kind, window", [("ex-cusum", None), ("ex-cusum", 3), ("sr", None), ("cusum", None)])
+def test_block_drawer_trials_equal_runs_on_generate_path(kind, window, nu, model_name, monkeypatch):
+    # blocks of 7 steps end at 7, 14, 21 and 28, and at nu - 1 (6 falls
+    # before the first end and 7 on it, 24 between two; 40 is past the
+    # horizon); tiles of 5 runs split the chunks, and a stopped run's column
+    # leaves the next block
+    monkeypatch.setattr(process, "_CHUNK", 7)
+    monkeypatch.setattr(process, "_TILE_ROWS", 5)
+    model = GATE_MODELS[model_name]()
+    paths = [generate_path(model, ChangeSpec(nu, GATE_HORIZON, derive_seed(61, i))) for i in range(GATE_TRIALS)]
+    for threshold in (3.0, 8.0):
+        want = [run_detector(kind, model, p, threshold, GATE_HORIZON, window=window).tau or 0 for p in paths]
+        for chunk in (7, GATE_TRIALS):
+            monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * GATE_HORIZON)
+            got = simulate_trials(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window=window)
+            assert np.array_equal(got, want), (threshold, chunk)
+
+
 def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
     sizes = []
 
-    def record(streams):
-        sizes.append(len(streams))
-        return np.zeros(len(streams), np.int64)
+    def record(runs):
+        sizes.append(runs)
+        return np.zeros(runs, np.int64)
 
-    monkeypatch.setattr(metrics, "_lockstep", lambda kind, model, streams, *rest: record(streams))
+    monkeypatch.setattr(metrics, "_lockstep", lambda kind, model, draw, runs, *rest: record(runs))
     arctan = gaussian_model(MeanSchedule.arctangent())
     saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
     bounded = 2**18 // (process._CHUNK + detectors._HEAD + 1)  # a bounded tail: _HEAD exact sums and the tail
@@ -139,25 +167,24 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
 
 
 def exact_taus(model, threshold, nu, horizon, trials, seed):
-    """The exact kernel: every trial's own stream through _lockstep with no envelope."""
-    rngs = process.trial_generators(seed, np.arange(trials))
-    streams = [process._sample_blocks(model, nu, horizon, rng) for rng in rngs]
-    return detectors._lockstep("ex-cusum", model, streams, threshold, horizon, None, None)
+    """The exact kernel: every trial's own path through _lockstep with no envelope."""
+    draw = process._block_drawer(model, nu, horizon, list(process.trial_generators(seed, np.arange(trials))))
+    return detectors._lockstep("ex-cusum", model, draw, trials, threshold, horizon, None, None)
 
 
 def count_reruns(monkeypatch, bounded=None) -> list:
     """Record the trial count of every exact lockstep chunk simulate_trials
     runs (its reruns, on a bounded run); ``bounded``, if given, replaces the
-    bounded pass, a function of the chunk's streams."""
+    bounded pass, a function of the chunk's trial count."""
     reruns = []
     lockstep = detectors._lockstep
 
-    def counted(kind, model, streams, threshold, horizon, window, envelope):
+    def counted(kind, model, draw, runs, threshold, horizon, window, envelope):
         if envelope is None:
-            reruns.append(len(streams))
+            reruns.append(runs)
         elif bounded is not None:
-            return bounded(streams)
-        return lockstep(kind, model, streams, threshold, horizon, window, envelope)
+            return bounded(runs)
+        return lockstep(kind, model, draw, runs, threshold, horizon, window, envelope)
 
     monkeypatch.setattr(metrics, "_lockstep", counted)
     return reruns
@@ -230,21 +257,18 @@ def test_a_bad_value_only_a_stopped_run_would_read_is_never_checked():
     blocks[0, :3] = 10.0
     blocks[0, 3:5] = np.nan, 25.0
 
-    def streams(blocks):
-        return [iter([b.copy()]) for b in blocks]
-
     for kind in ("ex-cusum", "sr", "cusum"):
         want = [run_detector(kind, model, b, 5.0, 8) for b in blocks]
         assert [r.tau for r in want] == [1, None, None]
-        assert detectors._lockstep(kind, model, streams(blocks), 5.0, 8, None, None).tolist() == [1, 0, 0]
+        assert detectors._lockstep(kind, model, array_drawer(blocks), 3, 5.0, 8, None, None).tolist() == [1, 0, 0]
         # a live run's bad value still raises, at its step
         bad = blocks.copy()
         bad[2, 6] = 25.0
         with pytest.raises(ValueError, match="outside support"):
-            detectors._lockstep(kind, model, streams(bad), 5.0, 8, None, None)
+            detectors._lockstep(kind, model, array_drawer(bad), 3, 5.0, 8, None, None)
         bad[1, 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            detectors._lockstep(kind, model, streams(bad), 5.0, 8, None, None)
+            detectors._lockstep(kind, model, array_drawer(bad), 3, 5.0, 8, None, None)
 
 
 def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
@@ -252,7 +276,7 @@ def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
     # _CHUNK_ELEMENTS // horizon trials at a time, not the bounded chunk
     model = gaussian_model(MeanSchedule.arctangent())
     horizon = 2**14
-    reruns = count_reruns(monkeypatch, bounded=lambda streams: np.full(len(streams), -1))
+    reruns = count_reruns(monkeypatch, bounded=lambda runs: np.full(runs, -1))
     got = simulate_trials(model, "ex-cusum", 2.0, 1, horizon, 40, 3)
     assert np.array_equal(got, exact_taus(model, 2.0, 1, horizon, 40, 3))
     assert metrics._CHUNK_ELEMENTS // horizon == 16 and reruns == [16, 16, 8]
@@ -576,8 +600,8 @@ def test_estimators_refuse_a_bool_trial_count(arctan_model):
 def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
     # with the detector replaced by fixed stopping times (0: censored), the
     # estimates are plain arithmetic with no Monte Carlo noise
-    def fixed(kind, model, streams, threshold, horizon, window, envelope):
-        assert len(streams) == 7 and envelope is None
+    def fixed(kind, model, draw, runs, threshold, horizon, window, envelope):
+        assert runs == 7 and envelope is None
         return np.array([0, 3, 9, 10, 14, 0, 25], np.int64)
 
     monkeypatch.setattr(metrics, "_lockstep", fixed)

@@ -1,5 +1,6 @@
 """Change-point path generation: indexing, determinism, stream equivalence."""
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -15,8 +16,12 @@ from excusum import (
     derive_seed,
     gaussian_model,
     generate_path,
+    simulate_trials,
 )
-from excusum.process import _generators, _sample_blocks, _trial_seeds, trial_generators
+from excusum import process
+from excusum.process import _block_drawer, _generators, _trial_seeds, trial_generators
+
+from conftest import plain
 
 #: base seeds whose words SeedSequence reads as one word (below 2**32) and as two
 SEED_BASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x5DEECE66D2B7E151)
@@ -114,13 +119,17 @@ def test_generation_is_bit_deterministic(arctan_model):
 
 
 def test_stream_equals_materialized_path(arctan_model):
-    # a lockstep trial reads the blocks of its trial_generators generator,
-    # across many block boundaries and the change point; they are generate_path's
+    # a lockstep trial reads the blocks its trial_generators generator draws,
+    # across many block boundaries and the change point, beside other live
+    # runs; they are generate_path's
     spec = ChangeSpec(nu=9000, horizon=9003, seed=derive_seed(31337, 5))
     path = generate_path(arctan_model, spec)
-    (rng,) = trial_generators(31337, np.array([5]))
-    streamed = np.concatenate(list(_sample_blocks(arctan_model, spec.nu, spec.horizon, rng)))
-    assert np.array_equal(path.samples, streamed)
+    draw = _block_drawer(arctan_model, spec.nu, spec.horizon, list(trial_generators(31337, np.arange(8))))
+    blocks, t = [], 1
+    while t <= spec.horizon:
+        blocks.append(draw(np.array([2, 5]), t)[:, 1])
+        t += blocks[-1].size
+    assert np.array_equal(path.samples, np.concatenate(blocks))
 
 
 def test_adjacent_seeds_differ(arctan_model):
@@ -241,3 +250,74 @@ def test_gaussian_pre_change_sampler_equals_rng_normal(arctan_model, size):
         want = np.random.default_rng(seed).normal(0.0, 1.0, size)
         assert type(got) is type(want)
         assert np.array_equal(got, want)
+
+
+#: a sampler's wrong answer to a block of ``take`` draws: too few (the
+#: min(size, 3) of a sampler with a cap), one too many, and one value
+WRONG_SIZES = {
+    "short": lambda rng, take: rng.normal(0.0, 1.0, min(take, 3)),
+    "long": lambda rng, take: rng.normal(0.0, 1.0, take + 1),
+    "one-value": lambda rng, take: rng.normal(0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", ["generate_path", "simulate_trials"])
+@pytest.mark.parametrize("wrong", list(WRONG_SIZES))
+@pytest.mark.parametrize("stage", ["pre", "post"])
+def test_a_sampler_of_the_wrong_size_is_refused(stage, wrong, entry):
+    # nu = 5, horizon 10: a pre-change block of 4 draws, then a post-change
+    # one of 6; a wrong size must not shift the change point or broadcast
+    base = plain(gaussian_model(MeanSchedule.arctangent()))
+    bad = WRONG_SIZES[wrong]
+    if stage == "pre":
+        model = dataclasses.replace(base, sampler_pre=lambda rng, size=None: bad(rng, size))
+        message = r"sampler_pre returned draws of shape \(\d*,?\) for a block of 4 steps"
+    else:
+        model = dataclasses.replace(base, sampler_post=lambda n, rng, size=None: bad(rng, np.size(n)))
+        message = r"sampler_post returned draws of shape \(\d*,?\) for a block of 6 steps"
+    with pytest.raises(ValueError, match=message):
+        if entry == "generate_path":
+            generate_path(model, ChangeSpec(nu=5, horizon=10, seed=1))
+        else:
+            simulate_trials(model, "ex-cusum", 3.0, 5, 10, 3, 1)
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize("nu", [1, 7, 8, 25, 400, NO_CHANGE])
+@pytest.mark.parametrize(
+    "schedule, means",
+    [
+        (MeanSchedule.arctangent(), lambda ages: np.arctan(ages)),
+        (MeanSchedule.linear_saturating(0.1, 1.0), lambda ages: np.minimum(0.1 * ages, 1.0)),
+    ],
+    ids=["arctangent", "linear-saturating"],
+)
+def test_gaussian_paths_are_standard_normals_plus_the_means(schedule, means, nu, block, monkeypatch):
+    # the in-place draws of GaussianModel.block_sampler, and the default's
+    # sampler calls per row, give rng.standard_normal with mu_{t - nu} added
+    # from t = nu on, whatever the blocks
+    if block:
+        monkeypatch.setattr(process, "_CHUNK", block)
+    horizon = 300
+    n_pre = horizon if nu == NO_CHANGE else min(nu - 1, horizon)
+    for seed in (0, 11, 2**63 + 5):
+        want = np.random.default_rng(seed).standard_normal(horizon)
+        want[n_pre:] += means(np.arange(horizon - n_pre, dtype=np.float64))
+        spec = ChangeSpec(nu=nu, horizon=horizon, seed=seed)
+        assert np.array_equal(generate_path(gaussian_model(schedule), spec).samples, want)
+        assert np.array_equal(generate_path(plain(gaussian_model(schedule)), spec).samples, want)
+
+
+def test_gaussian_paths_call_neither_sampler(arctan_model):
+    # GaussianModel draws its blocks in place, so replaced samplers are not
+    # called, as with llr_sampler; the default hook calls them
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampler called")
+
+    model = dataclasses.replace(arctan_model, sampler_pre=refuse, sampler_post=refuse)
+    spec = ChangeSpec(nu=40, horizon=300, seed=3)
+    assert np.array_equal(generate_path(model, spec).samples, generate_path(arctan_model, spec).samples)
+    want = simulate_trials(arctan_model, "ex-cusum", 3.0, 40, 300, 9, 3)
+    assert np.array_equal(simulate_trials(model, "ex-cusum", 3.0, 40, 300, 9, 3), want)
+    with pytest.raises(AssertionError, match="sampler called"):
+        generate_path(plain(model), spec)

@@ -11,12 +11,19 @@ step:
   saturates, so each row keeps one sum per step taken, up to 2000.  It is
   timed at 1 and 64 rows only: at 907 rows one run takes seconds.
 
-The paths are drawn before the clock starts, so sampling is not timed.  Each
-figure is the best of 3 runs, divided by the horizon.  The SR rows never
-cross, so they time the steps that settle nothing; a last line times
-``metrics.simulate_trials`` on the ``sr-saturating`` benchmark settings (220
-trials of SR on ``linear-saturating(0.1, 1)``, threshold log 300, horizon
-6000), sampling and crossings included, in ms, best of 3.
+The paths are drawn before the clock starts, so sampling is not timed, and
+the kernel reads them through a drawer over the drawn blocks.  Each figure
+is the best of 3 runs, divided by the horizon.  The SR rows never cross, so
+they time the steps that settle nothing.
+
+The next line times path generation, the block drawer ``simulate_trials``
+reads, on the ``delay`` benchmark settings: one chunk of 1872 trials at nu
+80 and horizon 140, so two blocks of 79 pre-change and 61 post-change steps,
+in µs per sample, best of 3; the trials' generators are built before the
+clock starts.  The line after it times ``metrics.simulate_trials`` on the
+``sr-saturating`` benchmark settings (220 trials of SR on
+``linear-saturating(0.1, 1)``, threshold log 300, horizon 6000), sampling and
+crossings included, in ms, best of 3.
 
 The last line times the phases of the condition report that ``excusum
 verify`` runs, each through its public call at ``ConditionBudgets()`` on the
@@ -51,7 +58,7 @@ from excusum import (  # noqa: E402
     verify_mlr,
 )
 from excusum.detectors import _certified_tail, _lockstep  # noqa: E402
-from excusum.process import NO_CHANGE, _sample_blocks, trial_generators  # noqa: E402
+from excusum.process import _CHUNK, NO_CHANGE, _block_drawer, trial_generators  # noqa: E402
 
 HORIZON = 2000
 THRESHOLD = 1000.0
@@ -60,12 +67,16 @@ REPEATS = 3
 
 
 def best_us_per_step(kind: str, model, envelope, rows: int) -> float:
-    paths = [list(_sample_blocks(model, NO_CHANGE, HORIZON, rng)) for rng in trial_generators(7, np.arange(rows))]
+    draw = _block_drawer(model, NO_CHANGE, HORIZON, list(trial_generators(7, np.arange(rows))))
+    blocks = [draw(np.arange(rows), t) for t in range(1, HORIZON + 1, _CHUNK)]
+
+    def drawn(live, t):
+        return blocks[(t - 1) // _CHUNK][:, live]
+
     best = float("inf")
     for _ in range(REPEATS):
-        streams = [iter(blocks) for blocks in paths]
         start = time.perf_counter()
-        taus = _lockstep(kind, model, streams, THRESHOLD, HORIZON, None, envelope)
+        taus = _lockstep(kind, model, drawn, rows, THRESHOLD, HORIZON, None, envelope)
         best = min(best, time.perf_counter() - start)
         assert not taus.any(), "a run stopped; the probe needs every row live"
     return best / HORIZON * 1e6
@@ -78,6 +89,18 @@ def best_ms(run) -> float:
         run()
         best = min(best, time.perf_counter() - start)
     return best * 1e3
+
+
+def best_us_per_sample(model, nu: int, horizon: int, rows: int) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        draw = _block_drawer(model, nu, horizon, list(trial_generators(7, np.arange(rows))))
+        live = np.arange(rows)
+        start = time.perf_counter()
+        steps = draw(live, 1).shape[0]
+        draw(live, 1 + steps)
+        best = min(best, time.perf_counter() - start)
+    return best / (rows * horizon) * 1e6
 
 
 def main() -> int:
@@ -95,6 +118,8 @@ def main() -> int:
     for name, kind, model, tail, rows in kernels:
         cells = [f"{best_us_per_step(kind, model, tail, r):>11.1f}" if r in rows else f"{'-':>11}" for r in ROWS]
         print(f"{name:<38}" + "".join(cells))
+    path_us = best_us_per_sample(arctan, 80, 140, 1872)
+    print(f"path generation, delay settings (1872 trials, nu 80, horizon 140): {path_us:.4f} µs per sample, best of {REPEATS}")
     sr_arl = best_ms(lambda: metrics.simulate_trials(saturating, "sr", math.log(300.0), NO_CHANGE, 6000, 220, 7))
     print(f"sr-saturating simulate_trials, 220 trials: {sr_arl:.1f} ms, best of {REPEATS}")
     b = ConditionBudgets()
