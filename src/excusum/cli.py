@@ -3,7 +3,9 @@
 Subcommands: demo, verify, arl, cadd, tradeoff, simulate.  Every command is
 a pure function of its config plus the seed, so reruns are byte-identical.
 Exit status 0 means every verdict the command checks passed; 1 means a
-verdict failed; 2 means the config was rejected.
+verdict failed; 2 means the config was rejected.  ``conditions`` and
+``svgplot`` are imported inside the commands that call them, so the other
+commands never load them.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import conditions, metrics
+from . import metrics
 from .config import DEFAULT_CONFIG, ConfigError, ExperimentConfig, read_json
 from .detectors import DETECTORS, statistic_trace
 from .metrics import EstimationError
 from .models import GaussianModel
 from .process import ChangeSpec, generate_path
-from .svgplot import line_chart
 
 
 def _fmt(value) -> str:
@@ -72,6 +73,8 @@ Result = tuple[bool, str, dict]
 
 
 def cmd_demo(cfg: ExperimentConfig, model: GaussianModel) -> Result:
+    from .svgplot import line_chart
+
     run = cfg.run
     threshold = cfg.detector.threshold_value
     spec = ChangeSpec(nu=run.nu, horizon=run.horizon, seed=run.seed)
@@ -97,6 +100,8 @@ def cmd_demo(cfg: ExperimentConfig, model: GaussianModel) -> Result:
 
 
 def cmd_verify(cfg: ExperimentConfig, model: GaussianModel) -> Result:
+    from . import conditions
+
     budgets = conditions.ConditionBudgets(seed=cfg.run.seed)
     report = conditions.full_condition_report(model, budgets)
     failing = [name for name, ok in report.verdicts.items() if not ok]
@@ -155,6 +160,8 @@ def cmd_cadd(cfg: ExperimentConfig, model: GaussianModel) -> Result:
 
 
 def cmd_tradeoff(cfg: ExperimentConfig, model: GaussianModel) -> Result:
+    from .svgplot import line_chart
+
     rows = metrics.tradeoff_curve(
         model,
         cfg.tradeoff.gammas,

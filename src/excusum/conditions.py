@@ -21,17 +21,19 @@ Four pieces of evidence are produced for a model:
 ``full_condition_report`` composes these with the MLR structure check from
 the models module into a single pass/fail report.
 
-The SLLN and dominance checks draw their ratios through the model's
-llr_sampler hook into one reused block each, and each runs its two
-independent halves on two threads (the SLLN's two trial ranges, the two
-block starts): numpy's generator fills and ufunc loops release the
-interpreter lock, so the halves overlap on two cores.  Every trial and block
-start draws from a generator of its own, so the split does not change a bit.
+The moment, SLLN and dominance checks draw their ratios through the
+model's llr_sampler hook into one reused block each.  The SLLN and dominance
+checks each run their two independent halves on two threads (the SLLN's two
+trial ranges, the two block starts): numpy's generator fills and ufunc loops
+release the interpreter lock, so the halves overlap on two cores.  Every
+trial and block start draws from a generator of its own, so the split does
+not change a bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -55,6 +57,9 @@ SLLN_QUANTILE_LEVELS = (0.5, 0.9, 0.95)
 #: of the dominance check's CDF gap
 _BLOCK_ELEMENTS = 2**16
 
+#: KL values cesaro_kl_average converts to Python floats at a time
+_CESARO_CHUNK = 4096
+
 #: stream keys: moment index k and SLLN trial t draw from
 #: derive_seed(derive_seed(seed, key), i), apart from each other and from the
 #: dominance block started at k, which draws from derive_seed(seed, k)
@@ -69,19 +74,33 @@ def dkw_slack(trials: int) -> float:
 
 def _on_two_threads(job, first, second) -> tuple:
     """(job(first), job(second)), run at once on two threads; an exception
-    of either re-raises here once both have ended."""
-    # imported here: at module level it adds about 0.8 MB to every command
-    from concurrent.futures import ThreadPoolExecutor
+    of either re-raises here once both have ended, the first job's if both
+    raise."""
+    results, errors = [None, None], [None, None]
 
-    with ThreadPoolExecutor(2) as pool:
-        futures = [pool.submit(job, arg) for arg in (first, second)]
-        return tuple(future.result() for future in futures)
+    def run(i: int, arg) -> None:
+        try:
+            results[i] = job(arg)
+        except BaseException as exc:  # re-raised in the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=pair) for pair in enumerate((first, second))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return tuple(results)
 
 
 def _trace_indices(n_max: int) -> np.ndarray:
+    """1..min(n_max, 64), 200 geometric steps to n_max, and n_max, sorted and
+    unique (without np.unique, which imports numpy.ma)."""
     dense = np.arange(1, min(n_max, 64) + 1)
-    sparse = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
-    return np.unique(np.concatenate([dense, sparse, [n_max]]))
+    idx = np.sort(np.concatenate([dense, np.geomspace(1, n_max, 200).astype(np.int64), [n_max]]))
+    return idx[np.concatenate([[True], idx[1:] != idx[:-1]])]
 
 
 @dataclass(frozen=True)
@@ -104,18 +123,23 @@ def cesaro_kl_average(model: DensityModel, n_max: int) -> CesaroTrace:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     vals = model.kl(np.arange(n_max))
-    # running mean in recurrence form: exact on constant sequences, where a
-    # cumsum-based mean would wobble in the last bits
-    cumavg = np.empty(n_max)
-    avg = 0.0
-    for i in range(n_max):
-        avg += (float(vals[i]) - avg) / (i + 1)
-        cumavg[i] = avg
     ns = _trace_indices(n_max)
-    estimate = float(cumavg[-1])
+    # running mean in recurrence form: exact on constant sequences, where a
+    # cumsum-based mean would wobble in the last bits; it runs on Python
+    # floats, _CESARO_CHUNK values converted at a time, and keeps the
+    # averages at ns alone
+    averages = []
+    avg, done = 0.0, 0
+    for n in ns.tolist():
+        for lo in range(done, n, _CESARO_CHUNK):
+            for i, v in enumerate(vals[lo : min(lo + _CESARO_CHUNK, n)].tolist(), lo + 1):
+                avg += (v - avg) / i
+        averages.append(avg)
+        done = n
+    estimate = averages[-1]
     return CesaroTrace(
         ns=ns,
-        averages=cumavg[ns - 1],
+        averages=np.array(averages),
         information_number=estimate,
         n_max=n_max,
         passed=estimate > 0.0,
@@ -160,10 +184,10 @@ def fourth_moment_check(
     stderrs = np.empty(len(ks))
     closed = np.empty(len(ks))
     base = derive_seed(seed, _MOMENT_STREAMS)
+    block = np.empty(trials)
     for j, k in enumerate(ks):
         rng = np.random.default_rng(derive_seed(base, k))
-        x = np.asarray(model.sampler_post(k - 1, rng, trials))
-        z = model.log_ratio(k - 1, x)
+        z = model.llr_sampler(k - 1, k - 1)(rng, block)
         center = float(model.kl(k - 1))
         fourth = (z - center) ** 4
         estimates[j] = fourth.mean()

@@ -20,14 +20,17 @@ trials of a chunk advancing in lockstep through one detector step per time
 index (see detectors._lockstep), so the per-step interpreter and numpy call
 overhead is paid once per chunk instead of once per trial; a trial's outcome
 does not depend on the chunk it runs in.
+
+The result records are NamedTuples: they validate nothing, and a NamedTuple
+class costs about a tenth of a frozen dataclass to define, which every
+command pays at start-up.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +60,7 @@ class EstimationError(RuntimeError):
     """An estimate could not be formed (no usable trials)."""
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """One simulated run: stopping time, censoring, and delay bookkeeping.
 
     Exactly one of the three outcomes holds: stopped at tau >= nu (a
@@ -135,8 +137,7 @@ def simulate_trials(
     return taus
 
 
-@dataclass(frozen=True)
-class ArlEstimate:
+class ArlEstimate(NamedTuple):
     """Mean time to false alarm with censoring included at the horizon."""
 
     mean_tau: float
@@ -196,8 +197,7 @@ def default_delay_horizon(nu: int, threshold: float, info: float | None) -> int:
     return int(nu + DELAY_HORIZON_FACTOR * max(1, math.ceil(max(threshold, 0.0) / info)))
 
 
-@dataclass(frozen=True)
-class CaddEstimate:
+class CaddEstimate(NamedTuple):
     """Conditional average detection delay at a fixed change point."""
 
     nu: int
@@ -254,15 +254,13 @@ def estimate_cadd(
     )
 
 
-@dataclass(frozen=True)
-class DelayScanCell:
+class DelayScanCell(NamedTuple):
     nu: int
     estimate: CaddEstimate | None
     error: str | None
 
 
-@dataclass(frozen=True)
-class DelayScan:
+class DelayScan(NamedTuple):
     """Per-nu conditional delays and their maximum over a finite nu grid.
 
     A finite-grid approximation to the worst case over all change points;
@@ -328,8 +326,7 @@ def worst_case_delay_scan(
     return DelayScan(cells=tuple(cells), max_delay=best.estimate.mean_delay, argmax_nu=best.nu)
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
+class TradeoffRow(NamedTuple):
     """One gamma on the tradeoff curve: ARL estimate, delay estimate, bound."""
 
     gamma: float

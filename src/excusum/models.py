@@ -31,10 +31,9 @@ row per run of a block: by default with one sampler_pre or sampler_post call
 per row, for generate_path and the lockstep trials alike; GaussianModel
 draws each row in place and adds the block's means once.  So a
 GaussianModel whose samplers are replaced routes neither its paths nor the
-SLLN and dominance draws through them: of the library's draws, only
-fourth_moment_check (and the checked sample_post) calls its sampler_post.
-The KL
-numbers have one hook too, DensityModel.kl: trapezoid quadrature by
+condition checks' draws through them: of the library's draws, only the
+checked sample_post calls its sampler_post.  The KL numbers have one hook
+too, DensityModel.kl: trapezoid quadrature by
 default, the schedule's mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
 changing: for the Gaussian family, the index from which the schedule's

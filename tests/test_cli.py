@@ -317,11 +317,13 @@ def test_importing_the_cli_loads_no_network_or_email_modules():
     import subprocess
     import sys
 
-    # nor the thread pool, which only verify's checks start
+    # nor what only some commands run: the condition checks (verify), the
+    # plots (demo, tradeoff), and the numpy.ma and thread-pool modules
+    # that neither needs
     code = (
         "import sys, excusum.cli; "
-        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'concurrent.futures')"
-        " if m in sys.modules))"
+        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'concurrent.futures',"
+        " 'excusum.conditions', 'excusum.svgplot', 'numpy.ma') if m in sys.modules))"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,6 +2,7 @@
 block-sum dominance, and the composed report."""
 
 import dataclasses
+import json
 import math
 import threading
 import tracemalloc
@@ -256,6 +257,27 @@ def test_dominance_reraises_a_failure_of_either_block(arctan_model, k):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("failing", [{"first"}, {"second"}, {"first", "second"}])
+def test_two_threads_reraise_a_failure_of_either_job_after_both_end(failing):
+    ended = []
+
+    def job(name):
+        try:
+            if name in failing:
+                raise ValueError(f"{name} job fails")
+            return name.upper()
+        finally:
+            ended.append(name)
+
+    threads = threading.active_count()
+    # the first job's error wins when both fail
+    with pytest.raises(ValueError, match="first job fails" if "first" in failing else "second job fails"):
+        conditions._on_two_threads(job, "first", "second")
+    assert sorted(ended) == ["first", "second"]
+    assert threading.active_count() == threads
+    assert conditions._on_two_threads(job, "one", "two") == ("ONE", "TWO")
+
+
 # ---------------------------------------------------------------------------
 # block-sum dominance
 
@@ -356,26 +378,29 @@ def small_budgets(seed=0):
 
 def test_checks_draw_from_streams_of_their_own(arctan_model):
     # the moment check, SLLN and the dominance blocks at the CLI budgets'
-    # indices each start from generator states no other check starts from.
-    # The Gaussian llr_sampler draws without sampler_post, so SLLN and the
-    # dominance blocks are recorded on the generic family, whose default
-    # llr_sampler calls it; the moment check takes the Gaussian family only
+    # indices each start from generator states no other check starts from;
+    # all three draw through the model's llr_sampler hook, recorded here
     b = ConditionBudgets()
     starts = {}
 
     def recording(name, model):
-        def draw_post(n, rng, size=None):
-            if all(rng is not r for r, _ in starts.setdefault(name, [])):
-                starts[name].append((rng, tuple(rng.bit_generator.state["state"].values())))
-            return model.sampler_post(n, rng, size)
+        def llr_sampler(self, data_ages, llr_ages):
+            fill = type(model).llr_sampler(self, data_ages, llr_ages)
 
-        return dataclasses.replace(model, sampler_post=draw_post)
+            def draw(rng, out):
+                if all(rng is not r for r, _ in starts.setdefault(name, [])):
+                    starts[name].append((rng, tuple(rng.bit_generator.state["state"].values())))
+                return fill(rng, out)
 
-    generic = with_information_number(generic_gaussian_model(arctan_model.schedule), arctan_model.information_number())
+            return draw
+
+        cls = type("Recording", (type(model),), {"llr_sampler": llr_sampler})
+        return cls(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+
     fourth_moment_check(recording("moment", arctan_model), trials=2, seed=b.seed, ks=b.moment_ks)
-    slln_empirical(recording("slln", generic), 4, trials=b.slln_trials, seed=b.seed)
+    slln_empirical(recording("slln", arctan_model), 4, trials=b.slln_trials, seed=b.seed)
     for k in b.dominance_pair:
-        sum_dominance_check(recording("dominance", generic), k, k, 1, trials=2, seed=b.seed)
+        sum_dominance_check(recording("dominance", arctan_model), k, k, 1, trials=2, seed=b.seed)
     states = {name: {state for _, state in entries} for name, entries in starts.items()}
     assert [len(states[name]) for name in ("moment", "slln", "dominance")] == [
         len(b.moment_ks),
@@ -384,6 +409,23 @@ def test_checks_draw_from_streams_of_their_own(arctan_model):
     ]
     assert not states["moment"] & states["slln"]
     assert not (states["moment"] | states["slln"]) & states["dominance"]
+
+
+def test_a_replaced_gaussian_sampler_feeds_no_check(arctan_model):
+    # every Monte Carlo check of the report draws through the Gaussian
+    # llr_sampler, so a replaced sampler_post moves no byte of the report
+    calls = []
+
+    def draw_post(n, rng, size=None):
+        calls.append(n)
+        return arctan_model.sampler_post(n, rng, size)
+
+    replaced = dataclasses.replace(arctan_model, sampler_post=draw_post)
+    report = full_condition_report(replaced, small_budgets())
+    assert calls == []
+    expected = full_condition_report(arctan_model, small_budgets())
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected.to_dict(), sort_keys=True)
+    assert report.trace_rows() == expected.trace_rows()
 
 
 def test_full_report_passes_for_arctan(arctan_model):

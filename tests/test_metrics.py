@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -57,6 +58,36 @@ def test_trial_outcome_classification():
     for both_or_neither in ((12, 50), (None, None)):
         with pytest.raises(ValueError, match="exactly one"):
             StopResult(*both_or_neither)
+
+
+def test_result_records_keep_their_repr_fields_and_pickle():
+    arl = metrics.ArlEstimate(mean_tau=120.5, stderr=3.25, lcb95=115.0, censored_fraction=0.0, trials=8)
+    cadd = metrics.CaddEstimate(
+        nu=5, mean_delay=2.5, stderr=0.5, accepted=7, acceptance_rate=0.875, censored=0, trials=8
+    )
+    cell = metrics.DelayScanCell(nu=5, estimate=cadd, error=None)
+    failed = metrics.DelayScanCell(nu=6, estimate=None, error="no accepted runs")
+    scan = metrics.DelayScan(cells=(cell, failed), max_delay=2.5, argmax_nu=5)
+    row = metrics.TradeoffRow(gamma=100.0, threshold=4.5, arl=arl, cadd=cadd, bound=3.75)
+    outcome = TrialOutcome(tau=12, censored_at=None, nu=10)
+    arl_repr = "ArlEstimate(mean_tau=120.5, stderr=3.25, lcb95=115.0, censored_fraction=0.0, trials=8)"
+    cadd_repr = (
+        "CaddEstimate(nu=5, mean_delay=2.5, stderr=0.5, accepted=7, acceptance_rate=0.875, censored=0, trials=8)"
+    )
+    cell_repr = f"DelayScanCell(nu=5, estimate={cadd_repr}, error=None)"
+    failed_repr = "DelayScanCell(nu=6, estimate=None, error='no accepted runs')"
+    assert repr(arl) == arl_repr
+    assert repr(cadd) == cadd_repr
+    assert repr(scan) == f"DelayScan(cells=({cell_repr}, {failed_repr}), max_delay=2.5, argmax_nu=5)"
+    assert repr(row) == f"TradeoffRow(gamma=100.0, threshold=4.5, arl={arl_repr}, cadd={cadd_repr}, bound=3.75)"
+    assert repr(outcome) == "TrialOutcome(tau=12, censored_at=None, nu=10)"
+    assert (arl.lcb95, cadd.accepted, scan.cells[1].error, row.cadd.mean_delay) == (115.0, 7, "no accepted runs", 2.5)
+    assert (outcome.delay, outcome.false_alarm) == (2, False)
+    for record in (arl, cadd, cell, scan, row, outcome):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
+    with pytest.raises(AttributeError):
+        arl.trials = 9
 
 
 def test_z95_is_the_one_sided_normal_quantile():
