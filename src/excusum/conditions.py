@@ -22,20 +22,20 @@ Four pieces of evidence are produced for a model:
 the models module into a single pass/fail report.
 
 The moment, SLLN and dominance checks draw their ratios through the
-model's llr_sampler hook into one reused block each.  The SLLN and dominance
-checks each run their two independent halves on two threads (the SLLN's two
-trial ranges, the two block starts): numpy's generator fills and ufunc loops
-release the interpreter lock, so the halves overlap on two cores.  Every
-trial and block start draws from a generator of its own, so the split does
-not change a bit.
+model's llr_sampler hook (by default one block_sampler row) into one reused
+block each, after refusing any count or index that is not an integer.  The
+SLLN and dominance checks each run their two independent halves on two
+threads (the SLLN's two trial ranges, the two block starts): numpy's
+generator fills and ufunc loops release the interpreter lock, so the halves
+overlap on two cores.  Every trial and block start draws from a generator
+of its own, so the split does not change a bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,6 +95,14 @@ def _on_two_threads(job, first, second) -> tuple:
     return tuple(results)
 
 
+def _integers(**values) -> None:
+    """Refuse, before any draw, a count or index that is not an integer or
+    is a bool (numpy would fail on it later, or the record would hold it)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _trace_indices(n_max: int) -> np.ndarray:
     """1..min(n_max, 64), 200 geometric steps to n_max, and n_max, sorted and
     unique (without np.unique, which imports numpy.ma)."""
@@ -103,8 +111,7 @@ def _trace_indices(n_max: int) -> np.ndarray:
     return idx[np.concatenate([[True], idx[1:] != idx[:-1]])]
 
 
-@dataclass(frozen=True)
-class CesaroTrace:
+class CesaroTrace(NamedTuple):
     """Running averages of D(f_{k-1} || g) and the resulting I estimate."""
 
     ns: np.ndarray
@@ -120,6 +127,7 @@ def cesaro_kl_average(model: DensityModel, n_max: int) -> CesaroTrace:
     The final value is the information-number estimate; the verdict fails for
     degenerate families whose divergences average to zero.
     """
+    _integers(n_max=n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     vals = model.kl(np.arange(n_max))
@@ -146,8 +154,7 @@ def cesaro_kl_average(model: DensityModel, n_max: int) -> CesaroTrace:
     )
 
 
-@dataclass(frozen=True)
-class MomentCheck:
+class MomentCheck(NamedTuple):
     """Centered fourth moments of the per-sample LLR versus a uniform bound."""
 
     ks: tuple[int, ...]
@@ -175,6 +182,7 @@ def fourth_moment_check(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("the fourth-moment check needs the Gaussian family, whose bound is 3 * limit_mu**4")
+    _integers(trials=trials, **{f"ks[{j}]": k for j, k in enumerate(ks)})
     if not ks or any(k < 1 for k in ks):
         raise ValueError("moment check indices k must be given, each >= 1")
     if trials < 2:
@@ -205,8 +213,7 @@ def fourth_moment_check(
     )
 
 
-@dataclass(frozen=True)
-class SllnCheck:
+class SllnCheck(NamedTuple):
     """Deviation quantiles of the change-at-1 empirical LLR average around I."""
 
     ns: tuple[int, ...]
@@ -230,6 +237,7 @@ def slln_empirical(
     when the 95th-percentile deviation strictly decreases, the Monte Carlo
     surrogate for almost-sure convergence.
     """
+    _integers(n=n, trials=trials)
     if n < 1 or trials < 2:
         raise ValueError("n must be >= 1 and trials >= 2")
     grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
@@ -254,8 +262,17 @@ def slln_empirical(
             avgs[start : start + len(part)] = part[:, marks - 1] / marks
 
     _on_two_threads(averages, (0, trials // 2), (trials // 2, trials))
-    dev = np.abs(avgs - info)
-    quantiles = {q: np.quantile(dev, q, axis=0) for q in SLLN_QUANTILE_LEVELS}
+    # np.quantile's default linear rule (numpy's _lerp) on one sort, with its
+    # bits: np.quantile itself imports numpy.ma to interpolate
+    dev = np.sort(np.abs(avgs - info), axis=0)
+    quantiles = {}
+    for q in SLLN_QUANTILE_LEVELS:
+        v = (trials - 1) * q
+        i = math.floor(v)
+        t = v - i
+        a, b = dev[i], dev[min(i + 1, trials - 1)]
+        level = a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+        quantiles[q] = np.where(np.isnan(dev[-1]), dev[-1], level)  # a NaN sorts last
     q95 = quantiles[0.95]
     passed = bool(np.all(np.diff(q95) < 0.0)) if len(grid) > 1 else True
     return SllnCheck(
@@ -268,8 +285,7 @@ def slln_empirical(
     )
 
 
-@dataclass(frozen=True)
-class DominanceCheck:
+class DominanceCheck(NamedTuple):
     """One-sided empirical-CDF comparison of shifted block-average LLR sums."""
 
     k_small: int
@@ -320,6 +336,7 @@ def sum_dominance_check(
     comparing an index against itself reuses the same draws and gives a gap
     of exactly zero.
     """
+    _integers(k_small=k_small, k_large=k_large, n=n, trials=trials)
     if k_small < 1 or k_large < 1:
         raise ValueError("block start indices must be >= 1")
     if n < 1 or trials < 2:
@@ -344,8 +361,7 @@ def sum_dominance_check(
     )
 
 
-@dataclass(frozen=True)
-class ConditionBudgets:
+class ConditionBudgets(NamedTuple):
     """Sampling and grid budgets for the full condition report."""
 
     mlr_ns: tuple[int, ...] = (-1, 0, 1, 2, 5, 10, 20, 50)
@@ -361,8 +377,7 @@ class ConditionBudgets:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Verdicts and numeric evidence for all checked optimality conditions."""
 
     information_number_I: float

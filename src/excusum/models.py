@@ -18,23 +18,19 @@ Carlo studies.  The schedule caches mu_n and mu_n**2 / 2 together.
 All detector and simulation code is written against the generic
 DensityModel interface, so custom families (including deliberately broken
 ones used as counterexamples in tests) plug in the same way.  The per-sample
-log-likelihood ratio has one hook, DensityModel.log_ratio, and two forms of
-it for ages 0..n-1, one shape each: llr_prefix fills a 1-d array for one
-stream, and llr_columns, bound for a lockstep run, an (ages, rows) array.
-The condition checks' Monte Carlo ratios have a third bound form,
-llr_sampler, which draws into a block and overwrites it with the ratios.
-The defaults subtract the log densities (llr_sampler draws through
-sampler_post); GaussianModel overrides all four with the closed form,
-through one kernel for both prefix forms, and draws its llr_sampler blocks
-in place.  Every path has one drawing hook, block_sampler, which fills one
-row per run of a block: by default with one sampler_pre or sampler_post call
-per row, for generate_path and the lockstep trials alike; GaussianModel
-draws each row in place and adds the block's means once.  So a
-GaussianModel whose samplers are replaced routes neither its paths nor the
-condition checks' draws through them: of the library's draws, only the
-checked sample_post calls its sampler_post.  The KL numbers have one hook
-too, DensityModel.kl: trapezoid quadrature by
-default, the schedule's mu_n**2 / 2 for the Gaussian family.
+log-likelihood ratio has one hook, DensityModel.log_ratio, and three forms:
+llr_prefix fills ages 0..n-1 of a 1-d array for one stream, llr_columns,
+bound for a lockstep run, an (ages, rows) array (by default with one
+llr_prefix call per row), and llr_sampler, bound for a condition check,
+draws into a block and overwrites it with the ratios.  Every draw has one hook,
+block_sampler, which fills one row per run of a block, by default with one
+sampler_pre or sampler_post call per row whose shape it checks: it is the
+only caller of a family's samplers.  GaussianModel overrides these five
+hooks: one in-place kernel (_gaussian_ratio) computes mu * x - mu**2 / 2
+for every ratio form and for llr_envelope, and each block row is drawn in
+place, so a replaced sampler is not called.  The KL numbers have one
+hook too, DensityModel.kl: trapezoid quadrature by default, the schedule's
+mu_n**2 / 2 for the Gaussian family.
 saturation_index tells the detectors from which age on that ratio stops
 changing: for the Gaussian family, the index from which the schedule's
 cached means equal its limit bit for bit, scanned in the same array
@@ -290,24 +286,26 @@ class DensityModel:
     def llr_columns(self, size: int) -> Callable:
         """llr_prefix for lockstep rows, bound for n <= size so that a family
         fetches what it reads per age once: (n, x, out) writes log_ratio(j,
-        x[r]) into the candidate-major out[j, r] for a validated (rows,) x."""
+        x[r]) into the candidate-major out[j, r] for a validated (rows,) x,
+        by default with one llr_prefix call per row."""
 
         def columns(n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-            idx = np.arange(n)
             for r, xr in enumerate(x.tolist()):
-                out[:n, r] = self.log_ratio(idx, xr)
+                self.llr_prefix(n, xr, out[:, r])
             return out[:n]
 
         return columns
 
     def llr_sampler(self, data_ages, llr_ages) -> Callable:
         """The condition checks' draws, bound once per check: (rng, out) draws
-        X ~ f_{data_ages}, broadcast to out's shape, with sampler_post, then
-        overwrites out with log_ratio(llr_ages, X) and returns it."""
+        X ~ f_{data_ages}, broadcast to out's shape (by default as one
+        block_sampler row, in C order), then overwrites out with
+        log_ratio(llr_ages, X) and returns it."""
 
         def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-            x = np.asarray(self.sampler_post(np.broadcast_to(data_ages, out.shape), rng, None), dtype=np.float64)
-            out[...] = self.log_ratio(llr_ages, x)
+            # out.reshape is a view, unless out is not contiguous: read x back
+            x = self.block_sampler(np.broadcast_to(data_ages, out.shape).ravel())([rng], out.reshape(1, -1))
+            out[...] = self.log_ratio(llr_ages, x.reshape(out.shape))
             return out
 
         return fill
@@ -371,7 +369,7 @@ class GaussianModel(DensityModel):
     # closed forms, algebraically identical to the DensityModel defaults
     def log_ratio(self, index, x):
         m = self.schedule.at(index)
-        return m * x - m * m / 2.0
+        return _gaussian_ratio(m, m * m / 2.0, x)
 
     def llr_prefix(self, n: int, x: float, out: np.ndarray) -> np.ndarray:
         # one cache read for both arrays: means() and half_squares() each cost a call per step
@@ -381,9 +379,8 @@ class GaussianModel(DensityModel):
         return partial(_gaussian_columns, self.schedule.means(size)[:, None], self.schedule.half_squares(size)[:, None])
 
     def llr_sampler(self, data_ages, llr_ages) -> Callable:
-        # draws in place, without sampler_post: a replaced one is not called
-        means = self.schedule.at(llr_ages)
-        return partial(_gaussian_llr_fill, self.schedule.at(data_ages), means, means * means / 2.0)
+        # draws as block_sampler does, so a replaced sampler_post is not called
+        return partial(_gaussian_llr_fill, self.schedule.at(data_ages), self.schedule.at(llr_ages), self.kl(llr_ages))
 
     def block_sampler(self, ages) -> Callable:
         # draws in place, without the samplers: a replaced one is not called
@@ -418,18 +415,18 @@ def _kl_integrand(model: DensityModel, n: int, xs):
     return np.where(f > 0.0, f * (logf - logg), 0.0)
 
 
+def _gaussian_ratio(means, half, x, out=None):
+    # every Gaussian ratio: means * x - half, half = means**2 / 2, into out
+    return np.subtract(np.multiply(means, x, out=out), half, out=out)
+
+
 def _gaussian_columns(means: np.ndarray, half: np.ndarray, n: int, x, out: np.ndarray) -> np.ndarray:
-    block = np.multiply(means[:n], x, out=out[:n])
-    return np.subtract(block, half[:n], out=block)
+    return _gaussian_ratio(means[:n], half[:n], x, out[:n])
 
 
 def _gaussian_llr_fill(data_means, means, half, rng, out: np.ndarray) -> np.ndarray:
-    # the operations of _gaussian_draw_post and then log_ratio, so the same bits
-    rng.standard_normal(out=out)
-    out += data_means
-    out *= means
-    out -= half
-    return out
+    _gaussian_rows(data_means, [rng], out[None])
+    return _gaussian_ratio(means, half, out, out)
 
 
 def _gaussian_rows(means, rngs: list, out: np.ndarray) -> np.ndarray:
@@ -443,13 +440,10 @@ def _gaussian_rows(means, rngs: list, out: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_envelope(lo: float, hi: float, x):
-    # the operations of llr_prefix, so a zero-width range gives its bits;
-    # in place, so an array x costs one temporary besides the result
+    # the ratio at the mean c, so a zero-width range gives llr_prefix's bits;
+    # in place for an array x, which then costs one temporary besides the result
     c = np.clip(x, lo, hi)
-    half = c * c / 2.0  # numpy divides its large temporaries in place
-    c *= x
-    c -= half
-    return c
+    return _gaussian_ratio(c, c * c / 2.0, x, c if np.ndim(c) else None)
 
 
 def _normal_logpdf(mean, x):
@@ -624,9 +618,12 @@ def verify_stochastic_dominance(model: DensityModel, n: int, grid) -> bool:
 
 
 def sample_post(model: DensityModel, n, rng: np.random.Generator, size=None):
-    """Draw from f_n; n may be an index array (one draw per index)."""
-    _checked_index(n, "post-change index")
-    return model.sampler_post(n, rng, size)
+    """Draw from f_n into an array of shape ``size``, else of n's shape (n
+    may be an index array), as one block_sampler row, in C order."""
+    idx = _checked_index(n, "post-change index")
+    out = np.empty(idx.shape if size is None else size)
+    model.block_sampler(np.broadcast_to(idx, out.shape).ravel())([rng], out.reshape(1, -1))
+    return out
 
 
 def default_grid(model: DensityModel, n: int | None = None, points: int = 2001) -> np.ndarray:

@@ -333,6 +333,27 @@ def test_importing_the_cli_loads_no_network_or_email_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_loads_no_numpy_ma(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # the SLLN quantiles interpolate without np.quantile, and the trace
+    # indices de-duplicate without np.unique: both import numpy.ma
+    code = (
+        "import sys; from excusum.cli import main; "
+        f"code = main(['verify', '--config', {str(CONFIGS / 'demo.json')!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "report.json").is_file()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -4,6 +4,7 @@ block-sum dominance, and the composed report."""
 import dataclasses
 import json
 import math
+import pickle
 import threading
 import tracemalloc
 
@@ -212,10 +213,11 @@ def serial_slln_averages(model, n, trials, seed, marks):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("trials", [2, 7, 400])
+@pytest.mark.parametrize("trials", [2, 7, 13, 400])
 @pytest.mark.parametrize("family", ["gaussian", "generic"])
 def test_slln_halves_equal_a_serial_reference(arctan_model, family, trials):
-    # n = 5000 takes 13 rows a block, so a half of 200 trials ends in a short one
+    # n = 5000 takes 13 rows a block, so a half of 200 trials ends in a short
+    # one; at 13 trials the 0.9 and 0.95 levels interpolate from the far end
     model = arctan_model
     if family == "generic":
         model = with_information_number(generic_gaussian_model(arctan_model.schedule), I_ARCTAN)
@@ -355,6 +357,57 @@ def test_dominance_validates_arguments(arctan_model):
         sum_dominance_check(arctan_model, 0, 5, 20)
     with pytest.raises(ValueError):
         sum_dominance_check(arctan_model, 2, 5, 0)
+
+
+#: a fractional or bool count or index of each check, refused with
+#: ValueError; the fractions ended in numpy's IndexError or TypeError, and
+#: the bools were taken and stored in the record
+NOT_INTEGERS = {
+    "moment-k": lambda m: fourth_moment_check(m, ks=(1.5,)),
+    "moment-k-bool": lambda m: fourth_moment_check(m, ks=(True,)),
+    "moment-trials": lambda m: fourth_moment_check(m, trials=2.5, ks=(1,)),
+    "slln-n": lambda m: slln_empirical(m, 16.5),
+    "slln-trials": lambda m: slln_empirical(m, 16, trials=2.5),
+    "dominance-k": lambda m: sum_dominance_check(m, 1.5, 5, 4, 10),
+    "dominance-k-bool": lambda m: sum_dominance_check(m, True, 5, 4, 10),
+    "dominance-n": lambda m: sum_dominance_check(m, 1, 5, 4.5, 10),
+    "dominance-n-bool": lambda m: sum_dominance_check(m, 1, 5, True, 10),
+    "cesaro-n-max": lambda m: cesaro_kl_average(m, 10.5),
+    "cesaro-n-max-bool": lambda m: cesaro_kl_average(m, True),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_INTEGERS))
+def test_checks_refuse_bools_and_fractions_before_any_draw(arctan_model, case):
+    def llr_sampler(self, data_ages, llr_ages):
+        raise AssertionError("drew before the check")
+
+    cls = type("NoDraws", (type(arctan_model),), {"llr_sampler": llr_sampler})
+    model = cls(**{f.name: getattr(arctan_model, f.name) for f in dataclasses.fields(arctan_model)})
+    with pytest.raises(ValueError, match="must be an integer"):
+        NOT_INTEGERS[case](model)
+    # numpy integers are integers
+    assert cesaro_kl_average(arctan_model, np.int64(10)).n_max == 10
+
+
+def test_condition_records_keep_their_fields_defaults_and_pickle(arctan_model):
+    budgets = ConditionBudgets(
+        mlr_ns=(0,), cesaro_n_max=100, moment_trials=100, slln_n=64, slln_trials=10, dominance_trials=50, seed=5
+    )
+    assert ConditionBudgets()._replace(
+        mlr_ns=(0,), cesaro_n_max=100, moment_trials=100, slln_n=64, slln_trials=10, dominance_trials=50, seed=5
+    ) == budgets
+    assert ConditionBudgets() == ConditionBudgets(
+        (-1, 0, 1, 2, 5, 10, 20, 50), 2001, 100_000, (1, 10, 100), 100_000, 16_000, 1_000, (1, 5), 20, 100_000, 0
+    )
+    report = full_condition_report(arctan_model, budgets)
+    copy = pickle.loads(pickle.dumps(report))
+    assert type(copy) is type(report) and repr(copy) == repr(report)
+    assert copy.to_dict() == report.to_dict() and copy.trace_rows() == report.trace_rows()
+    assert repr(report.dominance_check).startswith("DominanceCheck(k_small=1, k_large=5, n=20, trials=50, max_gap=")
+    for record in (budgets, report, report.cesaro_trace, report.moment_check, report.slln_check):
+        with pytest.raises(AttributeError):
+            record.passed = False
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Density-family tests: log-likelihood ratios, KL, MLR/dominance checks,
 schedules, and sampling contracts."""
 
+import ast
 import copy
 import math
 import pickle
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -28,6 +30,8 @@ from excusum.models import LOG_2PI, SATURATION_SCAN_CAP, SCHEDULE_KINDS
 from excusum.numerics import adaptive_trapezoid
 
 from conftest import constant_model, generic_gaussian_model, plain
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 #: one schedule of each kind in SCHEDULE_KINDS
@@ -133,26 +137,36 @@ def test_gaussian_closed_forms_agree_with_the_density_model_defaults(schedule):
 
 
 @pytest.mark.parametrize(
-    "schedule",
-    [MeanSchedule.arctangent(), MeanSchedule.linear_saturating(0.1, 1.0), MeanSchedule.from_table([0.2, 1.5, 0.7])],
-    ids=lambda s: s.kind,
+    "schedule, means",
+    [
+        (MeanSchedule.arctangent(), lambda ages: np.arctan(ages)),
+        (MeanSchedule.linear_saturating(0.1, 1.0), lambda ages: np.minimum(0.1 * ages, 1.0)),
+        (
+            MeanSchedule.from_table([0.2, 1.5, 0.7]),
+            lambda ages: np.array([0.2, 1.5, 0.7])[np.minimum(ages, 2).astype(np.intp)],
+        ),
+    ],
+    ids=["arctangent", "linear-saturating", "explicit-table"],
 )
 @pytest.mark.parametrize("shape", [(300,), (7, 300)])
 @pytest.mark.parametrize("first_age", [0, 5])
-def test_gaussian_llr_sampler_draws_the_default_bits(schedule, shape, first_age):
-    # the in-place closed form against the default's sampler_post and
-    # log_ratio calls on the same model, over two fills of one block
+def test_gaussian_llr_sampler_draws_the_default_bits(schedule, means, shape, first_age):
+    # the in-place closed form against the default's block_sampler and
+    # log_ratio calls on the same model, and against standard normals plus
+    # the means and the ratio computed here, over two fills of one block
     model = gaussian_model(schedule)
     data_ages, llr_ages = np.arange(first_age, first_age + shape[-1]), np.arange(shape[-1])
     fill = model.llr_sampler(data_ages, llr_ages)
     default = DensityModel.llr_sampler(model, data_ages, llr_ages)
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    rng, reference, normals = np.random.default_rng(3), np.random.default_rng(3), np.random.default_rng(3)
+    mu = means(llr_ages.astype(np.float64))
     block = np.full(shape, np.nan)
     for _ in range(2):
         want = default(reference, np.empty(shape))
+        x = normals.standard_normal(shape) + means(data_ages.astype(np.float64))
         assert fill(rng, block) is block
-        assert block.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == reference.bit_generator.state
+        assert block.tobytes() == want.tobytes() == (mu * x - mu * mu / 2.0).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state == normals.bit_generator.state
 
 
 @pytest.mark.parametrize("schedule", EVERY_KIND + [MeanSchedule.geometric_approach(1000.0, 0.999999)])
@@ -459,6 +473,45 @@ def test_gaussian_post_draws_equal_rng_normal(schedule, n, size):
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, size, want",
+    [
+        (7, 3, ["0x1.ba965d3516950p+0", "0x1.2bc4093043c95p+1", "0x1.d8c29c7080808p+0"]),
+        (np.array([0, 12, 5]), None, ["0x1.07632a01e361cp+0", "0x1.522a6f96aa2fbp+1", "0x1.a58f693d4d4d4p+0"]),
+        (4, None, ["0x1.6dc9906849c82p+0"]),
+    ],
+    ids=["scalar-sized", "index-array", "zero-d"],
+)
+def test_gaussian_sample_post_keeps_its_recorded_bits(n, size, want):
+    # recorded when sample_post still called sampler_post; it now draws one
+    # block_sampler row, and the arrays keep their shapes and bits
+    got = sample_post(gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)), n, np.random.default_rng(2024), size)
+    assert type(got) is np.ndarray and got.shape == (np.shape(n) if size is None else (size,))
+    assert [float(v).hex() for v in got.ravel()] == want
+
+
+def test_only_the_default_block_sampler_calls_the_samplers():
+    # every draw of the library goes through block_sampler, so its shape
+    # check covers them all
+    callers = set()
+
+    def visit(node, scope):
+        # scope: the file name, then the enclosing classes and functions
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr in ("sampler_pre", "sampler_post"):
+                    callers.add((scope[0], scope[1:3], child.func.attr))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.name,))
+    assert callers == {
+        ("models.py", ("DensityModel", "block_sampler"), "sampler_pre"),
+        ("models.py", ("DensityModel", "block_sampler"), "sampler_post"),
+    }
 
 
 def test_sample_post_rejects_negative_index(arctan_model):

@@ -16,7 +16,10 @@ from excusum import (
     derive_seed,
     gaussian_model,
     generate_path,
+    sample_post,
     simulate_trials,
+    slln_empirical,
+    sum_dominance_check,
 )
 from excusum import process
 from excusum.process import _block_drawer, _generators, _trial_seeds, trial_generators
@@ -261,12 +264,22 @@ WRONG_SIZES = {
 }
 
 
-@pytest.mark.parametrize("entry", ["generate_path", "simulate_trials"])
-@pytest.mark.parametrize("wrong", list(WRONG_SIZES))
-@pytest.mark.parametrize("stage", ["pre", "post"])
+#: the entries that draw through block_sampler, the last three from f only
+WRONG_SIZE_CASES = [
+    (stage, wrong, entry)
+    for stage in ("pre", "post")
+    for wrong in WRONG_SIZES
+    for entry in ("generate_path", "simulate_trials")
+    + (("slln_empirical", "sum_dominance_check", "sample_post") if stage == "post" else ())
+]
+
+
+@pytest.mark.parametrize("stage, wrong, entry", WRONG_SIZE_CASES, ids=["-".join(c) for c in WRONG_SIZE_CASES])
 def test_a_sampler_of_the_wrong_size_is_refused(stage, wrong, entry):
     # nu = 5, horizon 10: a pre-change block of 4 draws, then a post-change
-    # one of 6; a wrong size must not shift the change point or broadcast
+    # one of 6; a wrong size must not shift the change point or broadcast.
+    # The condition checks and sample_post draw 6 ages in one block too: an
+    # SLLN row of n = 6, a dominance block of 2 trials x (n + 1 = 3) ages
     base = plain(gaussian_model(MeanSchedule.arctangent()))
     bad = WRONG_SIZES[wrong]
     if stage == "pre":
@@ -278,8 +291,14 @@ def test_a_sampler_of_the_wrong_size_is_refused(stage, wrong, entry):
     with pytest.raises(ValueError, match=message):
         if entry == "generate_path":
             generate_path(model, ChangeSpec(nu=5, horizon=10, seed=1))
-        else:
+        elif entry == "simulate_trials":
             simulate_trials(model, "ex-cusum", 3.0, 5, 10, 3, 1)
+        elif entry == "slln_empirical":
+            slln_empirical(model, 6, trials=4, seed=1)
+        elif entry == "sum_dominance_check":
+            sum_dominance_check(model, 1, 5, 2, trials=2, seed=1)
+        else:
+            sample_post(model, 3, np.random.default_rng(1), size=6)
 
 
 @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
