@@ -96,8 +96,9 @@ def _on_two_threads(job, first, second) -> tuple:
 
 
 def _integers(**values) -> None:
-    """Refuse, before any draw, a count or index that is not an integer or
-    is a bool (numpy would fail on it later, or the record would hold it)."""
+    """Refuse, before any draw, a count, index or seed that is not an integer
+    or is a bool (numpy would fail on it later, the record would hold it, or
+    the seed would be truncated to another one's streams)."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -182,7 +183,7 @@ def fourth_moment_check(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("the fourth-moment check needs the Gaussian family, whose bound is 3 * limit_mu**4")
-    _integers(trials=trials, **{f"ks[{j}]": k for j, k in enumerate(ks)})
+    _integers(trials=trials, seed=seed, **{f"ks[{j}]": k for j, k in enumerate(ks)})
     if not ks or any(k < 1 for k in ks):
         raise ValueError("moment check indices k must be given, each >= 1")
     if trials < 2:
@@ -237,7 +238,7 @@ def slln_empirical(
     when the 95th-percentile deviation strictly decreases, the Monte Carlo
     surrogate for almost-sure convergence.
     """
-    _integers(n=n, trials=trials)
+    _integers(n=n, trials=trials, seed=seed)
     if n < 1 or trials < 2:
         raise ValueError("n must be >= 1 and trials >= 2")
     grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
@@ -336,7 +337,7 @@ def sum_dominance_check(
     comparing an index against itself reuses the same draws and gives a gap
     of exactly zero.
     """
-    _integers(k_small=k_small, k_large=k_large, n=n, trials=trials)
+    _integers(k_small=k_small, k_large=k_large, n=n, trials=trials, seed=seed)
     if k_small < 1 or k_large < 1:
         raise ValueError("block start indices must be >= 1")
     if n < 1 or trials < 2:

@@ -20,18 +20,21 @@ built-in schedule but arctangent has one (geometric-approach from where
 1 - ratio**n rounds to 1).  The classic CUSUM is this engine folded at
 L = 0 on the age-0 ratio.  For families that never saturate (arctangent)
 no constant-memory recursion of the exact statistic exists, but the Monte
-Carlo runs of ex-cusum still need only O(_HEAD) per step: given the
-envelope of _certified_tail, _lockstep keeps the newest _HEAD candidates
+Carlo runs of ex-cusum still need only O(head) per step: given the head
+and envelope of _certified_tail, _lockstep keeps the newest head candidates
 exact and folds the older ones into one tail that gains the model's
 llr_envelope, an upper bound of their ratios, so the tail bounds them from
-above.  A run whose head crosses stops exactly; one whose tail comes within
-_TAIL_MARGIN of the threshold leaves, for its caller to rerun without the
-envelope, so every stopping time is the exact run's.  run_detector,
-statistic_trace and _lockstep without an envelope stay exact; an optional
-window caps the candidate count of any run at the price of an
-uncharacterized approximation.  The candidate buffer owns all of
-this: how many columns are read, whether older candidates are dropped,
-folded or bounded, and SR's tail weight.
+above.  The head is sized from the schedule (_head): twice the fewest ages
+whose KL numbers sum to the threshold, so it grows with the first-order
+delay A / I, and past _HEAD_CAP the runs keep the exact state.  A run whose
+head crosses stops exactly; one whose tail comes within _TAIL_MARGIN of the
+threshold leaves, for its caller to rerun without the envelope, so every
+stopping time is the exact run's.  run_detector, statistic_trace and
+_lockstep without an envelope stay exact; an optional window caps the
+candidate count of any run at the price of an uncharacterized
+approximation.  The candidate buffer owns all of this: how many columns are
+read, whether older candidates are dropped, folded or bounded, and SR's
+tail weight.
 
 The Shiryaev-Roberts variant replaces the max by a sum of likelihood-ratio
 products; R_n - n is a martingale under the pre-change law, which is what
@@ -71,9 +74,15 @@ from .numerics import NumericError, logsumexp_rows
 
 _MIN_CAPACITY = 64
 
-#: candidates a bounded run keeps exact (see _certified_tail), several times
-#: the first-order delay A / I at the thresholds the configs use
-_HEAD = 32
+#: the fewest and the most candidates a bounded run keeps exact (see _head);
+#: _TAIL_MARGIN's derivation holds up to _HEAD_CAP, so a longer head keeps
+#: the exact state instead
+_HEAD_FLOOR = 8
+_HEAD_CAP = 60
+
+#: steps of a sample block whose envelope a bounded run evaluates at once, so
+#: that it holds two such pieces (the result and one temporary), not two blocks
+_PIECE = 16
 
 #: the largest |x| a bounded run reads; a block holding a larger one sends
 #: its runs back to the exact state (see _TAIL_MARGIN)
@@ -87,13 +96,15 @@ _X_BOUND = 32.0
 #: largest |mean| of the tail's ages; (b) the adds T + e and S + r round by
 #: at most 2**-53 |T| and 2**-53 |S|.  The runs keep these in range: the
 #: Gaussian llr_envelope gives no bound where mu reaches 2, a block with an
-#: |x| of _X_BOUND leaves, and _certified_tail takes thresholds below 2**11
-#: and horizons up to 2**24.  So |T| < 2**12 while a run goes on (T <= A,
-#: and T is at least the sum of _HEAD + 1 ratios and one envelope, each of
-#: size below 66), and an S below -2**13 trails T by more than 2**12, a gap
-#: that never closes in the reals and that its rounding, at most 2**-29 |S|
-#: over 2**24 steps, cannot close either.  That leaves (a) + (b) below
-#: 2**-44 + 2**-39 per step, under 2**-14 over 2**24 steps.
+#: |x| of _X_BOUND leaves, and _certified_tail takes thresholds below 2**11,
+#: horizons up to 2**24 and heads up to _HEAD_CAP.  So |T| < 2**12 while a
+#: run goes on (T <= A, and T is at least the sum of head + 1 ratios and one
+#: envelope, each of size below 66, and (head + 2) * 66 < 2**12 for every
+#: head up to 60; a larger cap needs this bound derived again), and an S
+#: below -2**13 trails T by more than 2**12, a gap that never closes in the
+#: reals and that its rounding, at most 2**-29 |S| over 2**24 steps, cannot
+#: close either.  That leaves (a) + (b) below 2**-44 + 2**-39 per step, under
+#: 2**-14 over 2**24 steps.
 _TAIL_MARGIN = 2.0**-12
 
 #: how far _sr_bound lies above m + log(C - 1 + s), for an SR row of C
@@ -124,9 +135,10 @@ class _CandidateBuffer:
     pos + j holds the candidate of age j, whose increment at the next
     observation is the log-likelihood ratio at age index j.  That makes every
     per-step update one contiguous block.  When at most ``limit`` columns are
-    read, once the buffer fills the newest ones move back to its end instead
-    of the buffer growing: it stays below 4 limit + 64 columns, and the moves
-    cost O(1) per step on average.  The ratios' scratch holds the columns read.
+    read, the buffer starts at _capacity(limit) columns, at least 2 limit, and
+    never grows: once it fills the newest ones move back to its end, which
+    costs O(1) per step on average.  Otherwise it doubles as it fills.  The
+    ratios' scratch holds the columns read.
 
     Past the limit, older candidates are dropped (a window) or, with
     ``fold``, merged into the last column: with a fold at saturation index
@@ -153,13 +165,14 @@ class _CandidateBuffer:
         #: for 1.0, which is exact since 1.0 * w == w
         self.scale = None
         self.n = 0
-        self._pos = _MIN_CAPACITY
+        cap = _capacity(limit)
+        self._pos = cap
         self._rows = () if rows is None else (rows,)
         # rows write their ratios through llr_columns, bound as the scratch grows
         self._columns = None if rows is None else model.llr_columns
         # columns left of the newest candidate stay zero, ready for the next one
-        self._buf = np.zeros((_MIN_CAPACITY,) + self._rows)
-        self._size_scratch(_MIN_CAPACITY)
+        self._buf = np.zeros((cap,) + self._rows)
+        self._size_scratch(cap)
 
     @property
     def active(self) -> int:
@@ -224,14 +237,20 @@ class _CandidateBuffer:
             self.scale = self.scale[keep]
 
 
+def _capacity(limit: int | None) -> int:
+    """Columns a candidate buffer that reads at most ``limit`` starts with:
+    enough that one reading ``limit`` never grows (None: it doubles as it fills)."""
+    return _MIN_CAPACITY if limit is None else max(_MIN_CAPACITY, 2 * limit)
+
+
 class _SumsState:
     """What the three states share: the candidate sums, and the max
     reduction, its lockstep _settle and its merge (ex-cusum and CUSUM)."""
 
     _cands: _CandidateBuffer
-    #: whether the last column bounds the older candidates (_lockstep given
-    #: an envelope)
-    _bounded = False
+    #: how many candidates stay exact where the last column bounds the older
+    #: ones (_lockstep given an envelope), else None
+    _head = None
 
     @property
     def n(self) -> int:
@@ -248,9 +267,10 @@ class _SumsState:
         exact."""
         if np.maximum.reduce(sums, axis=None) < calm:
             return None, None
-        if not self._bounded:
+        head = self._head
+        if head is None:
             return self._reduce(sums), None
-        return self._reduce(sums[:_HEAD]), sums[_HEAD] if self._cands.n > _HEAD else None
+        return self._reduce(sums[:head]), sums[head] if self._cands.n > head else None
 
     @staticmethod
     def _merge(pair: np.ndarray) -> None:
@@ -400,29 +420,29 @@ class StopResult:
             raise ValueError("a result carries exactly one of tau and censored_at")
 
 
-def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows, bounded=False):
+def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows, head=None):
     """Validate a run and return its fresh state and its kind's DETECTORS row."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    return _make_state(kind, window, model, rows, bounded), DETECTORS[kind]
+    return _make_state(kind, window, model, rows, head), DETECTORS[kind]
 
 
-def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None, bounded: bool = False):
+def _make_state(kind: str, window: int | None, model: DensityModel, rows: int | None = None, head: int | None = None):
     """A fresh state for runs on ``model``: of one stream or, with ``rows``, of
     that many streams in lockstep, its buffer laid out by _layout."""
-    limit, fold = _layout(kind, window, model, bounded)
+    limit, fold = _layout(kind, window, model, head)
     # the kind's reductions on the run's buffer; the public statistic is unset
     state = object.__new__(DETECTORS[kind].state)
-    state._cands, state._bounded = _CandidateBuffer(rows, limit, fold, model), bounded
+    state._cands, state._head = _CandidateBuffer(rows, limit, fold, model), head
     return state
 
 
-def _layout(kind: str, window: int | None, model: DensityModel | None, bounded: bool = False):
+def _layout(kind: str, window: int | None, model: DensityModel | None, head: int | None = None):
     """(limit, fold) of a state's candidate buffer: a window keeps the newest
-    ``window`` sums, a ``bounded`` run (_lockstep given an envelope) _HEAD
-    and its tail; otherwise CUSUM folds at 0 and the other kinds at the
+    ``window`` sums, a bounded run (_lockstep given a ``head``) the head and
+    its tail; otherwise CUSUM folds at 0 and the other kinds at the
     saturation index of ``model`` (None for a public state, which never
     folds), or keep every sum where there is none.  ``limit`` is the most
     sums a run keeps per stream, None when they grow with n."""
@@ -435,23 +455,50 @@ def _layout(kind: str, window: int | None, model: DensityModel | None, bounded: 
         if type(window) is not int or window < 1:
             raise ValueError(f"window must be a positive integer or None, got {window!r}")
         return window, False
-    if bounded:
-        return _HEAD + 1, True
+    if head is not None:
+        return head + 1, True
     saturation = 0 if kind == "cusum" else None if model is None else model.saturation_index()
     return (None, False) if saturation is None else (saturation + 1, True)
 
 
+def _state_elements(kind: str, window: int | None, model: DensityModel, head: int | None = None) -> int | None:
+    """float64 elements a lockstep state holds per run: its buffer's columns,
+    its ratio scratch and, given a ``head``, its envelope pieces; None where
+    its sums grow with n."""
+    limit = _layout(kind, window, model, head)[0]
+    if limit is None:
+        return None
+    return _capacity(limit) + limit + (0 if head is None else 2 * _PIECE)
+
+
+def _head(model: DensityModel, threshold: float) -> int | None:
+    """How many candidates a bounded run on ``model`` keeps exact:
+    max(_HEAD_FLOOR, 2 k), with k the fewest ages whose KL numbers sum to at
+    least the threshold, as the first-order delay A / I grows with A (Lai
+    1998, IEEE T-IT 44(7)); None where that passes _HEAD_CAP."""
+    sums = np.cumsum(np.concatenate(([0.0], model.kl(np.arange(_HEAD_CAP // 2)))))
+    head = max(_HEAD_FLOOR, 2 * int(np.searchsorted(sums, threshold)))
+    return head if head <= _HEAD_CAP else None
+
+
 def _certified_tail(kind: str, window: int | None, model: DensityModel, threshold: float, horizon: int):
-    """The envelope with which _lockstep runs ex-cusum on a family
+    """The (head, envelope) with which _lockstep runs ex-cusum on a family
     that never saturates, or None where the runs keep the exact state:
-    another kind, a window, a saturating family, one without an llr_envelope
-    for the ages past _HEAD, a horizon by which no candidate gets there, or a
-    threshold or horizon past the ranges _TAIL_MARGIN covers."""
+    another kind, a window, a saturating family, a threshold or horizon past
+    the ranges _TAIL_MARGIN covers, a head past _HEAD_CAP, a horizon by which
+    no candidate gets past the head, or a family with no llr_envelope for the
+    ages past it.  The oldest age is asked first: a family with no envelope
+    for it, as every family without llr_envelope, reads no KL number, which
+    a custom family integrates by quadrature."""
     if kind != "ex-cusum" or window is not None or model.saturation_index() is not None:
         return None
-    if not threshold < 2.0**11 or not _HEAD + 1 < horizon <= 2**24:
+    if not threshold < 2.0**11 or not horizon <= 2**24 or model.llr_envelope(horizon - 1, horizon) is None:
         return None
-    return model.llr_envelope(_HEAD, horizon)
+    head = _head(model, threshold)
+    if head is None or not head + 1 < horizon:
+        return None
+    envelope = model.llr_envelope(head, horizon)
+    return None if envelope is None else (head, envelope)
 
 
 def run_detector(
@@ -499,7 +546,7 @@ def _sr_bound_holds(threshold: float, horizon: int) -> bool:
     return -(2.0**11) < threshold < 2.0**11 and horizon <= 2**24
 
 
-def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizon, window, envelope) -> np.ndarray:
+def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizon, window, certified) -> np.ndarray:
     """Run ``runs`` detectors in lockstep and return the int64 stopping
     times: run r's tau, or 0 where run r is censored at the horizon.
 
@@ -507,16 +554,16 @@ def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizo
     to the end of a block, one row per step and one column per run, as
     process._block_drawer does; it is called at step 1 and again after each
     block, with the runs still live, so a run reads no block once it has
-    stopped.  With ``envelope`` None each tau equals run_detector(kind, model,
+    stopped.  With ``certified`` None each tau equals run_detector(kind, model,
     <run r's observations>, threshold, horizon, window=window) exactly: all
     live runs take each step together, through the same update and
     reduction, and a run is dropped once it crosses.  The checks are
     run_detector's, applied to live runs only; when several runs fail, the
     error names the earliest failing step.
 
-    With the ``envelope`` of _certified_tail (ex-cusum, no window) each run
-    keeps its newest _HEAD candidates exact and bounds the older ones by one
-    tail column that gains envelope(x), so max(head) <= W_n <= max(head,
+    With the (head, envelope) of _certified_tail (ex-cusum, no window) each
+    run keeps its newest head candidates exact and bounds the older ones by
+    one tail column that gains envelope(x), so max(head) <= W_n <= max(head,
     tail) with W_n the exact statistic (to rounding, see _TAIL_MARGIN).  A
     run stops where its head crosses and goes on where its tail is at most
     threshold - _TAIL_MARGIN.  Otherwise, or where its next block holds an
@@ -527,9 +574,10 @@ def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizo
     run's with the envelope's tail bound), then the state's _settle, which
     reads one upper bound of the step's largest statistic and works out each
     run's statistic and tail only where that bound reaches calm, the ceiling
-    below which nothing settles.  ``envelope`` and the observations' check
-    run per block."""
-    state, spec = _start(kind, window, model, horizon, threshold, runs, envelope is not None)
+    below which nothing settles.  The observations' check runs per block, and
+    ``envelope`` per _PIECE steps of a block."""
+    head, envelope = (None, None) if certified is None else certified
+    state, spec = _start(kind, window, model, horizon, threshold, runs, head)
     # below calm no statistic crosses or is +inf or NaN, and no tail passes the ceiling
     ceiling = threshold if envelope is None else threshold - _TAIL_MARGIN
     calm = float(np.nextafter(ceiling, math.inf)) if spec.strict else ceiling
@@ -537,17 +585,17 @@ def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizo
         calm = -math.inf  # every step settles, through logsumexp_rows
     taus = np.zeros(runs, dtype=np.int64)
     live = np.arange(runs)
-    block = bounds = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
+    block = np.empty((0, 0))  # (steps, runs): the live runs' current blocks
+    bounds = None  # (_PIECE, runs): envelope(x) of the current piece of block
     at = live  # column of each live run in block
     j = 0
     for t in range(1, horizon + 1):
         if j == block.shape[0]:
             del block, bounds  # free the old block before the next one is drawn
-            block, at, j = draw(live, t), np.arange(live.size), 0
-            if envelope is not None and not float(np.abs(block).max()) < _X_BOUND:
+            block, bounds, at, j = draw(live, t), None, np.arange(live.size), 0
+            if envelope is not None and not max(float(block.max()), -float(block.min())) < _X_BOUND:
                 taus[live] = -1
                 break
-            bounds = None if envelope is None else envelope(block)
             try:
                 checked = _validate_x(model, block) is not None  # True unless it raises
             except ValueError:
@@ -555,7 +603,10 @@ def _lockstep(kind: str, model: DensityModel, draw, runs: int, threshold, horizo
         xs = block[j, at]
         if not checked:
             _validate_x(model, xs)
-        sums = state._cands.push(xs, model, state._merge, None if bounds is None else bounds[j, at])
+        if envelope is not None and j % _PIECE == 0:
+            bounds = None  # free the old piece before the next one is evaluated
+            bounds = envelope(block[j : j + _PIECE])
+        sums = state._cands.push(xs, model, state._merge, None if bounds is None else bounds[j % _PIECE, at])
         j += 1
         stat, tail = state._settle(sums, calm)
         if stat is None:

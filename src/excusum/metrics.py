@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import process
-from .detectors import StopResult, _certified_tail, _layout, _lockstep
+from .detectors import StopResult, _certified_tail, _lockstep, _state_elements
 from .models import DensityModel
 from .process import NO_CHANGE, ChangeSpec, _block_drawer, derive_seed, trial_generators
 
@@ -44,10 +44,16 @@ Z95 = 1.6448536269514722
 
 #: float64 elements a lockstep chunk holds (2 MiB); a chunk runs
 #: max(1, _CHUNK_ELEMENTS // per_trial) trials, where per_trial is what one
-#: live trial holds.  With a fold or window that is one sample block plus its
-#: retained columns, min(horizon, process._CHUNK + retained); an unbounded
-#: trial is counted at horizon alone, the length its candidate sums reach
+#: live trial holds.  With a fold, window or bounded tail that is its column
+#: of a sample block, min(horizon, process._CHUNK), what its state holds
+#: (detectors._state_elements: the buffer's columns, the ratio scratch and a
+#: bounded trial's envelope pieces) and its generator, _GENERATOR_ELEMENTS;
+#: a trial whose sums grow with n is counted at horizon alone, the length
+#: they reach
 _CHUNK_ELEMENTS = 2**18
+
+#: one trial's bit generator and Generator (about 645 bytes), in float64 elements
+_GENERATOR_ELEMENTS = 80
 
 #: caps for the default horizons: false-alarm runs 20 * exp(A) capped at 1e7
 #: steps, delay runs nu + 10 * ceil(A / I)
@@ -114,23 +120,23 @@ def simulate_trials(
     statistic raises as in run_detector; when several trials of a chunk fail,
     the error names the earliest failing step among them.
 
-    Where detectors._certified_tail gives an envelope, the trials first run
-    with a bounded tail, and the few it leaves unsettled (tau -1) run again
-    on the exact state, in chunks sized for what an exact trial holds, so
-    every tau is the exact run's.
+    Where detectors._certified_tail gives a head and envelope, the trials
+    first run with a bounded tail, and the few it leaves unsettled (tau -1)
+    run again on the exact state, in chunks sized for what an exact trial
+    holds, so every tau is the exact run's.
     """
     _check_trials(trials)
     ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
     taus = np.empty(trials, dtype=np.int64)
 
-    def run(ids: np.ndarray, envelope) -> None:
-        retained = _layout(detector, window, model, envelope is not None)[0]
-        per_trial = horizon if retained is None else min(horizon, process._CHUNK + retained)
+    def run(ids: np.ndarray, certified) -> None:
+        held = _state_elements(detector, window, model, None if certified is None else certified[0])
+        per_trial = horizon if held is None else min(horizon, process._CHUNK) + held + _GENERATOR_ELEMENTS
         chunk = max(1, _CHUNK_ELEMENTS // per_trial)
         for k in range(0, ids.size, chunk):
             part = ids[k : k + chunk]
             draw = _block_drawer(model, nu, horizon, list(trial_generators(seed, part)))
-            taus[part] = _lockstep(detector, model, draw, part.size, threshold, horizon, window, envelope)
+            taus[part] = _lockstep(detector, model, draw, part.size, threshold, horizon, window, certified)
 
     run(np.arange(trials), _certified_tail(detector, window, model, threshold, horizon))
     run(np.flatnonzero(taus < 0), None)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from excusum import metrics
+from excusum import detectors, metrics
 from excusum.cli import _fmt, main
 from excusum.config import DEFAULT_CONFIG, ConfigError, ExperimentConfig
 from excusum.detectors import DETECTORS
@@ -690,7 +690,7 @@ CADD_RERUN_JSON = """{
 
 
 @pytest.mark.parametrize(
-    "command, schedule, detector, run, files, summary, bounded, reruns",
+    "command, schedule, detector, run, files, summary, head, bounded, reruns",
     [
         # bounded ex-cusum: every trial runs with the certified tail, none reruns
         (
@@ -700,6 +700,7 @@ CADD_RERUN_JSON = """{
             {"horizon": 400, "seed": 3},
             (ARL_BOUNDED_CSV, ARL_BOUNDED_JSON),
             "mean_tau=75.5 lcb95=37.8591 gamma=20 censored=0.000",
+            None,
             8,
             0,
         ),
@@ -711,10 +712,12 @@ CADD_RERUN_JSON = """{
             {"horizon": 400, "seed": 4},
             (ARL_SR_CSV, ARL_SR_JSON),
             "mean_tau=28.5 lcb95=22.6267 gamma=20 censored=0.000",
+            None,
             0,
             0,
         ),
-        # at A = 40 most delays outrun the exact head, so most trials rerun
+        # at A = 40 the head sized from the schedule passes its cap, so the
+        # trials run exact; forced to 32, most delays outrun it and most rerun
         (
             "cadd",
             {"kind": "arctangent"},
@@ -722,6 +725,7 @@ CADD_RERUN_JSON = """{
             {"nu": 1, "seed": 1},
             (CADD_RERUN_CSV, CADD_RERUN_JSON),
             "nu=1 mean_delay=34.375 stderr=1.87 accepted=8/8",
+            32,
             8,
             6,
         ),
@@ -729,7 +733,7 @@ CADD_RERUN_JSON = """{
     ids=["arl-bounded-ex-cusum", "arl-folded-sr", "cadd-reruns"],
 )
 def test_lockstep_command_bytes(
-    tmp_path, capsys, monkeypatch, command, schedule, detector, run, files, summary, bounded, reruns
+    tmp_path, capsys, monkeypatch, command, schedule, detector, run, files, summary, head, bounded, reruns
 ):
     # the bytes of the lockstep paths' tables, recorded before the lockstep
     # loop lost its wrappers; the trials that ran bounded and reran are counted
@@ -744,6 +748,8 @@ def test_lockstep_command_bytes(
         return taus
 
     monkeypatch.setattr(metrics, "_lockstep", counted)
+    if head is not None:
+        monkeypatch.setattr(detectors, "_head", lambda model, threshold: head)
     obj = base_config(tmp_path / "out", trials=8, **run)
     obj["model"]["schedule"] = schedule
     obj["detector"] = detector

@@ -374,6 +374,13 @@ NOT_INTEGERS = {
     "dominance-n-bool": lambda m: sum_dominance_check(m, 1, 5, True, 10),
     "cesaro-n-max": lambda m: cesaro_kl_average(m, 10.5),
     "cesaro-n-max-bool": lambda m: cesaro_kl_average(m, True),
+    # a fractional or bool seed would draw int(seed)'s streams
+    "moment-seed": lambda m: fourth_moment_check(m, seed=1.7, ks=(1,)),
+    "moment-seed-bool": lambda m: fourth_moment_check(m, seed=True, ks=(1,)),
+    "slln-seed": lambda m: slln_empirical(m, 64, trials=10, seed=1.7),
+    "slln-seed-bool": lambda m: slln_empirical(m, 64, trials=10, seed=True),
+    "dominance-seed": lambda m: sum_dominance_check(m, 1, 5, 4, 10, seed=2.9),
+    "dominance-seed-half": lambda m: sum_dominance_check(m, 1, 5, 4, 10, seed=0.5),
 }
 
 

@@ -249,6 +249,32 @@ def test_windowed_buffer_stays_bounded_and_exact(arctan_model, monkeypatch):
     assert np.array_equal(statistic_trace("ex-cusum", arctan_model, xs, window=50), trace)
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-stream", "lockstep"])
+@pytest.mark.parametrize(
+    "kind, window, schedule, head",
+    [
+        ("ex-cusum", None, MeanSchedule.arctangent(), 20),  # a bounded tail, the delay workload's head
+        ("ex-cusum", None, MeanSchedule.arctangent(), 40),  # 2 * 41 columns, past _MIN_CAPACITY
+        ("sr", None, MeanSchedule.linear_saturating(0.1, 1.0), None),  # folded at age 10
+        ("ex-cusum", None, MeanSchedule.linear_saturating(0.02, 1.0), None),  # folded at age 50
+        ("ex-cusum", 50, MeanSchedule.arctangent(), None),  # a window
+    ],
+    ids=["bounded-20", "bounded-40", "folded-10", "folded-50", "window-50"],
+)
+def test_a_limited_buffer_starts_at_twice_its_limit_and_never_reallocates(kind, window, schedule, head, rows):
+    # a buffer that doubled would hold both copies while it moved the sums
+    model = gaussian_model(schedule)
+    state = detectors._make_state(kind, window, model, rows, head)
+    cands = state._cands
+    buf = cands._buf
+    assert buf.shape[0] >= 2 * cands.limit and buf.shape[0] == max(64, 2 * cands.limit)
+    xs = np.random.default_rng(97).standard_normal((2000,) + ((rows,) if rows else ()))
+    for x in xs:
+        cands.push(x if rows else float(x), model, state._merge)
+        assert cands._buf is buf
+    assert cands.active == cands.limit
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         ExCusumState(window=0)

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,20 +182,28 @@ def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
     monkeypatch.setattr(metrics, "_lockstep", lambda kind, model, draw, runs, *rest: record(runs))
     arctan = gaussian_model(MeanSchedule.arctangent())
     saturating = gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0))
-    bounded = 2**18 // (process._CHUNK + detectors._HEAD + 1)  # a bounded tail: _HEAD exact sums and the tail
-    for kind, model, window, horizon, chunk in (
-        ("ex-cusum", arctan, None, 140, 1872),  # the benchmark's delay workload
-        ("ex-cusum", arctan, None, 2000, bounded),  # false-alarm
-        ("sr", saturating, None, 6000, 2**18 // (process._CHUNK + 11)),  # sr-saturating
-        ("ex-cusum", arctan, None, 200_000, bounded),
-        ("sr", arctan, None, 200_000, 1),  # sums grow with the horizon
-        ("ex-cusum", saturating, None, 200_000, 2**18 // (process._CHUNK + 11)),
-        ("cusum", arctan, None, 200_000, 2**18 // (process._CHUNK + 1)),
-        ("ex-cusum", arctan, 50, 200_000, 2**18 // (process._CHUNK + 50)),
+    # a live trial with a fold, window or bounded tail holds its column of a
+    # sample block, its buffer of max(64, 2 limit) columns, its ratio scratch
+    # of limit, a bounded trial's two envelope pieces of 16 and its generator
+    # (80); one whose sums grow with n is counted at its horizon
+    bounded = 2**18 // (256 + 64 + 17 + 32 + 80)  # head 16 at gamma 100
+    folded = 2**18 // (256 + 64 + 11 + 80)  # saturates at age 10
+    for kind, model, window, threshold, horizon, chunk in (
+        ("ex-cusum", arctan, None, math.log(1000), 140, 2**18 // (140 + 64 + 21 + 32 + 80)),  # delay, head 20
+        ("ex-cusum", arctan, None, math.log(100), 2000, bounded),  # false-alarm
+        ("sr", saturating, None, math.log(300), 6000, folded),  # sr-saturating
+        ("ex-cusum", arctan, None, math.log(100), 200_000, bounded),
+        ("ex-cusum", arctan, None, 100.0, 2000, 2**18 // 2000),  # the head passes its cap
+        ("sr", arctan, None, 4.0, 200_000, 1),  # sums grow with the horizon
+        ("ex-cusum", saturating, None, 4.0, 200_000, folded),
+        ("cusum", arctan, None, 4.0, 200_000, 2**18 // (256 + 64 + 1 + 80)),
+        ("ex-cusum", arctan, 50, 4.0, 200_000, 2**18 // (256 + 100 + 50 + 80)),
     ):
         sizes.clear()
-        simulate_trials(model, kind, 100.0, NO_CHANGE, horizon, chunk + 1, 3, window=window)
-        assert sizes == [chunk, 1], (kind, horizon, window)
+        simulate_trials(model, kind, threshold, NO_CHANGE, horizon, chunk + 1, 3, window=window)
+        assert sizes == [chunk, 1], (kind, threshold, horizon, window)
+    # the delay workload's 2000 trials take 3 chunks; false-alarm's 250 and sr-saturating's 220 one each
+    assert (bounded, folded) == (583, 637)
 
 
 def exact_taus(model, threshold, nu, horizon, trials, seed):
@@ -248,12 +257,48 @@ def test_uncertified_trials_rerun_to_the_exact_stopping_times(schedule, threshol
     # a head of one candidate leaves the crossings to the tail, whose bound
     # then comes within the margin of the threshold in many trials
     model = gaussian_model(schedule)
-    monkeypatch.setattr(detectors, "_HEAD", 1)
+    monkeypatch.setattr(detectors, "_head", lambda model, threshold: 1)
     assert detectors._certified_tail("ex-cusum", None, model, threshold, horizon) is not None
     reruns = count_reruns(monkeypatch)
     got = simulate_trials(model, "ex-cusum", threshold, nu, horizon, 60, 5)
     assert np.array_equal(got, exact_taus(model, threshold, nu, horizon, 60, 5))
     assert sum(reruns) >= 1
+
+
+def test_the_head_grows_with_the_threshold_up_to_its_cap():
+    # twice the fewest ages whose KL numbers reach A, at least 8 and at most 60
+    arctan = gaussian_model(MeanSchedule.arctangent())
+    assert [detectors._head(arctan, math.log(gamma)) for gamma in (10, 100, 1000, 1e5)] == [10, 16, 20, 28]
+    assert detectors._head(arctan, -math.inf) == detectors._head(arctan, 0.0) == 8
+    reach = float(np.cumsum(arctan.kl(np.arange(30)))[-1])  # what 30 ages sum to
+    assert detectors._head(arctan, reach) == 60
+    assert detectors._head(arctan, float(np.nextafter(reach, math.inf))) is None
+    assert detectors._head(arctan, 20.0) == 42 and detectors._head(arctan, 40.0) is None
+
+
+def test_past_the_head_cap_no_trial_runs_bounded(monkeypatch):
+    # at A = 50 and nu = 1 the head would be 2 * 47: every trial runs once, exactly
+    model = gaussian_model(MeanSchedule.arctangent())
+    horizon = default_delay_horizon(1, 50.0, I_ARCTAN)
+    reruns = count_reruns(monkeypatch, bounded=lambda runs: pytest.fail("a trial ran bounded"))
+    got = simulate_trials(model, "ex-cusum", 50.0, 1, horizon, 100, 7)
+    assert np.array_equal(got, exact_taus(model, 50.0, 1, horizon, 100, 7))
+    assert reruns == [100]
+
+
+def test_a_delay_run_holds_its_chunk_budget():
+    # the delay workload's settings: three chunks of at most 777 bounded trials,
+    # each within _CHUNK_ELEMENTS (2 MiB) where the doubling buffer and the
+    # block-wide envelope once took 7.4 MiB
+    model = gaussian_model(MeanSchedule.arctangent())
+    simulate_trials(model, "ex-cusum", math.log(1000), 80, 140, 10, 11)  # the schedule's cache
+    tracemalloc.start()
+    try:
+        simulate_trials(model, "ex-cusum", math.log(1000), 80, 140, 2000, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_runs_whose_block_leaves_the_x_bound_rerun_exactly(monkeypatch):
@@ -271,12 +316,12 @@ def test_bounded_runs_check_a_narrower_support_like_run_detector():
     # |x| < _X_BOUND no longer implies the support, so the bounded runs check
     # each block, and its runs step by step where a value falls outside
     model = dataclasses.replace(gaussian_model(MeanSchedule.arctangent()), support=(-3.0, 3.0))
-    assert detectors._certified_tail("ex-cusum", None, model, 50.0, 2000) is not None
+    assert detectors._certified_tail("ex-cusum", None, model, 20.0, 2000) is not None
     spec = ChangeSpec(nu=NO_CHANGE, horizon=2000, seed=derive_seed(9, 0))
     with pytest.raises(ValueError, match=r"outside support \[-3.0, 3.0\]"):
-        run_detector("ex-cusum", model, generate_path(model, spec), 50.0, 2000)
+        run_detector("ex-cusum", model, generate_path(model, spec), 20.0, 2000)
     with pytest.raises(ValueError, match=r"outside support \[-3.0, 3.0\]"):
-        simulate_trials(model, "ex-cusum", 50.0, NO_CHANGE, 2000, 8, 9)
+        simulate_trials(model, "ex-cusum", 20.0, NO_CHANGE, 2000, 8, 9)
 
 
 def test_a_bad_value_only_a_stopped_run_would_read_is_never_checked():
@@ -313,19 +358,26 @@ def test_exact_reruns_run_in_chunks_sized_for_the_exact_state(monkeypatch):
     assert metrics._CHUNK_ELEMENTS // horizon == 16 and reruns == [16, 16, 8]
 
 
-def test_certified_tail_applies_to_bounded_ex_cusum_runs_only():
+def test_certified_tail_applies_to_bounded_ex_cusum_runs_only(monkeypatch):
     arctan = gaussian_model(MeanSchedule.arctangent())
     no_envelope = with_information_number(generic_gaussian_model(MeanSchedule.arctangent()), I_ARCTAN)
     far_limit = gaussian_model(MeanSchedule.geometric_approach(1000.0, 0.999999))
-    assert detectors._certified_tail("ex-cusum", None, arctan, 4.0, 100) is not None
-    assert detectors._certified_tail("ex-cusum", None, far_limit, 4.0, 1000) is not None
+    assert detectors._certified_tail("ex-cusum", None, arctan, 4.0, 100)[0] == 14
+    assert detectors._certified_tail("ex-cusum", None, arctan, 4.0, 16)[0] == 14
+
+    def integrated(self, index):
+        raise AssertionError("a family without an envelope integrated a KL number")
+
+    monkeypatch.setattr(DensityModel, "kl", integrated)
     for kind, window, model, threshold, horizon in (
         ("sr", None, arctan, 4.0, 100),
         ("cusum", None, arctan, 4.0, 100),
         ("ex-cusum", 50, arctan, 4.0, 100),
         ("ex-cusum", None, gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)), 4.0, 100),
         ("ex-cusum", None, no_envelope, 4.0, 100),
-        ("ex-cusum", None, arctan, 4.0, 33),  # no candidate gets past age 32
+        ("ex-cusum", None, arctan, 4.0, 15),  # no candidate gets past age 14
+        ("ex-cusum", None, arctan, 40.0, 2000),  # a head of 2 * 38 passes the cap
+        ("ex-cusum", None, far_limit, 2.0, 1000),  # means near 0.001 j: a head of about 460
         ("ex-cusum", None, arctan, math.inf, 100),
         ("ex-cusum", None, arctan, 2.0**11, 100),  # past the margin's thresholds
         ("ex-cusum", None, arctan, 4.0, 2**24 + 1),  # past its horizons
@@ -508,8 +560,11 @@ def test_lockstep_trials_raise_like_per_trial_runs(monkeypatch):
                 run_detector(kind, model, generate_path(model, spec), 100.0, 60)
             steps.append(int(re.search(r"step (\d+)", str(err.value)).group(1)))
         assert len(set(steps)) > 1
+        # an unfolded trial is counted at the horizon; a folded one holds its
+        # block column, a buffer of 64 and a scratch of 3 (1 for CUSUM) and its generator
+        held = 60 if model is spiky and kind != "cusum" else 60 + 64 + (1 if kind == "cusum" else 3) + 80
         for chunk in (1, 5, 12):
-            monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * 60)
+            monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * held)
             with pytest.raises(NumericError, match=f"{kind} statistic non-finite at step {min(steps[:chunk])}:"):
                 simulate_trials(model, kind, 100.0, NO_CHANGE, 60, 12, 5)
 
@@ -631,8 +686,10 @@ def test_estimators_refuse_a_bool_trial_count(arctan_model):
 def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch):
     # with the detector replaced by fixed stopping times (0: censored), the
     # estimates are plain arithmetic with no Monte Carlo noise
-    def fixed(kind, model, draw, runs, threshold, horizon, window, envelope):
-        assert runs == 7 and envelope is None
+    calls = []
+
+    def fixed(kind, model, draw, runs, threshold, horizon, window, certified):
+        calls.append(runs)
         return np.array([0, 3, 9, 10, 14, 0, 25], np.int64)
 
     monkeypatch.setattr(metrics, "_lockstep", fixed)
@@ -646,6 +703,7 @@ def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch
     assert cadd.accepted == 3
     assert cadd.censored == 2
     assert cadd.acceptance_rate == 5 / 7
+    assert calls == [7, 7]  # no fixed time is -1, so nothing reruns
 
 
 def test_default_delay_horizon_is_overshoot_safe():
