@@ -23,7 +23,8 @@ the models module into a single pass/fail report.
 
 The moment, SLLN and dominance checks draw their ratios through the
 model's llr_sampler hook (by default one block_sampler row) into one reused
-block each, after refusing any count or index that is not an integer.  The
+block each, after refusing, through models._checked_integer, any count,
+index or seed that is not an integer in its range.  The
 SLLN and dominance checks each run their two independent halves on two
 threads (the SLLN's two trial ranges, the two block starts): numpy's
 generator fills and ufunc loops release the interpreter lock, so the halves
@@ -42,6 +43,7 @@ import numpy as np
 from .models import (
     DensityModel,
     GaussianModel,
+    _checked_integer,
     default_grid,
     verify_mlr,
 )
@@ -95,15 +97,6 @@ def _on_two_threads(job, first, second) -> tuple:
     return tuple(results)
 
 
-def _integers(**values) -> None:
-    """Refuse, before any draw, a count, index or seed that is not an integer
-    or is a bool (numpy would fail on it later, the record would hold it, or
-    the seed would be truncated to another one's streams)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _trace_indices(n_max: int) -> np.ndarray:
     """1..min(n_max, 64), 200 geometric steps to n_max, and n_max, sorted and
     unique (without np.unique, which imports numpy.ma)."""
@@ -128,9 +121,7 @@ def cesaro_kl_average(model: DensityModel, n_max: int) -> CesaroTrace:
     The final value is the information-number estimate; the verdict fails for
     degenerate families whose divergences average to zero.
     """
-    _integers(n_max=n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _checked_integer(n_max, "n_max", 1)
     vals = model.kl(np.arange(n_max))
     ns = _trace_indices(n_max)
     # running mean in recurrence form: exact on constant sequences, where a
@@ -183,11 +174,10 @@ def fourth_moment_check(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("the fourth-moment check needs the Gaussian family, whose bound is 3 * limit_mu**4")
-    _integers(trials=trials, seed=seed, **{f"ks[{j}]": k for j, k in enumerate(ks)})
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("moment check indices k must be given, each >= 1")
-    if trials < 2:
-        raise ValueError("the moment check needs trials >= 2 for its standard errors")
+    if not ks:
+        raise ValueError("moment check indices k must be given")
+    ks = tuple(_checked_integer(k, f"ks[{j}]", 1) for j, k in enumerate(ks))
+    trials = _checked_integer(trials, "trials", 2)  # a standard error needs two
     bound = 3.0 * model.schedule.limit_mu ** 4
     estimates = np.empty(len(ks))
     stderrs = np.empty(len(ks))
@@ -238,9 +228,9 @@ def slln_empirical(
     when the 95th-percentile deviation strictly decreases, the Monte Carlo
     surrogate for almost-sure convergence.
     """
-    _integers(n=n, trials=trials, seed=seed)
-    if n < 1 or trials < 2:
-        raise ValueError("n must be >= 1 and trials >= 2")
+    n = _checked_integer(n, "n", 1)
+    trials = _checked_integer(trials, "trials", 2)  # a variance needs two
+    base = derive_seed(seed, _SLLN_STREAMS)
     grid = tuple(sorted({max(n // 16, 1), max(n // 4, 1), n}))
     info = model.information_number()
     if info is None:
@@ -248,7 +238,6 @@ def slln_empirical(
     marks = np.asarray(grid)
     avgs = np.empty((trials, len(grid)))
     fill = model.llr_sampler(np.arange(n), np.arange(n))
-    base = derive_seed(seed, _SLLN_STREAMS)
     rows = max(1, _BLOCK_ELEMENTS // n)
 
     def averages(bounds: tuple[int, int]) -> None:
@@ -337,11 +326,10 @@ def sum_dominance_check(
     comparing an index against itself reuses the same draws and gives a gap
     of exactly zero.
     """
-    _integers(k_small=k_small, k_large=k_large, n=n, trials=trials, seed=seed)
-    if k_small < 1 or k_large < 1:
-        raise ValueError("block start indices must be >= 1")
-    if n < 1 or trials < 2:
-        raise ValueError("n must be >= 1 and trials >= 2")
+    k_small = _checked_integer(k_small, "k_small", 1)
+    k_large = _checked_integer(k_large, "k_large", 1)
+    n = _checked_integer(n, "n", 1)
+    trials = _checked_integer(trials, "trials", 2)
     a, b = _on_two_threads(lambda k: _block_averages(model, k, n, trials, seed), k_small, k_large)
     # the CDF gap at every point of both samples, a chunk of points at a time
     max_gap = -math.inf

@@ -35,12 +35,10 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] =
         raise ConfigError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
 
 
-def _number(obj: dict, path: str, key: str, *, positive: bool = False) -> float:
+def _number(obj: dict, path: str, key: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{path}.{key}", f"expected a positive number, got {v!r}")
     return float(v)
 
 
@@ -117,7 +115,7 @@ class DetectorConfig:
         threshold = _number(obj, path, "threshold") if "threshold" in obj else None
         gamma = None
         if "gamma" in obj:
-            gamma = _number(obj, path, "gamma", positive=True)
+            gamma = _number(obj, path, "gamma")
             if gamma <= 1.0:
                 raise ConfigError(f"{path}.gamma", f"expected gamma > 1, got {gamma}")
         if (threshold is None) == (gamma is None):

@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import DensityModel, _validate_x
+from .models import DensityModel, _checked_integer, _validate_x
 from .numerics import NumericError, logsumexp_rows
 
 _MIN_CAPACITY = 64
@@ -422,8 +422,7 @@ class StopResult:
 
 def _start(kind: str, window: int | None, model: DensityModel, horizon: int, threshold: float, rows, head=None):
     """Validate a run and return its fresh state and its kind's DETECTORS row."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _checked_integer(horizon, "horizon", 1)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     return _make_state(kind, window, model, rows, head), DETECTORS[kind]
@@ -452,9 +451,7 @@ def _layout(kind: str, window: int | None, model: DensityModel | None, head: int
     if window is not None:
         if not spec.windowed:
             raise ValueError(f"the {kind!r} detector takes no window")
-        if type(window) is not int or window < 1:
-            raise ValueError(f"window must be a positive integer or None, got {window!r}")
-        return window, False
+        return _checked_integer(window, "window", 1), False
     if head is not None:
         return head + 1, True
     saturation = 0 if kind == "cusum" else None if model is None else model.saturation_index()

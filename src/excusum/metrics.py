@@ -36,7 +36,7 @@ import numpy as np
 
 from . import process
 from .detectors import StopResult, _certified_tail, _lockstep, _state_elements
-from .models import DensityModel
+from .models import DensityModel, _checked_integer
 from .process import NO_CHANGE, ChangeSpec, _block_drawer, derive_seed, trial_generators
 
 #: scipy.stats.norm.ppf(0.95), the one-sided 95% normal quantile
@@ -47,9 +47,11 @@ Z95 = 1.6448536269514722
 #: live trial holds.  With a fold, window or bounded tail that is its column
 #: of a sample block, min(horizon, process._CHUNK), what its state holds
 #: (detectors._state_elements: the buffer's columns, the ratio scratch and a
-#: bounded trial's envelope pieces) and its generator, _GENERATOR_ELEMENTS;
-#: a trial whose sums grow with n is counted at horizon alone, the length
-#: they reach
+#: bounded trial's envelope pieces) and its generator, _GENERATOR_ELEMENTS.
+#: A trial whose sums grow with n is counted at horizon alone, the length
+#: they reach, though while its buffer doubles to C columns it holds up to
+#: 3C (both copies and the ratio scratch); counting it at that peak split
+#: short exact runs into more chunks, which slowed them
 _CHUNK_ELEMENTS = 2**18
 
 #: one trial's bit generator and Generator (about 645 bytes), in float64 elements
@@ -94,8 +96,10 @@ class TrialOutcome(NamedTuple):
         return int(self.tau - self.nu)
 
 
-def _check_trials(trials: int) -> None:
-    if isinstance(trials, bool) or trials < 1:
+def _check_trials(trials: int, name: str = "trials") -> None:
+    # any integer passes the rule: a count below 1 gives no estimate, which
+    # is an EstimationError rather than a bad argument
+    if _checked_integer(trials, name, -math.inf) < 1:
         raise EstimationError("at least one trial is required")
 
 
@@ -126,7 +130,7 @@ def simulate_trials(
     holds, so every tau is the exact run's.
     """
     _check_trials(trials)
-    ChangeSpec(nu=nu, horizon=horizon, seed=0)  # reject a bad nu or horizon before sizing chunks
+    ChangeSpec(nu=nu, horizon=horizon, seed=seed)  # reject a bad nu, horizon or seed before sizing chunks
     taus = np.empty(trials, dtype=np.int64)
 
     def run(ids: np.ndarray, certified) -> None:
@@ -169,6 +173,7 @@ def estimate_arl2fa(
     is conservative for checking the >= gamma guarantee; the 95% lower
     confidence bound uses the normal approximation.
     """
+    _checked_integer(horizon, "horizon", 1)  # before the warning compares it
     recommended = ARL_HORIZON_FACTOR / 2.0 * math.exp(min(threshold, 700.0))
     if horizon < recommended:
         warnings.warn(
@@ -234,8 +239,7 @@ def estimate_cadd(
     EstimationError when no run is accepted, or when the default horizon is
     asked of a model whose information_number() is None or not positive.
     """
-    if nu < 1 or (isinstance(nu, float) and math.isinf(nu)):
-        raise ValueError("estimate_cadd needs a finite change point nu >= 1")
+    nu = _checked_integer(nu, "nu", 1)  # a finite change point: NO_CHANGE is no integer
     if horizon is None:
         horizon = default_delay_horizon(nu, threshold, model.information_number())
     taus = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
@@ -296,8 +300,8 @@ def worst_case_delay_scan(
     where Lorden takes their essential supremum.  A nu with no accepted runs
     is flagged in its cell rather than silently dropped; the scan fails only
     if every cell fails.  No delay horizon (I not positive, A NaN or +inf),
-    a grid entry that is not an integer >= 1 and a trial count below 1 (a
-    bool included) each fail the scan before any run.
+    a grid entry or trial count that is not an integer >= 1 and a seed
+    outside [0, 2**64) each fail the scan before any run.
 
     It is library-only: each cell is what ``excusum cadd`` estimates on a
     config whose run.nu is that nu, so a command would only add a nu-grid
@@ -305,8 +309,7 @@ def worst_case_delay_scan(
     """
     if len(nu_grid) == 0:
         raise ValueError("nu_grid must be nonempty")
-    if any(isinstance(nu, bool) or not isinstance(nu, (int, np.integer)) or nu < 1 for nu in nu_grid):
-        raise ValueError(f"nu_grid entries must be integers >= 1, got {list(nu_grid)}")
+    nu_grid = [_checked_integer(nu, f"nu_grid[{j}]", 1) for j, nu in enumerate(nu_grid)]
     _check_trials(trials)  # every cell would fail on it, and the scan would hide why
     # fail on a model without a delay horizon before any run, naming I
     default_delay_horizon(1, threshold, model.information_number())
@@ -317,14 +320,14 @@ def worst_case_delay_scan(
                 model,
                 detector,
                 threshold,
-                int(nu),
+                nu,
                 trials,
                 derive_seed(seed, j),
                 window=window,
             )
-            cells.append(DelayScanCell(nu=int(nu), estimate=est, error=None))
+            cells.append(DelayScanCell(nu=nu, estimate=est, error=None))
         except EstimationError as exc:
-            cells.append(DelayScanCell(nu=int(nu), estimate=None, error=str(exc)))
+            cells.append(DelayScanCell(nu=nu, estimate=None, error=str(exc)))
     valid = [c for c in cells if c.estimate is not None]
     if not valid:
         raise EstimationError("no nu in the grid produced accepted runs")
@@ -363,7 +366,7 @@ def tradeoff_curve(
         raise ValueError("gammas must be an increasing sequence of finite values > 1")
     arl_trials = trials if arl_trials is None else arl_trials
     _check_trials(trials)  # both sides' counts, before the first run
-    _check_trials(arl_trials)
+    _check_trials(arl_trials, "arl_trials")
     info = model.information_number()
     # a model without a delay horizon fails before any run, naming I
     default_delay_horizon(1, math.log(gs[0]), info)

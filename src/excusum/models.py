@@ -38,6 +38,12 @@ the prefix forms read, so folding there is exact.  For a family that never
 saturates, llr_envelope(start, stop) bounds the ratio of every age in
 [start, stop) from above, which lets the Monte Carlo runs bound their old
 candidates by one tail.
+
+Input checks have three homes here: _validate_x for observations,
+_checked_index for age indices and index arrays, and _checked_integer for
+every count, horizon, window, scalar index or seed the library takes.  The
+last accepts Python and numpy integers alike and refuses a bool, a float or
+a string, so a seed of 1.9, True or "7" never runs seed 1's or 7's streams.
 """
 
 from __future__ import annotations
@@ -521,6 +527,15 @@ def _checked_index(index, name: str) -> np.ndarray:
     if idx.dtype.kind not in "iu" or np.any(idx < 0):
         raise ValueError(f"{name} must be a nonnegative integer (or array thereof)")
     return idx
+
+
+def _checked_integer(value, name: str, minimum=0, below=math.inf) -> int:
+    """``value`` as an int: the one rule for a count, horizon, window, index
+    or seed, which takes a Python or numpy integer (never a bool, a float or
+    a string) in [minimum, below), and else raises ValueError naming it."""
+    if (type(value) is int or isinstance(value, np.integer)) and minimum <= value < below:
+        return int(value)
+    raise ValueError(f"{name} must be an integer in [{minimum}, {below}), got {value!r}")
 
 
 def llr(model: DensityModel, post_index, x):

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it lazily; load it with the package
 
-from .models import DensityModel
+from .models import DensityModel, _checked_index, _checked_integer
 
 #: explicit "the change never happens" value; deliberately not an integer so
 #: that false-alarm runs cannot be confused with large-nu runs
@@ -33,8 +33,11 @@ _TILE_ROWS = 64
 
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """Deterministic 64-bit per-trial seed, order-independent across trials."""
-    state = np.random.SeedSequence([int(base_seed), int(index)]).generate_state(2, np.uint32)
+    """Deterministic 64-bit per-trial seed, order-independent across trials;
+    the seed and the index each lie in [0, 2**64), as trial_generators'."""
+    state = np.random.SeedSequence(
+        [_checked_integer(base_seed, "seed", 0, 2**64), _checked_integer(index, "index", 0, 2**64)]
+    ).generate_state(2, np.uint32)
     return (int(state[0]) << 32) | int(state[1])
 
 
@@ -92,9 +95,7 @@ def _halves(values: np.ndarray) -> list[np.ndarray]:
 def _trial_seeds(base_seed: int, indices: np.ndarray) -> np.ndarray:
     """derive_seed(base_seed, i) for every i of a uint64 array, as uint64.
     The base enters SeedSequence as one word below 2**32, else as two."""
-    base = int(base_seed)
-    if not 0 <= base < 2**64:
-        raise ValueError(f"seed must be a non-negative integer below 2**64, got {base_seed!r}")
+    base = _checked_integer(base_seed, "seed", 0, 2**64)
     head = _halves(np.full(len(indices), base, np.uint64))[: 1 + (base > _MASK32)]
     state = _mixed_state(head + _halves(indices), 2)
     return (state[0].astype(np.uint64) << 32) | state[1]
@@ -126,9 +127,8 @@ def trial_generators(seed: int, indices: np.ndarray) -> Iterator[np.random.Gener
     its order: trial i's draws equal those of default_rng(derive_seed(seed,
     i)).  The indices are seeded in one vectorized pass; a generator costs
     memory only once it is taken."""
-    if indices.min(initial=0) < 0:  # astype would wrap it
-        raise ValueError(f"trial index must be a non-negative integer, got {indices.min()}")
-    return _generators(_trial_seeds(seed, indices.astype(np.uint64)))
+    # checked first: astype would wrap a negative index and truncate a float one
+    return _generators(_trial_seeds(seed, _checked_index(indices, "trial index").astype(np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -140,15 +140,10 @@ class ChangeSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (
-            (type(self.nu) is int and self.nu >= 1)
-            or (isinstance(self.nu, float) and math.isinf(self.nu) and self.nu > 0)
-        ):
-            raise ValueError(f"nu must be an integer >= 1 or NO_CHANGE, got {self.nu!r}")
-        if not (type(self.horizon) is int and self.horizon >= 1):
-            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if self.nu != NO_CHANGE:
+            _checked_integer(self.nu, "nu", 1)
+        _checked_integer(self.horizon, "horizon", 1)
+        _checked_integer(self.seed, "seed", 0, 2**64)
 
     @property
     def no_change(self) -> bool:

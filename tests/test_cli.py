@@ -126,6 +126,9 @@ def test_every_detector_kind_is_accepted_and_windows_only_where_allowed():
         # a NaN gamma failed at its ARL horizon, and an infinite one never finished
         ("tradeoff", {"gammas": [7.38, math.nan]}, "tradeoff.gammas"),
         ("tradeoff", {"gammas": [7.38, math.inf]}, "tradeoff.gammas"),
+        # a gamma of 0 or below fails the one gamma > 1 test
+        ("detector", {"detector": "ex-cusum", "gamma": 0}, "detector.gamma: expected gamma > 1, got 0.0"),
+        ("detector", {"detector": "ex-cusum", "gamma": -1}, "detector.gamma: expected gamma > 1, got -1.0"),
     ],
 )
 def test_config_rejected_at_load_exits_2_before_running(tmp_path, capsys, section, value, path):

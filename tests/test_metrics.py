@@ -679,7 +679,8 @@ def test_cadd_no_accepted_runs_is_an_error(arctan_model):
 
 
 def test_estimators_refuse_a_bool_trial_count(arctan_model):
-    with pytest.raises(EstimationError, match="at least one trial"):
+    # a bool is no count (models._checked_integer); a count below 1 is an EstimationError
+    with pytest.raises(ValueError, match=r"^trials must be an integer in "):
         estimate_arl2fa(arctan_model, "ex-cusum", 1.0, trials=True, horizon=100, seed=1)
 
 
@@ -792,7 +793,7 @@ def test_scan_refuses_a_nu_that_is_not_a_positive_integer_before_any_run(bad, ar
     # int(2.5) would run a nu = 2 cell and int(True) a nu = 1 cell
     runs = []
     monkeypatch.setattr(metrics, "estimate_cadd", lambda *args, **kwargs: runs.append(args))
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^nu_grid\[1\] must be an integer in \[1, "):
         worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, bad], trials=10, seed=1)
     assert runs == []
 
@@ -804,7 +805,11 @@ def test_scan_refuses_a_bad_trial_count_before_any_run(trials, arctan_model, mon
         raise AssertionError("simulate_trials was called")
 
     monkeypatch.setattr(metrics, "simulate_trials", no_run)
-    with pytest.raises(EstimationError, match="at least one trial is required"):
+    # a bool is no count, and so a ValueError; a count below 1 gives no estimate
+    error, match = (EstimationError, "at least one trial is required")
+    if trials is True:
+        error, match = ValueError, r"^trials must be an integer in "
+    with pytest.raises(error, match=match):
         worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, 3], trials=trials, seed=1)
 
 
@@ -862,7 +867,11 @@ def test_tradeoff_checks_both_trial_counts_before_any_run(arctan_model, monkeypa
 
     monkeypatch.setattr(metrics, "simulate_trials", no_run)
     counts = {"trials": 10, "arl_trials": 200, side: bad}
-    with pytest.raises(EstimationError, match="at least one trial"):
+    # a bool is no count, and so a ValueError naming the side; a count below 1 gives no estimate
+    error, match = EstimationError, "at least one trial"
+    if bad is True:
+        error, match = ValueError, f"^{side} must be an integer in "
+    with pytest.raises(error, match=match):
         tradeoff_curve(arctan_model, [20.0], seed=1, **counts)
 
 

@@ -228,14 +228,16 @@ def test_trial_generators_do_not_depend_on_the_range():
     parts = [*trial_generators(7, np.arange(13)), *trial_generators(7, np.arange(13, 40))]
     assert list(trial_generators(7, np.arange(5, 5))) == []
     bad_seeds = (
-        lambda: derive_seed(-1, 0),
-        lambda: trial_generators(-1, np.arange(1)),
-        lambda: trial_generators(2**64, np.arange(1)),  # ChangeSpec's range: seeds lie in [0, 2**64)
-        lambda: derive_seed(7, -1),
-        lambda: trial_generators(7, np.array([3, -1])),  # an index, too, is refused rather than wrapped
+        (lambda: derive_seed(-1, 0), r"^seed must be an integer in \[0, "),
+        (lambda: trial_generators(-1, np.arange(1)), r"^seed must be an integer in \[0, "),
+        # ChangeSpec's range: seeds lie in [0, 2**64)
+        (lambda: trial_generators(2**64, np.arange(1)), r"^seed must be an integer in \[0, "),
+        (lambda: derive_seed(7, -1), r"^index must be an integer in \[0, "),
+        # an index, too, is refused rather than wrapped
+        (lambda: trial_generators(7, np.array([3, -1])), r"^trial index must be a nonnegative integer"),
     )
-    for bad in bad_seeds:
-        with pytest.raises(ValueError, match="non-negative"):
+    for bad, match in bad_seeds:
+        with pytest.raises(ValueError, match=match):
             bad()
     for a, b in zip(whole, parts, strict=True):
         assert np.array_equal(a.standard_normal(5), b.standard_normal(5))

@@ -1,11 +1,22 @@
-"""The summary of tools/pairs.py on fixed numbers, without running the benchmark."""
+"""The summaries of tools/pairs.py and tools/record_bench.py on fixed
+numbers, without running the benchmark."""
 
 import importlib.util
 from pathlib import Path
 
-spec = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
-pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(pairs)
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = load("pairs")
 
 END_TO_END = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -63,3 +74,20 @@ def test_the_table_names_every_row():
     rows = pairs.summarize(END_TO_END, {"delay": [(result(1.0, 2.0), result(0.5, 3.0))]})
     text = pairs.format_rows(rows).splitlines()
     assert len(text) == 3 and text[1].startswith("delay") and text[1].endswith("1/1    better")
+
+
+def test_bench_records_read_the_quartiles_and_the_runs_as_pairs_does(monkeypatch):
+    # statistics.quantiles' default (exclusive) rule read 1.5 and 4.5 here
+    monkeypatch.syspath_prepend(str(TOOLS))  # record_bench imports its siblings
+    record_bench = load("record_bench")
+    values = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert record_bench.summary(values) == {"median": 3.0, "q1": 2.0, "q3": 4.0, "values": values}
+    assert record_bench.summary([7.0])["q1"] == 7.0
+    # pairs' runner, whose stand-in for a failed run stops the record
+    failed = {"correct": False, "failed": None, "metrics": {}, "error": "Traceback"}
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: failed)
+    with pytest.raises(RuntimeError, match="delay seed 3: not correct .* Traceback"):
+        record_bench.checked_run("delay", 3, 1.0)
+    monkeypatch.setattr(record_bench, "run_once", lambda *args: {"correct": True, "failed": 2, "metrics": {}})
+    with pytest.raises(RuntimeError, match=r"\(2 failed\)"):
+        record_bench.checked_run("delay", 3, 1.0)

@@ -6,10 +6,11 @@ Runs ``perfbench/run.py --trace 0`` once per workload and seed, with the
 workloads, the end-to-end metrics and the run length that BENCHMARK.json
 declares, and writes BENCH_<short rev>.json at the root of the repository:
 per workload and metric the median, the quartiles and the raw values, with
-the machine, the Python and numpy versions and the size of ``src/``.  It
-refuses to run while tracked files differ from HEAD, so the file names
-exactly the code it measured, and exits nonzero when a run fails or reports
-a wrong result.
+the machine, the Python and numpy versions and the size of ``src/``.  Each
+run and the quartiles are tools/pairs.py's, so a record and a pair verdict
+read the spread by the same (inclusive) rule.  It refuses to run while
+tracked files differ from HEAD, so the file names exactly the code it
+measured, and exits nonzero when a run fails or reports a wrong result.
 
 Stdlib only.
 """
@@ -18,11 +19,11 @@ import importlib.metadata
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+from pairs import quartiles, run_once
 from src_size import module_size
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,21 +35,17 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{workload} seed {seed}: exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
-    result = json.loads(lines[-1])
-    if result["correct"] is not True or result["failed"] > 0:
-        raise RuntimeError(f"{workload} seed {seed}: {result['failed']} failed operations\n{proc.stdout}")
+def checked_run(workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one benchmark run; RuntimeError unless it ran and
+    reported a correct result with no failed operation."""
+    result = run_once(ROOT, workload, seed, seconds)
+    if result["correct"] is not True or result["failed"]:
+        raise RuntimeError(f"{workload} seed {seed}: not correct ({result['failed']} failed) {result.get('error', '')}")
     return result
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4)
+    q1, median, q3 = quartiles(values)
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
@@ -66,7 +63,7 @@ def main() -> int:
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
         try:
-            runs = [run_once(workload, seed, bench["run_seconds"]) for seed in SEEDS]
+            runs = [checked_run(workload, seed, bench["run_seconds"]) for seed in SEEDS]
         except RuntimeError as exc:
             print(f"record_bench.py: {exc}", file=sys.stderr)
             return 1
