@@ -49,7 +49,6 @@ _EXPORTS = {
         "estimate_cadd",
         "simulate_trials",
         "tradeoff_curve",
-        "worst_case_delay_scan",
     ),
     "models": (
         "DensityModel",
@@ -60,10 +59,7 @@ _EXPORTS = {
         "default_grid",
         "gaussian_model",
         "kl_divergence",
-        "llr",
-        "sample_post",
         "verify_mlr",
-        "verify_stochastic_dominance",
     ),
     "process": ("NO_CHANGE", "ChangeSpec", "Path", "derive_seed", "generate_path"),
 }

@@ -526,7 +526,7 @@ def run_detector(
             raise NumericError(f"{kind} statistic non-finite at step {t}: {stat} (x={x})")
         if spec.crossed(stat, threshold):
             return StopResult(tau=t, censored_at=None)
-    return StopResult(tau=None, censored_at=horizon)
+    return StopResult(tau=None, censored_at=int(horizon))  # _start checked it is an integer
 
 
 def _sr_bound(m, columns: int, scale):

@@ -9,10 +9,16 @@ information number, which is the bound reported next to the estimates.
 
 Censored false-alarm runs are included at their horizon value, so the ARL
 estimate is a downward-biased lower bound; that is the conservative
-direction for validating the >= gamma guarantee.  Under independent
-observations the detection delay does not depend on the pre-change history,
-so the worst-case (over nu) delay is scanned on a finite nu grid with no
-essential-supremum machinery.
+direction for validating the >= gamma guarantee.
+
+The worst-case delay over change points (Lorden 1971, Ann. Math. Statist.
+42(6)) is the delay at nu = 1, which tradeoff_curve reports.  After the
+change a run with pre-change history has a statistic at least that of the
+run started fresh at nu on the same data: ex-cusum's max and SR's sum range
+over more candidates, whose sums for k >= nu come from the same additions in
+the same order, and CUSUM's max(W, 0) starts at or above 0.  The event
+tau >= nu reads only pre-change data, so whatever the history, the delay
+at nu is at most the delay at 1.
 
 Trials are seeded individually (seed, trial index), making every estimate
 bit-reproducible and independent of trial order.  They run in chunks, all
@@ -96,11 +102,13 @@ class TrialOutcome(NamedTuple):
         return int(self.tau - self.nu)
 
 
-def _check_trials(trials: int, name: str = "trials") -> None:
+def _check_trials(trials: int, name: str = "trials") -> int:
     # any integer passes the rule: a count below 1 gives no estimate, which
     # is an EstimationError rather than a bad argument
-    if _checked_integer(trials, name, -math.inf) < 1:
+    trials = _checked_integer(trials, name, -math.inf)
+    if trials < 1:
         raise EstimationError("at least one trial is required")
+    return trials
 
 
 def simulate_trials(
@@ -173,7 +181,8 @@ def estimate_arl2fa(
     is conservative for checking the >= gamma guarantee; the 95% lower
     confidence bound uses the normal approximation.
     """
-    _checked_integer(horizon, "horizon", 1)  # before the warning compares it
+    horizon = _checked_integer(horizon, "horizon", 1)  # before the warning compares it
+    trials = _check_trials(trials)
     recommended = ARL_HORIZON_FACTOR / 2.0 * math.exp(min(threshold, 700.0))
     if horizon < recommended:
         warnings.warn(
@@ -240,6 +249,7 @@ def estimate_cadd(
     asked of a model whose information_number() is None or not positive.
     """
     nu = _checked_integer(nu, "nu", 1)  # a finite change point: NO_CHANGE is no integer
+    trials = _check_trials(trials)
     if horizon is None:
         horizon = default_delay_horizon(nu, threshold, model.information_number())
     taus = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
@@ -262,77 +272,6 @@ def estimate_cadd(
         censored=censored,
         trials=trials,
     )
-
-
-class DelayScanCell(NamedTuple):
-    nu: int
-    estimate: CaddEstimate | None
-    error: str | None
-
-
-class DelayScan(NamedTuple):
-    """Per-nu conditional delays and their maximum over a finite nu grid.
-
-    A finite-grid approximation to the worst case over all change points;
-    under independent observations the delay is history-independent, so the
-    grid scan is the whole story up to the grid resolution.
-    """
-
-    cells: tuple[DelayScanCell, ...]
-    max_delay: float
-    argmax_nu: int
-
-
-def worst_case_delay_scan(
-    model: DensityModel,
-    detector: str,
-    threshold: float,
-    nu_grid: Sequence[int],
-    trials: int,
-    seed: int,
-    *,
-    window: int | None = None,
-) -> DelayScan:
-    """Estimate the conditional delay at every nu in the grid and report the max.
-
-    The max estimates Lorden's worst-case delay (Lorden 1971, Ann. Math.
-    Statist. 42(6)) on a finite nu grid, averaging over pre-change histories
-    where Lorden takes their essential supremum.  A nu with no accepted runs
-    is flagged in its cell rather than silently dropped; the scan fails only
-    if every cell fails.  No delay horizon (I not positive, A NaN or +inf),
-    a grid entry or trial count that is not an integer >= 1 and a seed
-    outside [0, 2**64) each fail the scan before any run.
-
-    It is library-only: each cell is what ``excusum cadd`` estimates on a
-    config whose run.nu is that nu, so a command would only add a nu-grid
-    field to the config schema.
-    """
-    if len(nu_grid) == 0:
-        raise ValueError("nu_grid must be nonempty")
-    nu_grid = [_checked_integer(nu, f"nu_grid[{j}]", 1) for j, nu in enumerate(nu_grid)]
-    _check_trials(trials)  # every cell would fail on it, and the scan would hide why
-    # fail on a model without a delay horizon before any run, naming I
-    default_delay_horizon(1, threshold, model.information_number())
-    cells = []
-    for j, nu in enumerate(nu_grid):
-        try:
-            est = estimate_cadd(
-                model,
-                detector,
-                threshold,
-                nu,
-                trials,
-                derive_seed(seed, j),
-                window=window,
-            )
-            cells.append(DelayScanCell(nu=nu, estimate=est, error=None))
-        except EstimationError as exc:
-            cells.append(DelayScanCell(nu=nu, estimate=None, error=str(exc)))
-    valid = [c for c in cells if c.estimate is not None]
-    if not valid:
-        raise EstimationError("no nu in the grid produced accepted runs")
-    best = max(valid, key=lambda c: c.estimate.mean_delay)
-    return DelayScan(cells=tuple(cells), max_delay=best.estimate.mean_delay, argmax_nu=best.nu)
 
 
 class TradeoffRow(NamedTuple):

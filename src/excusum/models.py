@@ -80,11 +80,6 @@ MLR_TOLERANCE = 1e-12
 #: limit only past this many entries is treated as never reaching it
 SATURATION_SCAN_CAP = 2**20
 
-#: quadrature error allowed in verify_stochastic_dominance's tail comparison,
-#: and the points of the fine grid on which it integrates the tails
-DOMINANCE_SLACK = 1e-9
-DOMINANCE_POINTS = 4001
-
 
 @dataclass(frozen=True)
 class MeanSchedule:
@@ -538,23 +533,8 @@ def _checked_integer(value, name: str, minimum=0, below=math.inf) -> int:
     raise ValueError(f"{name} must be an integer in [{minimum}, {below}), got {value!r}")
 
 
-def llr(model: DensityModel, post_index, x):
-    """Per-sample log-likelihood ratio log f_{post_index}(x) - log g(x).
-
-    The checked form of model.log_ratio: broadcasts over ``post_index`` and
-    ``x``; returns a float for scalar inputs.  Raises ValueError for
-    non-finite x, x outside the support, or a negative or non-integer index.
-    """
-    xs = _validate_x(model, x)
-    val = model.log_ratio(_checked_index(post_index, "post_index"), xs)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
-
-
 def kl_divergence(model: DensityModel, n: int) -> float:
-    """D(f_n || g): the checked form of model.kl.  Raises ValueError for a
-    negative or non-integer index, as llr does, and for an index array."""
+    """D(f_n || g), the checked form of model.kl: ValueError for a negative, non-integer or array index."""
     if np.ndim(n):
         raise ValueError(f"index must be one integer, got an array of shape {np.shape(n)}")
     return float(model.kl(_checked_index(n, "index")))
@@ -567,14 +547,12 @@ class MlrCheck(NamedTuple):
 
 def _pair_log_densities(model: DensityModel, n: int):
     """Log densities of the ordered pair checked at n; n = -1 compares g vs f_0."""
+    post = model.post_change_log_density
     if n == -1:
-        return model.pre_change_log_density, lambda xs: model.post_change_log_density(0, xs)
+        return model.pre_change_log_density, partial(post, 0)
     if n < -1:
         raise ValueError("n must be >= 0, or the sentinel -1 for g vs f_0")
-    return (
-        lambda xs: model.post_change_log_density(n, xs),
-        lambda xs: model.post_change_log_density(n + 1, xs),
-    )
+    return partial(post, n), partial(post, n + 1)
 
 
 def _validate_grid(model: DensityModel, grid) -> np.ndarray:
@@ -606,39 +584,6 @@ def verify_mlr(model: DensityModel, n: int, grid) -> MlrCheck:
     drops = -np.diff(ratio)
     worst = float(max(0.0, drops.max(initial=0.0)))
     return MlrCheck(worst <= MLR_TOLERANCE, worst)
-
-
-def _right_tails(log_density, grid: np.ndarray, hi: float) -> np.ndarray:
-    """Upper-tail masses at the grid points, by trapezoid on a shared fine grid."""
-    fine = np.union1d(grid, np.linspace(grid[0], hi, DOMINANCE_POINTS))
-    dens = np.exp(np.asarray(log_density(fine), dtype=np.float64))
-    seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(fine)
-    tails = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    return tails[np.searchsorted(fine, grid)]
-
-
-def verify_stochastic_dominance(model: DensityModel, n: int, grid) -> bool:
-    """Check P(f_n > x) <= P(f_{n+1} > x) at every grid point (n = -1: g vs f_0).
-
-    Tail masses are computed by quadrature on a shared fine grid, so when the
-    MLR check passes this check passes as well up to DOMINANCE_SLACK.
-    """
-    g = _validate_grid(model, grid)
-    lower, upper = _pair_log_densities(model, n)
-    _, hi = model.quadrature_window(max(n + 1, 0))
-    hi = max(hi, float(g[-1]))
-    tails_lower = _right_tails(lower, g, hi)
-    tails_upper = _right_tails(upper, g, hi)
-    return bool(np.all(tails_lower <= tails_upper + DOMINANCE_SLACK))
-
-
-def sample_post(model: DensityModel, n, rng: np.random.Generator, size=None):
-    """Draw from f_n into an array of shape ``size``, else of n's shape (n
-    may be an index array), as one block_sampler row, in C order."""
-    idx = _checked_index(n, "post-change index")
-    out = np.empty(idx.shape if size is None else size)
-    model.block_sampler(np.broadcast_to(idx, out.shape).ravel())([rng], out.reshape(1, -1))
-    return out
 
 
 def default_grid(model: DensityModel, n: int | None = None, points: int = 2001) -> np.ndarray:

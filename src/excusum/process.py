@@ -133,7 +133,7 @@ def trial_generators(seed: int, indices: np.ndarray) -> Iterator[np.random.Gener
 
 @dataclass(frozen=True)
 class ChangeSpec:
-    """Where the change happens, how long the path is, and its seed."""
+    """Where the change happens, how long the path is, and its seed; an integer is stored as an int."""
 
     nu: int | float
     horizon: int
@@ -141,9 +141,9 @@ class ChangeSpec:
 
     def __post_init__(self) -> None:
         if self.nu != NO_CHANGE:
-            _checked_integer(self.nu, "nu", 1)
-        _checked_integer(self.horizon, "horizon", 1)
-        _checked_integer(self.seed, "seed", 0, 2**64)
+            object.__setattr__(self, "nu", _checked_integer(self.nu, "nu", 1))
+        object.__setattr__(self, "horizon", _checked_integer(self.horizon, "horizon", 1))
+        object.__setattr__(self, "seed", _checked_integer(self.seed, "seed", 0, 2**64))
 
     @property
     def no_change(self) -> bool:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from excusum.models import DensityModel, llr
+from excusum.models import DensityModel
 
 
 def ex_cusum_brute(samples, model: DensityModel, n: int) -> float:
@@ -20,7 +20,7 @@ def ex_cusum_brute(samples, model: DensityModel, n: int) -> float:
     for k in range(1, n + 1):
         s = 0.0
         for i in range(k, n + 1):
-            s += llr(model, i - k, float(samples[i - 1]))
+            s += float(model.log_ratio(i - k, float(samples[i - 1])))
         best = max(best, s)
     return best
 
@@ -36,6 +36,6 @@ def ex_cusum_brute_all(samples, model: DensityModel) -> np.ndarray:
     stats = np.full(n_max, -math.inf)
     for k in range(1, n_max + 1):
         ages = np.arange(n_max - k + 1)
-        terms = llr(model, ages, xs[k - 1 :])
+        terms = model.log_ratio(ages, xs[k - 1 :])
         np.maximum(stats[k - 1 :], np.cumsum(terms), out=stats[k - 1 :])
     return stats

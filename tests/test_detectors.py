@@ -20,7 +20,6 @@ from excusum import (
     ex_cusum_step,
     gaussian_model,
     generate_path,
-    llr,
     run_detector,
     sr_step,
     statistic_trace,
@@ -75,7 +74,7 @@ def test_zero_schedule_statistic_is_zero():
 def test_single_observation_statistic_is_first_llr(x):
     model = gaussian_model(MeanSchedule.arctangent())
     stats, _ = evolve(model, [x])
-    assert stats[0] == llr(model, 0, x)
+    assert stats[0] == model.log_ratio(0, x)
 
 
 def test_fresh_candidate_floor(arctan_model):
@@ -84,7 +83,7 @@ def test_fresh_candidate_floor(arctan_model):
     state = ExCusumState()
     for x in xs:
         ex_cusum_step(state, float(x), arctan_model)
-        assert state.statistic >= llr(arctan_model, 0, float(x)) - 1e-12
+        assert state.statistic >= arctan_model.log_ratio(0, float(x)) - 1e-12
     assert state.n == 120
     assert retained_sums(state).size == 120  # no window: one candidate per step
 
@@ -146,7 +145,7 @@ def test_cusum_recursion_matches_max_form(arctan_model):
     for n, x in enumerate(xs, start=1):
         cusum_step(cu, float(x), model)
         brute = max(
-            sum(llr(model, 0, float(xs[i - 1])) for i in range(k, n + 1)) for k in range(1, n + 1)
+            sum(model.log_ratio(0, float(xs[i - 1])) for i in range(k, n + 1)) for k in range(1, n + 1)
         )
         assert cu.statistic == pytest.approx(brute, abs=1e-12)
 
@@ -177,7 +176,7 @@ def test_sr_stops_no_later_than_ex_cusum(arctan_model):
 def test_sr_first_step_is_first_likelihood_ratio(arctan_model):
     sr = SrState()
     sr_step(sr, 1.3, arctan_model)
-    assert sr.log_statistic == pytest.approx(llr(arctan_model, 0, 1.3), abs=1e-15)
+    assert sr.log_statistic == pytest.approx(arctan_model.log_ratio(0, 1.3), abs=1e-15)
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
@@ -307,7 +306,7 @@ def sr_oracle(samples, model):
     xs = np.asarray(samples, dtype=np.float64)
     out = np.full(xs.size, -math.inf)
     for k in range(1, xs.size + 1):
-        sums = np.cumsum(llr(model, np.arange(xs.size - k + 1), xs[k - 1 :]))
+        sums = np.cumsum(model.log_ratio(np.arange(xs.size - k + 1), xs[k - 1 :]))
         np.logaddexp(out[k - 1 :], sums, out=out[k - 1 :])
     return out
 
@@ -407,6 +406,33 @@ def test_sr_bound_of_an_infinite_or_nan_row_reaches_any_ceiling():
     assert bound[3] == -math.inf
     assert not detectors._sr_bound(np.maximum.reduce(m), 5, np.maximum.reduce(scale)) < math.inf
     assert not detectors._sr_bound(np.maximum.reduce(m[:3]), 5, np.maximum.reduce(scale[:3])) < math.inf
+
+
+# ---------------------------------------------------------------------------
+# the worst case over change points
+
+
+def test_pre_change_history_never_lowers_the_statistic():
+    # after the change at nu, a run with history is at least the run started
+    # fresh at nu on the same post-change data, so the delay at nu = 1 is the
+    # worst case over change points and histories (Lorden 1971); max-based
+    # kinds compare exactly, SR's log-sum-exp shifts by another max
+    schedules = [
+        MeanSchedule.arctangent(),
+        MeanSchedule.linear_saturating(0.1, 1.0),  # a folded run
+        MeanSchedule.geometric_approach(1.3, 0.9),
+        MeanSchedule.constant(0.8),
+    ]
+    runs = [("ex-cusum", None, 0.0), ("ex-cusum", 7, 0.0), ("cusum", None, 0.0), ("sr", None, 1e-12)]
+    rng = np.random.default_rng(61)
+    for trial in range(240):
+        model = gaussian_model(schedules[trial % 4])
+        nu, post = int(rng.integers(1, 61)), int(rng.integers(1, 81))
+        xs = generate_path(model, ChangeSpec(nu=nu, horizon=nu - 1 + post, seed=derive_seed(67, trial))).samples
+        for kind, window, slack in runs:
+            seen = statistic_trace(kind, model, xs, window=window)[nu - 1 :]
+            fresh = statistic_trace(kind, model, xs[nu - 1 :], window=window)
+            assert np.all(seen >= fresh - slack), (trial, kind, window)
 
 
 # ---------------------------------------------------------------------------

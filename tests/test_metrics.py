@@ -1,4 +1,4 @@
-"""Monte Carlo estimators: ARL, conditional delay, delay scan, tradeoff rows."""
+"""Monte Carlo estimators: ARL, conditional delay, tradeoff rows."""
 
 import dataclasses
 import itertools
@@ -24,7 +24,6 @@ from excusum import (
     run_detector,
     simulate_trials,
     tradeoff_curve,
-    worst_case_delay_scan,
 )
 from excusum import detectors, metrics, process
 from excusum.metrics import Z95, TrialOutcome, default_delay_horizon
@@ -66,25 +65,19 @@ def test_result_records_keep_their_repr_fields_and_pickle():
     cadd = metrics.CaddEstimate(
         nu=5, mean_delay=2.5, stderr=0.5, accepted=7, acceptance_rate=0.875, censored=0, trials=8
     )
-    cell = metrics.DelayScanCell(nu=5, estimate=cadd, error=None)
-    failed = metrics.DelayScanCell(nu=6, estimate=None, error="no accepted runs")
-    scan = metrics.DelayScan(cells=(cell, failed), max_delay=2.5, argmax_nu=5)
     row = metrics.TradeoffRow(gamma=100.0, threshold=4.5, arl=arl, cadd=cadd, bound=3.75)
     outcome = TrialOutcome(tau=12, censored_at=None, nu=10)
     arl_repr = "ArlEstimate(mean_tau=120.5, stderr=3.25, lcb95=115.0, censored_fraction=0.0, trials=8)"
     cadd_repr = (
         "CaddEstimate(nu=5, mean_delay=2.5, stderr=0.5, accepted=7, acceptance_rate=0.875, censored=0, trials=8)"
     )
-    cell_repr = f"DelayScanCell(nu=5, estimate={cadd_repr}, error=None)"
-    failed_repr = "DelayScanCell(nu=6, estimate=None, error='no accepted runs')"
     assert repr(arl) == arl_repr
     assert repr(cadd) == cadd_repr
-    assert repr(scan) == f"DelayScan(cells=({cell_repr}, {failed_repr}), max_delay=2.5, argmax_nu=5)"
     assert repr(row) == f"TradeoffRow(gamma=100.0, threshold=4.5, arl={arl_repr}, cadd={cadd_repr}, bound=3.75)"
     assert repr(outcome) == "TrialOutcome(tau=12, censored_at=None, nu=10)"
-    assert (arl.lcb95, cadd.accepted, scan.cells[1].error, row.cadd.mean_delay) == (115.0, 7, "no accepted runs", 2.5)
+    assert (arl.lcb95, cadd.accepted, row.cadd.mean_delay) == (115.0, 7, 2.5)
     assert (outcome.delay, outcome.false_alarm) == (2, False)
-    for record in (arl, cadd, cell, scan, row, outcome):
+    for record in (arl, cadd, row, outcome):
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
     with pytest.raises(AttributeError):
@@ -730,87 +723,9 @@ def test_model_without_information_number_needs_an_explicit_horizon():
     with pytest.raises(EstimationError, match="information number"):
         estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1)
     with pytest.raises(EstimationError, match="information number"):
-        worst_case_delay_scan(model, "ex-cusum", 3.0, [1, 5], trials=5, seed=1)
-    with pytest.raises(EstimationError, match="information number"):
         tradeoff_curve(model, [10.0], trials=5, seed=1)
     est = estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1, horizon=60)
     assert est.accepted == 5
-
-
-# ---------------------------------------------------------------------------
-# delay scan
-
-
-def test_scan_constant_schedule_is_flat():
-    # stationary-regime change points only: at nu = 1 the statistic starts
-    # cold at zero, while for larger nu it sits at its stationary reflected
-    # level, a systematic head start worth about one step of delay
-    model = constant_model(1.0)
-    scan = worst_case_delay_scan(model, "ex-cusum", 4.0, (15, 40, 80), trials=1_500, seed=41)
-    delays = [c.estimate.mean_delay for c in scan.cells]
-    ses = [c.estimate.stderr for c in scan.cells]
-    for d, s in zip(delays, ses):
-        assert abs(d - delays[0]) <= 3.0 * math.hypot(s, ses[0])
-    assert scan.max_delay == max(delays)
-
-
-def test_scan_arctan_max_matches_immediate_change(arctan_model):
-    scan = worst_case_delay_scan(
-        arctan_model, "ex-cusum", math.log(1000), (1, 20, 80), trials=2_000, seed=43
-    )
-    cells = {c.nu: c.estimate for c in scan.cells}
-    joint = 3.0 * math.hypot(cells[scan.argmax_nu].stderr, cells[1].stderr)
-    assert abs(scan.max_delay - cells[1].mean_delay) <= joint
-
-
-def test_scan_flags_empty_cells_instead_of_dropping(arctan_model):
-    # tiny horizon: nu=1 cells detect instantly at threshold -1, nu=90 cell
-    # cannot even reach its change point
-    scan = worst_case_delay_scan(
-        arctan_model, "ex-cusum", math.log(50_000), (1, 90), trials=5, seed=47
-    )
-    flagged = [c for c in scan.cells if c.estimate is None]
-    # either cell may fail depending on horizon defaults; the contract is that
-    # failed cells stay visible
-    assert len(scan.cells) == 2
-    if flagged:
-        assert all(c.error for c in flagged)
-
-
-@pytest.mark.filterwarnings("ignore:schedule is identically zero")
-def test_scan_names_a_nonpositive_information_number():
-    with pytest.raises(EstimationError, match="information number 0.0"):
-        worst_case_delay_scan(constant_model(0.0), "ex-cusum", 3.0, [1, 5], trials=5, seed=1)
-
-
-def test_scan_empty_grid_rejected(arctan_model):
-    with pytest.raises(ValueError):
-        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, (), trials=10, seed=1)
-
-
-@pytest.mark.parametrize("bad", [2.5, True, np.True_, 0])
-def test_scan_refuses_a_nu_that_is_not_a_positive_integer_before_any_run(bad, arctan_model, monkeypatch):
-    # int(2.5) would run a nu = 2 cell and int(True) a nu = 1 cell
-    runs = []
-    monkeypatch.setattr(metrics, "estimate_cadd", lambda *args, **kwargs: runs.append(args))
-    with pytest.raises(ValueError, match=r"^nu_grid\[1\] must be an integer in \[1, "):
-        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, bad], trials=10, seed=1)
-    assert runs == []
-
-
-@pytest.mark.parametrize("trials", [0, -3, True])
-def test_scan_refuses_a_bad_trial_count_before_any_run(trials, arctan_model, monkeypatch):
-    # refused before the cells, whose failures the scan reports only as a grid without accepted runs
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulate_trials was called")
-
-    monkeypatch.setattr(metrics, "simulate_trials", no_run)
-    # a bool is no count, and so a ValueError; a count below 1 gives no estimate
-    error, match = (EstimationError, "at least one trial is required")
-    if trials is True:
-        error, match = ValueError, r"^trials must be an integer in "
-    with pytest.raises(error, match=match):
-        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [1, 3], trials=trials, seed=1)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])
@@ -823,17 +738,6 @@ def test_a_nan_or_infinite_threshold_has_no_default_delay_horizon(threshold, arc
         default_delay_horizon(1, threshold, I_ARCTAN)
     with pytest.raises(ValueError, match=f"threshold {threshold} gives no delay horizon"):
         estimate_cadd(arctan_model, "ex-cusum", threshold, nu=1, trials=5, seed=1)
-    with pytest.raises(ValueError, match=f"threshold {threshold} gives no delay horizon"):
-        worst_case_delay_scan(arctan_model, "ex-cusum", threshold, [1, 3], trials=5, seed=1)
-
-
-def test_scan_takes_numpy_integers(arctan_model):
-    scan = worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, [np.int64(1), np.int64(3)], trials=10, seed=1)
-    assert [c.nu for c in scan.cells] == [1, 3]
-    assert all(type(c.nu) is int for c in scan.cells)
-    assert worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, np.array([1, 3]), trials=10, seed=1) == scan
-    with pytest.raises(ValueError, match="nonempty"):
-        worst_case_delay_scan(arctan_model, "ex-cusum", 1.0, np.array([], dtype=np.int64), trials=10, seed=1)
 
 
 # ---------------------------------------------------------------------------

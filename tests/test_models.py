@@ -1,5 +1,5 @@
-"""Density-family tests: log-likelihood ratios, KL, MLR/dominance checks,
-schedules, and sampling contracts."""
+"""Density-family tests: log-likelihood ratios, KL, MLR checks, schedules,
+and sampling contracts."""
 
 import ast
 import copy
@@ -20,10 +20,8 @@ from excusum import (
     default_grid,
     gaussian_model,
     kl_divergence,
-    llr,
-    sample_post,
+    run_detector,
     verify_mlr,
-    verify_stochastic_dominance,
 )
 from excusum import metrics, numerics
 from excusum.models import LOG_2PI, SATURATION_SCAN_CAP, SCHEDULE_KINDS
@@ -50,39 +48,29 @@ def normal_logpdf(x, mean):
 
 
 # ---------------------------------------------------------------------------
-# llr
+# log-likelihood ratios
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
 def test_llr_zero_schedule_is_identically_zero():
     model = constant_model(0.0)
     for x in (-3.0, 0.0, 1.7, 10.0):
-        assert llr(model, 5, x) == 0.0
+        assert model.log_ratio(5, x) == 0.0
 
 
 def test_llr_unit_mean_at_one_is_half():
     model = constant_model(1.0)
-    assert llr(model, 0, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert model.log_ratio(0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_llr_arctan_index_one_at_zero():
     model = gaussian_model(MeanSchedule.arctangent())
     mu = math.atan(1.0)
-    got = llr(model, 1, 0.0)
+    got = model.log_ratio(1, 0.0)
     assert got == pytest.approx(-mu * mu / 2.0, abs=1e-12)
     assert got == pytest.approx(-0.308425, abs=5e-7)
     # cross-check against the two log-density formulas evaluated independently
     assert got == pytest.approx(normal_logpdf(0.0, mu) - normal_logpdf(0.0, 0.0), abs=1e-12)
-
-
-def test_llr_rejects_bad_observations():
-    model = constant_model(1.0)
-    with pytest.raises(ValueError):
-        llr(model, 0, float("nan"))
-    with pytest.raises(ValueError):
-        llr(model, 0, float("inf"))
-    with pytest.raises(ValueError):
-        llr(model, -1, 0.5)
 
 
 def test_llr_respects_finite_support():
@@ -93,25 +81,25 @@ def test_llr_respects_finite_support():
         sampler_post=lambda n, rng, size=None: rng.uniform(0.0, 1.0, size),
         support=(0.0, 1.0),
     )
-    assert llr(uniform, 3, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        llr(uniform, 3, 1.5)
+    assert uniform.log_ratio(3, 0.5) == 0.0
+    with pytest.raises(ValueError, match="outside support"):
+        run_detector("ex-cusum", uniform, [1.5], 1.0, 1)
 
 
 def test_llr_broadcasts_and_matches_scalar():
     model = gaussian_model(MeanSchedule.arctangent())
     idx = np.arange(6)
     xs = np.linspace(-2, 2, 6)
-    vec = llr(model, idx, xs)
+    vec = model.log_ratio(idx, xs)
     for i, x in zip(idx, xs):
-        assert vec[i] == pytest.approx(llr(model, int(i), float(x)), abs=0)
+        assert vec[i] == pytest.approx(model.log_ratio(int(i), float(x)), abs=0)
 
 
 def test_llr_prefix_agrees_with_elementwise_llr():
     model = gaussian_model(MeanSchedule.arctangent())
     out = np.empty(16)
     got = model.llr_prefix(10, 0.7, out)
-    want = [llr(model, j, 0.7) for j in range(10)]
+    want = [model.log_ratio(j, 0.7) for j in range(10)]
     assert np.allclose(got, want, atol=0, rtol=0)
 
 
@@ -226,7 +214,7 @@ def test_llr_integrates_to_one_under_pre_change():
     for n in (0, 3, 50):
         lo, hi = model.quadrature_window(n)
         val = adaptive_trapezoid(
-            lambda xs: np.exp(llr(model, np.full(xs.shape, n), xs) + model.pre_change_log_density(xs)), lo, hi
+            lambda xs: np.exp(model.log_ratio(np.full(xs.shape, n), xs) + model.pre_change_log_density(xs)), lo, hi
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -259,17 +247,15 @@ def test_kl_hook_is_kl_divergence_bit_for_bit(n, arctan_model):
 
 
 @pytest.mark.parametrize("n", [-1, 2.0, True], ids=["negative", "float", "bool"])
-def test_kl_divergence_checks_its_index_like_llr(n, arctan_model):
+def test_kl_divergence_refuses_a_negative_or_non_integer_index(n, arctan_model):
     for model in (arctan_model, plain(arctan_model)):
         with pytest.raises(ValueError, match="nonnegative integer"):
             kl_divergence(model, n)
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            llr(model, n, 0.5)
 
 
 @pytest.mark.parametrize("n", [[3], np.array([1, 2]), np.array([[0]])], ids=["list", "array", "2-d"])
 def test_kl_divergence_refuses_an_index_array(n, arctan_model):
-    # documented for one index; llr broadcasts over arrays, kl_divergence does not
+    # documented for one index; the kl hook broadcasts over arrays, kl_divergence does not
     for model in (arctan_model, plain(arctan_model)):
         with pytest.raises(ValueError, match="one integer"):
             kl_divergence(model, n)
@@ -312,7 +298,7 @@ def test_trapezoid_non_convergence_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# MLR and stochastic dominance
+# MLR
 
 
 def tabled(mu0, mu1):
@@ -372,27 +358,19 @@ def test_mlr_zero_density_reported_as_violation():
     assert not check.ok and math.isinf(check.worst_violation)
 
 
-def test_dominance_ordered_means():
-    grid = np.linspace(-5, 5, 101)
-    assert verify_stochastic_dominance(tabled(0.3, 0.7), 0, grid)
-    assert verify_stochastic_dominance(constant_model(0.5), 2, grid)
-    assert not verify_stochastic_dominance(tabled(1.0, 0.0), 0, grid)
-
-
 @hypothesis.given(
     st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=2, max_size=6),
     st.integers(min_value=0, max_value=4),
 )
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
-def test_mlr_implies_dominance(raw, n):
-    # sorted table = nondecreasing schedule: MLR holds, so dominance must too
+def test_sorted_tables_pass_mlr(raw, n):
+    # sorted table = nondecreasing schedule, so MLR holds
     model = gaussian_model(MeanSchedule.from_table(sorted(raw)))
     grid = default_grid(model, n + 1, points=201)
     assert verify_mlr(model, n, grid).ok
-    assert verify_stochastic_dominance(model, n, grid)
 
 
-def test_built_in_schedules_pass_mlr_and_dominance_with_defaults():
+def test_built_in_schedules_pass_mlr_with_defaults():
     for sched in (
         MeanSchedule.arctangent(),
         MeanSchedule.constant(1.0),
@@ -403,7 +381,6 @@ def test_built_in_schedules_pass_mlr_and_dominance_with_defaults():
         for n in (-1, 0, 1, 5, 25):
             grid = default_grid(model, max(n + 1, 0))
             assert verify_mlr(model, n, grid).ok, (sched.kind, n)
-            assert verify_stochastic_dominance(model, n, grid), (sched.kind, n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +406,24 @@ def test_densities_normalize_to_one(n, arctan_model):
 # sampling
 
 
+def post_draws(model: DensityModel, ages, seed: int) -> np.ndarray:
+    """One block_sampler row of draws from f_{ages}, from default_rng(seed)."""
+    ages = np.asarray(ages)
+    return model.block_sampler(ages)([np.random.default_rng(seed)], np.empty((1, ages.size)))[0]
+
+
 def test_sampling_is_deterministic_given_seed(arctan_model):
     a = arctan_model.sampler_pre(np.random.default_rng(7), 5)
     b = arctan_model.sampler_pre(np.random.default_rng(7), 5)
     assert np.array_equal(a, b)
-    c = sample_post(arctan_model, 3, np.random.default_rng(7), size=5)
-    d = sample_post(arctan_model, 3, np.random.default_rng(7), size=5)
+    c = post_draws(arctan_model, np.full(5, 3), 7)
+    d = post_draws(arctan_model, np.full(5, 3), 7)
     assert np.array_equal(c, d)
 
 
 def test_post_change_sample_mean_tracks_schedule():
     model = constant_model(10.0)
-    draws = sample_post(model, 0, np.random.default_rng(123), size=100_000)
+    draws = post_draws(model, np.zeros(100_000, np.intp), 123)
     assert abs(draws.mean() - 10.0) < 0.02
 
 
@@ -449,7 +432,7 @@ def test_zero_mean_post_change_matches_pre_change_in_distribution():
     model = gaussian_model(MeanSchedule.from_table([0.0, 1.0]))
     rng = np.random.default_rng(99)
     pre = model.sampler_pre(rng, 100_000)
-    post = sample_post(model, 0, np.random.default_rng(100), size=100_000)
+    post = post_draws(model, np.zeros(100_000, np.intp), 100)
     assert abs(pre.mean() - post.mean()) < 0.02
 
 
@@ -476,20 +459,19 @@ def test_gaussian_post_draws_equal_rng_normal(schedule, n, size):
 
 
 @pytest.mark.parametrize(
-    "n, size, want",
+    "ages, want",
     [
-        (7, 3, ["0x1.ba965d3516950p+0", "0x1.2bc4093043c95p+1", "0x1.d8c29c7080808p+0"]),
-        (np.array([0, 12, 5]), None, ["0x1.07632a01e361cp+0", "0x1.522a6f96aa2fbp+1", "0x1.a58f693d4d4d4p+0"]),
-        (4, None, ["0x1.6dc9906849c82p+0"]),
+        ([7, 7, 7], ["0x1.ba965d3516950p+0", "0x1.2bc4093043c95p+1", "0x1.d8c29c7080808p+0"]),
+        ([0, 12, 5], ["0x1.07632a01e361cp+0", "0x1.522a6f96aa2fbp+1", "0x1.a58f693d4d4d4p+0"]),
+        ([4], ["0x1.6dc9906849c82p+0"]),
     ],
     ids=["scalar-sized", "index-array", "zero-d"],
 )
-def test_gaussian_sample_post_keeps_its_recorded_bits(n, size, want):
-    # recorded when sample_post still called sampler_post; it now draws one
-    # block_sampler row, and the arrays keep their shapes and bits
-    got = sample_post(gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)), n, np.random.default_rng(2024), size)
-    assert type(got) is np.ndarray and got.shape == (np.shape(n) if size is None else (size,))
-    assert [float(v).hex() for v in got.ravel()] == want
+def test_gaussian_sample_post_keeps_its_recorded_bits(ages, want):
+    # recorded from sampler_post draws of f_n, n a scalar with a size, an
+    # index array and a 0-d scalar; one block_sampler row draws the same bits
+    got = post_draws(gaussian_model(MeanSchedule.linear_saturating(0.1, 1.0)), ages, 2024)
+    assert [float(v).hex() for v in got] == want
 
 
 def test_only_the_default_block_sampler_calls_the_samplers():
@@ -512,11 +494,6 @@ def test_only_the_default_block_sampler_calls_the_samplers():
         ("models.py", ("DensityModel", "block_sampler"), "sampler_pre"),
         ("models.py", ("DensityModel", "block_sampler"), "sampler_post"),
     }
-
-
-def test_sample_post_rejects_negative_index(arctan_model):
-    with pytest.raises(ValueError):
-        sample_post(arctan_model, -2, np.random.default_rng(0))
 
 
 def _round_trip(value):

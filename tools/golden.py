@@ -62,12 +62,16 @@ def run_one(command: str, config: Path, fmt: str, out: Path) -> dict:
     }
 
 
+def golden_runs() -> list[tuple[str, Path, str]]:
+    """(command, config, format) of every run the record holds."""
+    return [(c, cfg, f) for cfg in sorted((ROOT / "configs").glob("*.json")) for c in COMMANDS for f in FORMATS]
+
+
 def sweep() -> dict:
-    runs = [(c, cfg, f) for cfg in sorted((ROOT / "configs").glob("*.json")) for c in COMMANDS for f in FORMATS]
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(max_workers=2) as pool:
         jobs = {
             f"{c} {cfg.name} {f}": pool.submit(run_one, c, cfg, f, Path(tmp) / f"{c}-{cfg.stem}-{f}")
-            for c, cfg, f in runs
+            for c, cfg, f in golden_runs()
         }
         return {name: job.result() for name, job in jobs.items()}
 
