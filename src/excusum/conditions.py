@@ -158,13 +158,7 @@ class MomentCheck(NamedTuple):
     passed: bool
 
 
-def fourth_moment_check(
-    model: DensityModel,
-    trials: int = 100_000,
-    seed: int = 0,
-    *,
-    ks: tuple[int, ...],
-) -> MomentCheck:
+def fourth_moment_check(model: DensityModel, trials: int, seed: int, *, ks: tuple[int, ...]) -> MomentCheck:
     """Monte Carlo centered fourth moment of llr(k-1, X_k) with X_k ~ f_{k-1}.
 
     Centering uses the exact KL mean.  Passes when every estimate is at most
@@ -215,12 +209,7 @@ class SllnCheck(NamedTuple):
     passed: bool  # 95th-percentile deviation shrinks along the grid
 
 
-def slln_empirical(
-    model: DensityModel,
-    n: int,
-    trials: int = 1_000,
-    seed: int = 0,
-) -> SllnCheck:
+def slln_empirical(model: DensityModel, n: int, trials: int, seed: int) -> SllnCheck:
     """Simulate change-at-1 paths and track |(1/m) sum llr(k-1, X_k) - I|.
 
     I is model.information_number(), else the Cesaro estimate.  Averages are
@@ -313,8 +302,8 @@ def sum_dominance_check(
     k_small: int,
     k_large: int,
     n: int,
-    trials: int = 10_000,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> DominanceCheck:
     """Check that the block sum started at k_large stochastically dominates
     the one started at k_small.
@@ -351,18 +340,19 @@ def sum_dominance_check(
 
 
 class ConditionBudgets(NamedTuple):
-    """Sampling and grid budgets for the full condition report."""
+    """The seed of the full condition report; its sampling and grid budgets
+    are class constants, the one home of each."""
 
-    mlr_ns: tuple[int, ...] = (-1, 0, 1, 2, 5, 10, 20, 50)
-    mlr_points: int = 2001
-    cesaro_n_max: int = 100_000
-    moment_ks: tuple[int, ...] = (1, 10, 100)
-    moment_trials: int = 100_000
-    slln_n: int = 16_000
-    slln_trials: int = 1_000
-    dominance_pair: tuple[int, int] = (1, 5)
-    dominance_n: int = 20
-    dominance_trials: int = 100_000
+    mlr_ns = (-1, 0, 1, 2, 5, 10, 20, 50)
+    mlr_points = 2001
+    cesaro_n_max = 100_000
+    moment_ks = (1, 10, 100)
+    moment_trials = 100_000
+    slln_n = 16_000
+    slln_trials = 1_000
+    dominance_pair = (1, 5)
+    dominance_n = 20
+    dominance_trials = 100_000
     seed: int = 0
 
 
@@ -434,14 +424,14 @@ class ConditionReport(NamedTuple):
         return rows
 
 
-def full_condition_report(model: DensityModel, budgets: ConditionBudgets | None = None) -> ConditionReport:
+def full_condition_report(model: DensityModel, budgets: ConditionBudgets) -> ConditionReport:
     """Run every condition check and combine the verdicts.
 
     Overall pass means all sufficient conditions empirically hold at the given
     budgets, stated as evidence consistent with the asymptotic conditions, not
     as proof of them.
     """
-    b = budgets or ConditionBudgets()
+    b = budgets
     mlr_results = {}
     for n in b.mlr_ns:
         grid = default_grid(model, max(n + 1, 0), points=b.mlr_points)

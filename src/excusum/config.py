@@ -42,11 +42,11 @@ def _number(obj: dict, path: str, key: str) -> float:
     return float(v)
 
 
-def _integer(obj: dict, path: str, key: str, *, minimum: int | None = None) -> int:
+def _integer(obj: dict, path: str, key: str, *, minimum: int) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
+    if v < minimum:
         raise ConfigError(f"{path}.{key}", f"expected an integer >= {minimum}, got {v}")
     return v
 
@@ -89,11 +89,11 @@ class ModelConfig:
     schedule: MeanSchedule
 
     @classmethod
-    def from_dict(cls, obj: dict, path: str = "model") -> "ModelConfig":
-        _require_keys(obj, path, {"family", "schedule"})
+    def from_dict(cls, obj: dict) -> "ModelConfig":
+        _require_keys(obj, "model", {"family", "schedule"})
         if obj["family"] != "gaussian":
-            raise ConfigError(f"{path}.family", f"only 'gaussian' is built in, got {obj['family']!r}")
-        return cls(schedule=_schedule(obj["schedule"], f"{path}.schedule"))
+            raise ConfigError("model.family", f"only 'gaussian' is built in, got {obj['family']!r}")
+        return cls(schedule=_schedule(obj["schedule"], "model.schedule"))
 
     def build(self) -> GaussianModel:
         return gaussian_model(self.schedule)
@@ -107,24 +107,24 @@ class DetectorConfig:
     window: int | None = None
 
     @classmethod
-    def from_dict(cls, obj: dict, path: str = "detector") -> "DetectorConfig":
-        _require_keys(obj, path, {"detector"}, {"threshold", "gamma", "window"})
+    def from_dict(cls, obj: dict) -> "DetectorConfig":
+        _require_keys(obj, "detector", {"detector"}, {"threshold", "gamma", "window"})
         kind = obj["detector"]
         if not isinstance(kind, str) or kind not in DETECTORS:
-            raise ConfigError(f"{path}.detector", f"expected one of {list(DETECTORS)}, got {kind!r}")
-        threshold = _number(obj, path, "threshold") if "threshold" in obj else None
+            raise ConfigError("detector.detector", f"expected one of {list(DETECTORS)}, got {kind!r}")
+        threshold = _number(obj, "detector", "threshold") if "threshold" in obj else None
         gamma = None
         if "gamma" in obj:
-            gamma = _number(obj, path, "gamma")
+            gamma = _number(obj, "detector", "gamma")
             if gamma <= 1.0:
-                raise ConfigError(f"{path}.gamma", f"expected gamma > 1, got {gamma}")
+                raise ConfigError("detector.gamma", f"expected gamma > 1, got {gamma}")
         if (threshold is None) == (gamma is None):
-            raise ConfigError(path, "give exactly one of 'threshold' or 'gamma'")
+            raise ConfigError("detector", "give exactly one of 'threshold' or 'gamma'")
         window = None
         if "window" in obj:
             if not DETECTORS[kind].windowed:
-                raise ConfigError(f"{path}.window", f"the {kind!r} detector takes no window")
-            window = _integer(obj, path, "window", minimum=1)
+                raise ConfigError("detector.window", f"the {kind!r} detector takes no window")
+            window = _integer(obj, "detector", "window", minimum=1)
         return cls(kind=kind, threshold=threshold, gamma=gamma, window=window)
 
     @property
@@ -146,20 +146,20 @@ class RunConfig:
     trials: int
 
     @classmethod
-    def from_dict(cls, obj: dict, path: str = "run") -> "RunConfig":
-        _require_keys(obj, path, {"nu", "horizon", "seed", "trials"})
+    def from_dict(cls, obj: dict) -> "RunConfig":
+        _require_keys(obj, "run", {"nu", "horizon", "seed", "trials"})
         nu_raw = obj["nu"]
         if nu_raw == "inf":
             nu: int | float = NO_CHANGE
         elif isinstance(nu_raw, int) and not isinstance(nu_raw, bool) and nu_raw >= 1:
             nu = nu_raw
         else:
-            raise ConfigError(f"{path}.nu", f"expected an integer >= 1 or the string 'inf', got {nu_raw!r}")
-        horizon = _integer(obj, path, "horizon", minimum=1)
-        seed = _integer(obj, path, "seed", minimum=0)
+            raise ConfigError("run.nu", f"expected an integer >= 1 or the string 'inf', got {nu_raw!r}")
+        horizon = _integer(obj, "run", "horizon", minimum=1)
+        seed = _integer(obj, "run", "seed", minimum=0)
         if seed >= 2**64:
-            raise ConfigError(f"{path}.seed", "seed must fit in 64 bits")
-        trials = _integer(obj, path, "trials", minimum=1)
+            raise ConfigError("run.seed", "seed must fit in 64 bits")
+        trials = _integer(obj, "run", "trials", minimum=1)
         return cls(nu=nu, horizon=horizon, seed=seed, trials=trials)
 
 
@@ -168,11 +168,11 @@ class OutputConfig:
     directory: str = "out"
 
     @classmethod
-    def from_dict(cls, obj: dict, path: str = "output") -> "OutputConfig":
-        _require_keys(obj, path, set(), {"directory"})
+    def from_dict(cls, obj: dict) -> "OutputConfig":
+        _require_keys(obj, "output", set(), {"directory"})
         directory = obj.get("directory", cls.directory)
         if not isinstance(directory, str) or not directory:
-            raise ConfigError(f"{path}.directory", "expected a non-empty string")
+            raise ConfigError("output.directory", "expected a non-empty string")
         return cls(directory=directory)
 
 
@@ -182,8 +182,8 @@ class TradeoffConfig:
     arl_trials: int | None = None
 
     @classmethod
-    def from_dict(cls, obj: dict, path: str = "tradeoff") -> "TradeoffConfig":
-        _require_keys(obj, path, set(), {"gammas", "arl_trials"})
+    def from_dict(cls, obj: dict) -> "TradeoffConfig":
+        _require_keys(obj, "tradeoff", set(), {"gammas", "arl_trials"})
         gammas = obj.get("gammas", list(cls.gammas))
         if (
             not isinstance(gammas, list)
@@ -191,8 +191,8 @@ class TradeoffConfig:
             or any(isinstance(g, bool) or not isinstance(g, (int, float)) or not 1.0 < g < math.inf for g in gammas)
             or any(b <= a for a, b in zip(gammas, gammas[1:]))
         ):
-            raise ConfigError(f"{path}.gammas", "expected an increasing list of finite numbers > 1")
-        arl_trials = _integer(obj, path, "arl_trials", minimum=1) if "arl_trials" in obj else None
+            raise ConfigError("tradeoff.gammas", "expected an increasing list of finite numbers > 1")
+        arl_trials = _integer(obj, "tradeoff", "arl_trials", minimum=1) if "arl_trials" in obj else None
         return cls(gammas=tuple(float(g) for g in gammas), arl_trials=arl_trials)
 
 

@@ -237,21 +237,20 @@ def estimate_cadd(
     trials: int,
     seed: int,
     *,
-    horizon: int | None = None,
     window: int | None = None,
 ) -> CaddEstimate:
     """Estimate E_nu[tau - nu | tau >= nu] on change-at-nu paths.
 
     Runs stopping before nu are false alarms and fall outside the
     conditioning event; censored runs are reported but excluded from the
-    average (the default horizon makes them vanishingly rare).  Raises
-    EstimationError when no run is accepted, or when the default horizon is
-    asked of a model whose information_number() is None or not positive.
+    average (the horizon, default_delay_horizon, makes them vanishingly
+    rare).  Raises EstimationError when no run is accepted, or when the
+    model's information_number() is None or not positive, which leaves no
+    horizon.
     """
     nu = _checked_integer(nu, "nu", 1)  # a finite change point: NO_CHANGE is no integer
     trials = _check_trials(trials)
-    if horizon is None:
-        horizon = default_delay_horizon(nu, threshold, model.information_number())
+    horizon = default_delay_horizon(nu, threshold, model.information_number())
     taus = simulate_trials(model, detector, threshold, nu, horizon, trials, seed, window=window)
     delays = (taus[taus >= nu] - nu).astype(np.float64)
     censored = int(np.count_nonzero(taus == 0))

@@ -165,7 +165,7 @@ class MeanSchedule:
     def _grown(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (mu, mu**2 / 2) holding at least ``upto`` entries each."""
         if upto < 0:
-            raise ValueError("schedule index or count must be >= 0")
+            raise ValueError("schedule index or count must be an integer >= 0")
         cached = self._cache.get("mu")
         if cached is None or cached[0].size < upto:
             # grow geometrically: a detector asks for one more entry every step
@@ -205,10 +205,11 @@ class MeanSchedule:
         return float(self.at(n))
 
     def at(self, index) -> np.ndarray:
-        """mu at every entry of a nonnegative integer index (array)."""
+        """mu at every entry of a nonnegative integer index (array); a bool
+        or float index is refused, not read as a mask or truncated."""
         idx = np.asarray(index)
-        if idx.size and idx.min() < 0:
-            raise ValueError("schedule index or count must be >= 0")
+        if idx.dtype.kind not in "iu" or idx.size and idx.min() < 0:
+            raise ValueError("schedule index or count must be an integer >= 0")
         return self._grown(int(idx.max()) + 1 if idx.size else 1)[0][idx]
 
     def saturation_index(self) -> int | None:
@@ -245,14 +246,15 @@ class DensityModel:
     """A pre-change density plus an indexed post-change family.
 
     Log densities are numpy-vectorized in x (and in the index for the
-    post-change family).  Samplers take a numpy Generator plus an optional
-    ``size``; the post-change sampler also accepts an index array, drawing one
-    sample per index.  ``finite_window(n)`` must return an interval holding
-    essentially all mass of g and f_n, used to truncate quadrature when the
-    support is infinite.  Instances are immutable and safe to share across
-    concurrent workers; rng state is always owned by the caller.  A
-    GaussianModel pickles, and so does a custom family whose callables do
-    (module-level functions and their partials, not lambdas or closures).
+    post-change family).  ``sampler_pre(rng, size)`` draws ``size`` samples
+    of g from a numpy Generator; ``sampler_post(ages, rng)`` draws one sample
+    of f_age per entry of an index array.  ``finite_window(n)`` must return
+    an interval holding essentially all mass of g and f_n, n >= 0, used to
+    truncate quadrature when the support is infinite.  Instances are
+    immutable and safe to share across concurrent workers; rng state is
+    always owned by the caller.  A GaussianModel pickles, and so does a
+    custom family whose callables do (module-level functions and their
+    partials, not lambdas or closures).
     """
 
     pre_change_log_density: Callable
@@ -262,7 +264,7 @@ class DensityModel:
     support: tuple[float, float]
     finite_window: Callable | None = None
 
-    def quadrature_window(self, n: int | None = None) -> tuple[float, float]:
+    def quadrature_window(self, n: int) -> tuple[float, float]:
         """Finite interval used for numerical integration involving f_n and g."""
         lo, hi = self.support
         if self.finite_window is not None:
@@ -315,14 +317,14 @@ class DensityModel:
         """The path draws, bound once per block: (rngs, out) fills row r of the
         (rows, take) out from rngs[r] and returns out, drawing from g where
         ``ages`` is None and else from f_{ages}, one draw per age.  By default
-        one sampler_pre(rng, take) or sampler_post(ages, rng, None) call per
-        row; a draw whose shape is not (take,) raises ValueError."""
+        one sampler_pre(rng, take) or sampler_post(ages, rng) call per row; a
+        draw whose shape is not (take,) raises ValueError."""
         name = "sampler_pre" if ages is None else "sampler_post"
 
         def fill(rngs: list, out: np.ndarray) -> np.ndarray:
             take = out.shape[1]
             for row, rng in zip(out, rngs):
-                x = np.atleast_1d(self.sampler_pre(rng, take) if ages is None else self.sampler_post(ages, rng, None))
+                x = np.atleast_1d(self.sampler_pre(rng, take) if ages is None else self.sampler_post(ages, rng))
                 if x.shape != (take,):
                     raise ValueError(f"{name} returned draws of shape {x.shape} for a block of {take} steps")
                 row[...] = x
@@ -456,17 +458,16 @@ def _gaussian_post_logpdf(schedule: MeanSchedule, n, x):
     return _normal_logpdf(schedule.at(n), x)
 
 
-def _gaussian_draw_post(schedule: MeanSchedule, n, rng, size=None):
-    # rng.normal(mu, 1.0, size) bit for bit, without its broadcast path
+def _gaussian_draw_post(schedule: MeanSchedule, n, rng):
+    # rng.normal(mu, 1.0) bit for bit, without its broadcast path
     mu = schedule.at(n)
-    z = rng.standard_normal(np.shape(mu) if size is None else size)
+    z = rng.standard_normal(np.shape(mu))
     z += mu
     return z
 
 
-def _gaussian_window(schedule: MeanSchedule, n=None):
-    hi_mean = 0.0 if n is None or n < 0 else schedule.mu(n)
-    return (-TAIL_HALFWIDTH, hi_mean + TAIL_HALFWIDTH)
+def _gaussian_window(schedule: MeanSchedule, n):
+    return (-TAIL_HALFWIDTH, schedule.mu(n) + TAIL_HALFWIDTH)
 
 
 def gaussian_model(schedule: MeanSchedule) -> GaussianModel:
@@ -550,8 +551,6 @@ def _pair_log_densities(model: DensityModel, n: int):
     post = model.post_change_log_density
     if n == -1:
         return model.pre_change_log_density, partial(post, 0)
-    if n < -1:
-        raise ValueError("n must be >= 0, or the sentinel -1 for g vs f_0")
     return partial(post, n), partial(post, n + 1)
 
 
@@ -573,8 +572,9 @@ def verify_mlr(model: DensityModel, n: int, grid) -> MlrCheck:
     Works in the log domain; a grid point where the denominator density
     vanishes makes the log ratio non-finite and is reported as a violation.
     This is a necessary-condition check: monotonicity off the grid is not
-    examined.
+    examined.  n is an integer >= 0, or the sentinel -1.
     """
+    n = _checked_integer(n, "n", -1)
     g = _validate_grid(model, grid)
     lower, upper = _pair_log_densities(model, n)
     with np.errstate(invalid="ignore"):  # -inf minus -inf where a density vanishes
@@ -586,12 +586,14 @@ def verify_mlr(model: DensityModel, n: int, grid) -> MlrCheck:
     return MlrCheck(worst <= MLR_TOLERANCE, worst)
 
 
-def default_grid(model: DensityModel, n: int | None = None, points: int = 2001) -> np.ndarray:
-    """Equispaced evaluation grid covering ~8 standard-deviation-equivalents.
+def default_grid(model: DensityModel, n: int, points: int) -> np.ndarray:
+    """Equispaced evaluation grid of ``points`` >= 2 points covering ~8
+    standard-deviation-equivalents of f_n and g, n >= 0.
 
     Derived by shrinking the model's quadrature window (10 sigma-equivalents)
     by a factor 0.8 about its center.
     """
-    lo, hi = model.quadrature_window(n)
+    lo, hi = model.quadrature_window(_checked_integer(n, "n"))
+    points = _checked_integer(points, "points", 2)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return np.linspace(center - 0.8 * half, center + 0.8 * half, points)

@@ -40,16 +40,18 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 def line_chart(
     series,
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
     hlines=(),
     vlines=(),
 ) -> str:
     """Render labeled (xs, ys) series plus reference lines as an SVG string.
 
     series: iterable of (label, xs, ys).  hlines/vlines: iterables of
-    (label, value) drawn dashed.  Output is deterministic for fixed inputs.
+    (label, value) drawn dashed.  Every title, axis label and line label is
+    written, an empty one as an empty text element.  Output is deterministic
+    for fixed inputs.
     """
     series = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float)) for lbl, xs, ys in series]
     if not series or any(xs.size == 0 or xs.size != ys.size for _, xs, ys in series):
@@ -65,7 +67,7 @@ def line_chart(
     pad = 0.05 * (yhi - ylo or 1.0)
     ylo, yhi = ylo - pad, yhi + pad
 
-    ml, mr, mt, mb = 62, 16, 34 if title else 16, 46
+    ml, mr, mt, mb = 62, 16, 34, 46
     pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def px(x: float) -> float:
@@ -79,8 +81,7 @@ def line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if title:
-        out.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>')
+    out.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>')
     # axes and ticks
     out.append(
         f'<path d="M {ml} {mt} V {mt + ph} H {ml + pw}" fill="none" stroke="black" stroke-width="1"/>'
@@ -95,36 +96,31 @@ def line_chart(
             y = py(t)
             out.append(f'<line x1="{ml - 4}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>')
             out.append(f'<text x="{ml - 7}" y="{y + 4:.2f}" text-anchor="end">{t:g}</text>')
-    if xlabel:
-        out.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{escape(xlabel)}</text>')
-    if ylabel:
-        out.append(
-            f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{escape(ylabel)}</text>'
-        )
+    out.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{escape(xlabel)}</text>')
+    out.append(
+        f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{escape(ylabel)}</text>'
+    )
     for label, v in hlines:
         y = py(float(v))
         out.append(
             f'<line x1="{ml}" y1="{y:.2f}" x2="{ml + pw}" y2="{y:.2f}" '
             f'stroke="#555" stroke-dasharray="6 3"/>'
         )
-        if label:
-            out.append(f'<text x="{ml + pw - 4}" y="{y - 4:.2f}" text-anchor="end" fill="#555">{escape(str(label))}</text>')
+        out.append(f'<text x="{ml + pw - 4}" y="{y - 4:.2f}" text-anchor="end" fill="#555">{escape(str(label))}</text>')
     for label, v in vlines:
         x = px(float(v))
         out.append(
             f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" '
             f'stroke="#999" stroke-dasharray="4 3"/>'
         )
-        if label:
-            out.append(f'<text x="{x + 4:.2f}" y="{mt + 12}" fill="#777">{escape(str(label))}</text>')
+        out.append(f'<text x="{x + 4:.2f}" y="{mt + 12}" fill="#777">{escape(str(label))}</text>')
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, ys))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if label:
-            out.append(
-                f'<text x="{ml + pw - 4}" y="{mt + 16 + 14 * i}" text-anchor="end" fill="{color}">{escape(label)}</text>'
-            )
+        out.append(
+            f'<text x="{ml + pw - 4}" y="{mt + 16 + 14 * i}" text-anchor="end" fill="{color}">{escape(label)}</text>'
+        )
     out.append("</svg>")
     return "\n".join(out) + "\n"

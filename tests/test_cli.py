@@ -486,7 +486,6 @@ def test_tradeoff_honours_the_detector_window(tmp_path):
     assert windowed != plain
 
     model = ExperimentConfig.from_dict(obj).model.build()
-    info = math.pi**2 / 8
     for j, line in enumerate(windowed.decode().strip().splitlines()[1:]):
         gamma, a, arl_lcb, cadd, _ = map(float, line.split(","))
         arl = metrics.estimate_arl2fa(model, "ex-cusum", a, 40, int(20 * gamma), derive_seed(7, 2 * j), window=5)
@@ -497,7 +496,6 @@ def test_tradeoff_honours_the_detector_window(tmp_path):
             1,
             60,
             derive_seed(7, 2 * j + 1),
-            horizon=metrics.default_delay_horizon(1, a, info),
             window=5,
         )
         assert (arl_lcb, cadd) == (arl.lcb95, delay.mean_delay)

@@ -143,7 +143,7 @@ def test_fourth_moment_check_refuses_budgets_without_evidence(trials, ks, arctan
 
 def test_fourth_moment_check_names_the_gaussian_bound_for_other_models():
     with pytest.raises(ValueError, match="Gaussian family") as err:
-        fourth_moment_check(generic_gaussian_model(MeanSchedule.arctangent()), ks=(1,))
+        fourth_moment_check(generic_gaussian_model(MeanSchedule.arctangent()), trials=1_000, seed=0, ks=(1,))
     assert "bound=" not in str(err.value)
 
 
@@ -165,7 +165,7 @@ def test_constant_schedule_average_concentrates():
 def test_slln_refuses_a_single_trial(arctan_model):
     # one trial gives no variance of the averages
     with pytest.raises(ValueError, match=r"^trials must be an integer in \[2, "):
-        slln_empirical(arctan_model, 10, trials=1)
+        slln_empirical(arctan_model, 10, trials=1, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
@@ -208,7 +208,7 @@ def serial_slln_averages(model, n, trials, seed, marks):
     rows = []
     for i in range(trials):
         rng = np.random.default_rng(derive_seed(base, i))
-        z = model.log_ratio(np.arange(n), model.sampler_post(np.arange(n), rng, None))
+        z = model.log_ratio(np.arange(n), model.sampler_post(np.arange(n), rng))
         rows.append(np.cumsum(z)[marks - 1] / marks)
     return np.array(rows)
 
@@ -345,7 +345,7 @@ def test_block_averages_do_not_depend_on_the_block_budget(arctan_model, monkeypa
 def test_dominance_check_memory_stays_within_the_block_budget(arctan_model):
     tracemalloc.start()
     try:
-        sum_dominance_check(arctan_model, 1, 5, 20, trials=100_000)
+        sum_dominance_check(arctan_model, 1, 5, 20, trials=100_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,29 +354,29 @@ def test_dominance_check_memory_stays_within_the_block_budget(arctan_model):
 
 def test_dominance_validates_arguments(arctan_model):
     with pytest.raises(ValueError):
-        sum_dominance_check(arctan_model, 0, 5, 20)
+        sum_dominance_check(arctan_model, 0, 5, 20, 100, 0)
     with pytest.raises(ValueError):
-        sum_dominance_check(arctan_model, 2, 5, 0)
+        sum_dominance_check(arctan_model, 2, 5, 0, 100, 0)
 
 
 #: a fractional or bool count or index of each check, refused with
 #: ValueError; the fractions ended in numpy's IndexError or TypeError, and
 #: the bools were taken and stored in the record
 NOT_INTEGERS = {
-    "moment-k": lambda m: fourth_moment_check(m, ks=(1.5,)),
-    "moment-k-bool": lambda m: fourth_moment_check(m, ks=(True,)),
-    "moment-trials": lambda m: fourth_moment_check(m, trials=2.5, ks=(1,)),
-    "slln-n": lambda m: slln_empirical(m, 16.5),
-    "slln-trials": lambda m: slln_empirical(m, 16, trials=2.5),
-    "dominance-k": lambda m: sum_dominance_check(m, 1.5, 5, 4, 10),
-    "dominance-k-bool": lambda m: sum_dominance_check(m, True, 5, 4, 10),
-    "dominance-n": lambda m: sum_dominance_check(m, 1, 5, 4.5, 10),
-    "dominance-n-bool": lambda m: sum_dominance_check(m, 1, 5, True, 10),
+    "moment-k": lambda m: fourth_moment_check(m, trials=1_000, seed=0, ks=(1.5,)),
+    "moment-k-bool": lambda m: fourth_moment_check(m, trials=1_000, seed=0, ks=(True,)),
+    "moment-trials": lambda m: fourth_moment_check(m, trials=2.5, seed=0, ks=(1,)),
+    "slln-n": lambda m: slln_empirical(m, 16.5, trials=10, seed=0),
+    "slln-trials": lambda m: slln_empirical(m, 16, trials=2.5, seed=0),
+    "dominance-k": lambda m: sum_dominance_check(m, 1.5, 5, 4, 10, seed=0),
+    "dominance-k-bool": lambda m: sum_dominance_check(m, True, 5, 4, 10, seed=0),
+    "dominance-n": lambda m: sum_dominance_check(m, 1, 5, 4.5, 10, seed=0),
+    "dominance-n-bool": lambda m: sum_dominance_check(m, 1, 5, True, 10, seed=0),
     "cesaro-n-max": lambda m: cesaro_kl_average(m, 10.5),
     "cesaro-n-max-bool": lambda m: cesaro_kl_average(m, True),
     # a fractional or bool seed would draw int(seed)'s streams
-    "moment-seed": lambda m: fourth_moment_check(m, seed=1.7, ks=(1,)),
-    "moment-seed-bool": lambda m: fourth_moment_check(m, seed=True, ks=(1,)),
+    "moment-seed": lambda m: fourth_moment_check(m, trials=1_000, seed=1.7, ks=(1,)),
+    "moment-seed-bool": lambda m: fourth_moment_check(m, trials=1_000, seed=True, ks=(1,)),
     "slln-seed": lambda m: slln_empirical(m, 64, trials=10, seed=1.7),
     "slln-seed-bool": lambda m: slln_empirical(m, 64, trials=10, seed=True),
     "dominance-seed": lambda m: sum_dominance_check(m, 1, 5, 4, 10, seed=2.9),
@@ -398,42 +398,31 @@ def test_checks_refuse_bools_and_fractions_before_any_draw(arctan_model, case):
 
 
 def test_condition_records_keep_their_fields_defaults_and_pickle(arctan_model):
-    budgets = ConditionBudgets(
-        mlr_ns=(0,), cesaro_n_max=100, moment_trials=100, slln_n=64, slln_trials=10, dominance_trials=50, seed=5
+    # the seed is the budgets' one field; every budget is a class constant
+    budgets = ConditionBudgets(seed=5)
+    assert ConditionBudgets._fields == ("seed",) and ConditionBudgets() == (0,)
+    assert ConditionBudgets()._replace(seed=5) == budgets == ConditionBudgets(5)
+    assert (budgets.mlr_ns, budgets.mlr_points, budgets.cesaro_n_max, budgets.moment_ks, budgets.moment_trials) == (
+        (-1, 0, 1, 2, 5, 10, 20, 50), 2001, 100_000, (1, 10, 100), 100_000
     )
-    assert ConditionBudgets()._replace(
-        mlr_ns=(0,), cesaro_n_max=100, moment_trials=100, slln_n=64, slln_trials=10, dominance_trials=50, seed=5
-    ) == budgets
-    assert ConditionBudgets() == ConditionBudgets(
-        (-1, 0, 1, 2, 5, 10, 20, 50), 2001, 100_000, (1, 10, 100), 100_000, 16_000, 1_000, (1, 5), 20, 100_000, 0
-    )
+    assert (budgets.slln_n, budgets.slln_trials, budgets.dominance_pair, budgets.dominance_n) == (16_000, 1_000, (1, 5), 20)
+    assert budgets.dominance_trials == 100_000
+    with pytest.raises(TypeError):
+        ConditionBudgets(slln_n=64)
     report = full_condition_report(arctan_model, budgets)
     copy = pickle.loads(pickle.dumps(report))
     assert type(copy) is type(report) and repr(copy) == repr(report)
     assert copy.to_dict() == report.to_dict() and copy.trace_rows() == report.trace_rows()
-    assert repr(report.dominance_check).startswith("DominanceCheck(k_small=1, k_large=5, n=20, trials=50, max_gap=")
+    assert repr(report.dominance_check).startswith("DominanceCheck(k_small=1, k_large=5, n=20, trials=100000, max_gap=")
     for record in (budgets, report, report.cesaro_trace, report.moment_check, report.slln_check):
         with pytest.raises(AttributeError):
             record.passed = False
+    with pytest.raises(AttributeError):
+        budgets.slln_n = 64
 
 
 # ---------------------------------------------------------------------------
 # full report
-
-
-def small_budgets(seed=0):
-    return ConditionBudgets(
-        mlr_ns=(-1, 0, 1, 5),
-        cesaro_n_max=20_000,
-        moment_ks=(1, 10),
-        moment_trials=20_000,
-        slln_n=4_000,
-        slln_trials=400,
-        dominance_pair=(1, 5),
-        dominance_n=20,
-        dominance_trials=20_000,
-        seed=seed,
-    )
 
 
 def test_checks_draw_from_streams_of_their_own(arctan_model):
@@ -476,20 +465,20 @@ def test_a_replaced_gaussian_sampler_feeds_no_check(arctan_model):
     # llr_sampler, so a replaced sampler_post moves no byte of the report
     calls = []
 
-    def draw_post(n, rng, size=None):
+    def draw_post(n, rng):
         calls.append(n)
-        return arctan_model.sampler_post(n, rng, size)
+        return arctan_model.sampler_post(n, rng)
 
     replaced = dataclasses.replace(arctan_model, sampler_post=draw_post)
-    report = full_condition_report(replaced, small_budgets())
+    report = full_condition_report(replaced, ConditionBudgets())
     assert calls == []
-    expected = full_condition_report(arctan_model, small_budgets())
+    expected = full_condition_report(arctan_model, ConditionBudgets())
     assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected.to_dict(), sort_keys=True)
     assert report.trace_rows() == expected.trace_rows()
 
 
 def test_full_report_passes_for_arctan(arctan_model):
-    report = full_condition_report(arctan_model, small_budgets())
+    report = full_condition_report(arctan_model, ConditionBudgets())
     assert report.passed
     assert report.information_number_I == pytest.approx(I_ARCTAN, abs=2e-3)
     assert all(report.verdicts.values())
@@ -504,19 +493,19 @@ def test_full_report_checks_no_index_of_its_own_draws(arctan_model, monkeypatch)
     # sampler's MeanSchedule.at are the one index check of every draw
     calls = []
     monkeypatch.setattr(models, "_checked_index", lambda *args: calls.append(args))
-    assert full_condition_report(arctan_model, small_budgets()).passed
+    assert full_condition_report(arctan_model, ConditionBudgets()).passed
     assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:schedule is identically zero")
 def test_full_report_fails_for_zero_schedule():
-    report = full_condition_report(constant_model(0.0), small_budgets())
+    report = full_condition_report(constant_model(0.0), ConditionBudgets())
     assert not report.passed
     assert not report.verdicts["information_number"]
 
 
 def test_full_report_fails_at_mlr_for_decreasing_table():
     model = gaussian_model(MeanSchedule.from_table([1.5, 1.0, 0.4]))
-    report = full_condition_report(model, small_budgets())
+    report = full_condition_report(model, ConditionBudgets())
     assert not report.passed
     assert not report.verdicts["mlr"]

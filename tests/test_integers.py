@@ -16,6 +16,7 @@ from excusum import (
     ExCusumState,
     cesaro_kl_average,
     estimate_arl2fa,
+    default_grid,
     estimate_cadd,
     fourth_moment_check,
     run_detector,
@@ -23,6 +24,7 @@ from excusum import (
     slln_empirical,
     sum_dominance_check,
     tradeoff_curve,
+    verify_mlr,
 )
 from excusum import metrics
 from excusum.process import NO_CHANGE, derive_seed, trial_generators
@@ -39,7 +41,7 @@ ENTRIES = {
     # seeds
     "simulate-seed": ("seed", lambda m, v: simulate_trials(m, "ex-cusum", 1.0, 5, 30, 3, v), 11),
     "arl-seed": ("seed", lambda m, v: estimate_arl2fa(m, "ex-cusum", 1.0, trials=3, horizon=60, seed=v), 11),
-    "cadd-seed": ("seed", lambda m, v: estimate_cadd(m, "ex-cusum", 1.0, nu=5, trials=3, seed=v, horizon=40), 11),
+    "cadd-seed": ("seed", lambda m, v: estimate_cadd(m, "ex-cusum", 1.0, nu=5, trials=3, seed=v), 11),
     "tradeoff-seed": ("seed", lambda m, v: tradeoff_curve(m, [math.e], trials=3, seed=v, arl_trials=3), 11),
     "derive-seed": ("seed", lambda m, v: derive_seed(v, 0), 11),
     "derive-index": ("index", lambda m, v: derive_seed(0, v), 11),
@@ -50,7 +52,7 @@ ENTRIES = {
     # counts
     "simulate-trials": ("trials", lambda m, v: simulate_trials(m, "ex-cusum", 1.0, 5, 30, v, 11), 3),
     "arl-trials": ("trials", lambda m, v: estimate_arl2fa(m, "ex-cusum", 1.0, trials=v, horizon=60, seed=11), 3),
-    "cadd-trials": ("trials", lambda m, v: estimate_cadd(m, "ex-cusum", 1.0, nu=5, trials=v, seed=11, horizon=40), 3),
+    "cadd-trials": ("trials", lambda m, v: estimate_cadd(m, "ex-cusum", 1.0, nu=5, trials=v, seed=11), 3),
     "tradeoff-trials": ("trials", lambda m, v: tradeoff_curve(m, [math.e], trials=v, seed=11, arl_trials=3), 3),
     "tradeoff-arl-trials": ("arl_trials", lambda m, v: tradeoff_curve(m, [math.e], trials=3, seed=11, arl_trials=v), 3),
     "moment-trials": ("trials", lambda m, v: fourth_moment_check(m, trials=v, seed=11, ks=(1,)), 10),
@@ -67,7 +69,7 @@ ENTRIES = {
     "simulate-horizon": ("horizon", lambda m, v: simulate_trials(m, "ex-cusum", 1.0, 5, v, 3, 11), 30),
     "simulate-window": ("window", lambda m, v: simulate_trials(m, "ex-cusum", 1.0, 5, 30, 3, 11, window=v), 4),
     "arl-horizon": ("horizon", lambda m, v: estimate_arl2fa(m, "ex-cusum", 1.0, trials=3, horizon=v, seed=11), 60),
-    "cadd-nu": ("nu", lambda m, v: estimate_cadd(m, "ex-cusum", 1.0, nu=v, trials=3, seed=11, horizon=40), 5),
+    "cadd-nu": ("nu", lambda m, v: estimate_cadd(m, "ex-cusum", 1.0, nu=v, trials=3, seed=11), 5),
     "run-horizon": ("horizon", lambda m, v: run_detector("ex-cusum", m, [0.5] * 8, 9.0, v), 5),
     "run-window": ("window", lambda m, v: run_detector("ex-cusum", m, [0.5] * 8, 9.0, 8, window=v), 3),
     "state-window": ("window", lambda m, v: ExCusumState(window=v)._cands.limit, 50),
@@ -76,6 +78,14 @@ ENTRIES = {
     "spec-seed": ("seed", lambda m, v: ChangeSpec(nu=NO_CHANGE, horizon=10, seed=v), 11),
     # an index array: np.array([True]) is a bool array, np.array([1.5]) a float one
     "generators-index": ("trial index", lambda m, v: draws(trial_generators(11, np.array([v]))), 4),
+    # the MLR check's ages and grid; a bool n broadcast, a fractional one
+    # raised IndexError, and a bool point count gave a one-point grid
+    "mlr-n": ("n", lambda m, v: verify_mlr(m, v, default_grid(m, 1, 64)), 0),
+    "grid-n": ("n", lambda m, v: default_grid(m, v, 64), 1),
+    "grid-points": ("points", lambda m, v: default_grid(m, 1, v), 64),
+    # the schedule's one index check: a bool index was a mask, or a TypeError
+    "schedule-mu": ("schedule index or count", lambda m, v: m.schedule.mu(v), 3),
+    "schedule-at": ("schedule index or count", lambda m, v: m.schedule.at(np.array([v, v])), 3),
 }
 
 NOT_INTEGERS = {"True": True, "np.True_": np.True_, "1.5": 1.5, "'7'": "7"}

@@ -6,9 +6,12 @@ import math
 import pickle
 import re
 import tracemalloc
+from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from excusum import (
     NO_CHANGE,
@@ -163,6 +166,78 @@ def test_block_drawer_trials_equal_runs_on_generate_path(kind, window, nu, model
             monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", chunk * GATE_HORIZON)
             got = simulate_trials(model, kind, threshold, nu, GATE_HORIZON, GATE_TRIALS, 61, window=window)
             assert np.array_equal(got, want), (threshold, chunk)
+
+
+#: every schedule kind with drawn parameters, and a random table
+PROPERTY_SCHEDULES = st.one_of(
+    st.floats(0.0, 2.0).map(MeanSchedule.constant),
+    st.just(MeanSchedule.arctangent()),
+    st.builds(MeanSchedule.linear_saturating, st.floats(0.01, 1.0), st.floats(0.0, 2.0)),
+    st.builds(MeanSchedule.geometric_approach, st.floats(0.0, 2.0), st.floats(0.05, 0.95)),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6).map(MeanSchedule.from_table),
+)
+
+#: 0 and log 20 (a statistic can equal them exactly), the edges of the
+#: ranges the SR bound and the certified tail cover, and thresholds that
+#: short runs seldom reach
+PROPERTY_THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, math.log(20.0), 2.0**11, -(2.0**11), 2.0**11 - 1]),
+    st.floats(-3.0, 10.0),
+    st.floats(20.0, 60.0),
+)
+
+
+def outcome_of(call):
+    """call()'s value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:schedule is identically zero")
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(
+    schedule=PROPERTY_SCHEDULES,
+    kind_window=st.one_of(
+        st.sampled_from([("ex-cusum", None), ("sr", None), ("cusum", None)]),
+        st.tuples(st.just("ex-cusum"), st.integers(1, 8)),
+    ),
+    threshold=PROPERTY_THRESHOLDS,
+    nu=st.one_of(st.just(NO_CHANGE), st.integers(1, 70)),
+    horizon=st.integers(1, 60),
+    trials=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+    sample_block=st.integers(1, 300),
+    tile_rows=st.integers(1, 70),
+    chunk_elements=st.one_of(st.integers(1, 1500), st.just(2**18)),
+)
+def test_lockstep_trials_equal_per_trial_runs_on_generate_path(
+    schedule, kind_window, threshold, nu, horizon, trials, seed, sample_block, tile_rows, chunk_elements
+):
+    # the differential property of the lockstep under any block, tile and
+    # chunk size: trial i's tau is run_detector's on generate_path's path of
+    # seed derive_seed(seed, i), which is the literal Gaussian path
+    kind, window = kind_window
+    model = gaussian_model(schedule)
+    with mock.patch.object(process, "_CHUNK", sample_block), mock.patch.object(
+        process, "_TILE_ROWS", tile_rows
+    ), mock.patch.object(metrics, "_CHUNK_ELEMENTS", chunk_elements):
+        got = outcome_of(lambda: simulate_trials(model, kind, threshold, nu, horizon, trials, seed, window=window))
+        paths = [generate_path(model, ChangeSpec(nu, horizon, derive_seed(seed, i))).samples for i in range(trials)]
+    for i, path in enumerate(paths):
+        want = np.random.default_rng(derive_seed(seed, i)).standard_normal(horizon)
+        n_pre = horizon if nu == NO_CHANGE else min(nu - 1, horizon)
+        want[n_pre:] += schedule.means(horizon - n_pre)
+        assert path.tobytes() == want.tobytes()
+    want = outcome_of(
+        lambda: np.array([run_detector(kind, model, p, threshold, horizon, window=window).tau or 0 for p in paths])
+    )
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_lockstep_chunks_are_sized_by_what_a_live_trial_holds(monkeypatch):
@@ -652,7 +727,7 @@ def test_cadd_immediate_change_at_log1000(arctan_model):
 
 def test_cadd_zero_delay_cases_counted(arctan_model):
     # threshold below the attainable first-step statistic: tau = nu = 1 always
-    est = estimate_cadd(arctan_model, "ex-cusum", -0.5, nu=1, trials=50, seed=23, horizon=10)
+    est = estimate_cadd(arctan_model, "ex-cusum", -0.5, nu=1, trials=50, seed=23)
     assert est.mean_delay == 0.0
     assert est.accepted == 50
 
@@ -667,8 +742,9 @@ def test_cadd_shift_invariance_between_nu_1_and_40(arctan_model):
 
 
 def test_cadd_no_accepted_runs_is_an_error(arctan_model):
-    with pytest.raises(EstimationError):
-        estimate_cadd(arctan_model, "ex-cusum", math.log(10_000), nu=5, trials=10, seed=37, horizon=6)
+    # a threshold below the first-step statistic stops every run at 1 < nu
+    with pytest.raises(EstimationError, match=r"no accepted runs .* \(10 false alarms, 0 censored of 10\)"):
+        estimate_cadd(arctan_model, "ex-cusum", -0.5, nu=5, trials=10, seed=37)
 
 
 def test_estimators_refuse_a_bool_trial_count(arctan_model):
@@ -691,7 +767,8 @@ def test_estimators_count_fixed_stopping_times_exactly(arctan_model, monkeypatch
     # censored runs count at the horizon: 30 + 3 + 9 + 10 + 14 + 30 + 25
     assert arl.mean_tau == 121 / 7
     assert arl.censored_fraction == 2 / 7
-    cadd = estimate_cadd(arctan_model, "ex-cusum", 0.0, nu=10, trials=7, seed=1, horizon=30)
+    # threshold 2 sets the delay horizon to 10 + 10 * ceil(2 / I) = 30
+    cadd = estimate_cadd(arctan_model, "ex-cusum", 2.0, nu=10, trials=7, seed=1)
     # taus 3 and 9 are false alarms; 10, 14 and 25 are delays 0, 4 and 15
     assert cadd.mean_delay == 19 / 3
     assert cadd.accepted == 3
@@ -724,8 +801,9 @@ def test_model_without_information_number_needs_an_explicit_horizon():
         estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1)
     with pytest.raises(EstimationError, match="information number"):
         tradeoff_curve(model, [10.0], trials=5, seed=1)
-    est = estimate_cadd(model, "ex-cusum", 3.0, nu=1, trials=5, seed=1, horizon=60)
-    assert est.accepted == 5
+    # simulate_trials takes any horizon, so the stopping times are still there
+    taus = simulate_trials(model, "ex-cusum", 3.0, 1, 60, 5, 1)
+    assert np.all(taus >= 1)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])

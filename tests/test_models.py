@@ -379,7 +379,7 @@ def test_built_in_schedules_pass_mlr_with_defaults():
     ):
         model = gaussian_model(sched)
         for n in (-1, 0, 1, 5, 25):
-            grid = default_grid(model, max(n + 1, 0))
+            grid = default_grid(model, max(n + 1, 0), 2001)
             assert verify_mlr(model, n, grid).ok, (sched.kind, n)
 
 
@@ -388,8 +388,9 @@ def test_built_in_schedules_pass_mlr_with_defaults():
 
 
 def check_normalization(model: DensityModel, n: int | None = None) -> float:
-    """Integral of g (n = None) or of f_n over the model's quadrature window."""
-    lo, hi = model.quadrature_window(n)
+    """Integral of g (n = None, over f_0's window) or of f_n over the model's
+    quadrature window."""
+    lo, hi = model.quadrature_window(0 if n is None else n)
     if n is None:
         fn = lambda xs: np.exp(model.pre_change_log_density(xs))
     else:
@@ -438,21 +439,21 @@ def test_zero_mean_post_change_matches_pre_change_in_distribution():
 
 @pytest.mark.parametrize("schedule", EVERY_KIND, ids=lambda s: s.kind)
 @pytest.mark.parametrize(
-    "n, size",
+    "n",
     [
-        (5, 1000),  # the fourth-moment check: one age, many draws
-        (5, None),
-        (np.arange(40, 340), None),  # a path block or one SLLN trial
-        (np.broadcast_to(np.arange(21), (50, 21)), None),  # the dominance check's age grid
+        np.full(1000, 5),  # the fourth-moment check: one age, many draws
+        5,
+        np.arange(40, 340),  # a path block or one SLLN trial
+        np.broadcast_to(np.arange(21), (50, 21)),  # the dominance check's age grid
     ],
     ids=["scalar-sized", "scalar", "index-array", "broadcast-grid"],
 )
-def test_gaussian_post_draws_equal_rng_normal(schedule, n, size):
+def test_gaussian_post_draws_equal_rng_normal(schedule, n):
     # the Gaussian sampler skips rng.normal's broadcast path; every seeded
     # output rests on it giving the same values and leaving the same state
     got_rng, want_rng = np.random.default_rng(31), np.random.default_rng(31)
-    got = gaussian_model(schedule).sampler_post(n, got_rng, size)
-    want = want_rng.normal(schedule.at(n), 1.0, size)
+    got = gaussian_model(schedule).sampler_post(n, got_rng)
+    want = want_rng.normal(schedule.at(n), 1.0)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -515,13 +516,13 @@ def test_unpickled_gaussian_model_gives_the_same_numbers(schedule):
     assert twin.post_change_log_density(idx, xs).tobytes() == model.post_change_log_density(idx, xs).tobytes()
 
     def draws(m, rng):
-        out = (m.sampler_pre(rng, 7), m.sampler_post(idx, rng), m.sampler_post(5, rng, 3), m.sampler_pre(rng))
+        out = (m.sampler_pre(rng, 7), m.sampler_post(idx, rng), m.sampler_post(np.full(3, 5), rng), m.sampler_pre(rng))
         return [np.asarray(d).tobytes() for d in out]
 
     got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
     assert draws(twin, got_rng) == draws(model, want_rng)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    for n in (None, 0, 3, 400):
+    for n in (0, 3, 400):
         assert twin.quadrature_window(n) == model.quadrature_window(n)
     assert twin.saturation_index() == model.saturation_index()
     assert twin.information_number() == model.information_number()
@@ -590,7 +591,7 @@ def test_schedule_rejects_negative_counts_and_indices():
         lambda: s.at(np.array([-1])),
         lambda: s.mu(-1),
     ):
-        with pytest.raises(ValueError, match="index or count must be >= 0"):
+        with pytest.raises(ValueError, match="index or count must be an integer >= 0"):
             call()
 
 

@@ -1,12 +1,12 @@
 """Write or check the golden record of every CLI output.
 
 Runs each of the 6 commands on each ``configs/*.json`` with ``--format csv``
-and ``--format json`` (36 runs, one process each, two at a time), and for
-every run records the exit code and the SHA-256 of stdout, of stderr and of
-each output file, with the run's output directory replaced by ``<OUT>`` in
-stdout and stderr.  The record also holds the Python version (major.minor)
-and the numpy version that made it, since numpy does not promise the same
-streams across versions.
+and ``--format json`` (12 runs a config, one process each, two at a time),
+and for every run records the exit code and the SHA-256 of stdout, of
+stderr and of each output file, with the run's output directory replaced
+by ``<OUT>`` in stdout and stderr.  The record also holds the Python
+version (major.minor) and the numpy version that made it, since numpy does
+not promise the same streams across versions.
 
     python3 tools/golden.py --write   # rewrite tools/golden.json
     python3 tools/golden.py --check   # exit 1 on any difference from it
